@@ -11,16 +11,17 @@
 //! graphs, attaching literal/cube counts so quality regressions show up
 //! next to timing regressions (the symbolic engine must never need more
 //! literals).  The `logic/symbolic` group times the STG-driven pipeline
-//! (`derive_next_state_functions_stg`) on state spaces with up to `4^40`
+//! (`analyze_stg_with`: encoded reachability, seed guard, ISOP covers and
+//! the persistency check) on state spaces with up to `4^40`
 //! states and 80 signals — no explicit enumeration happens at all there;
 //! the explicit engine cannot represent those workloads (u64 codes, per-
 //! state loops), which is the point of the baseline.
 
 use bench::harness::{black_box, Criterion};
 use csc::{solve_stg, SolverConfig};
-use logic::{derive_next_state_functions_stg, derive_next_state_functions_with, LogicStrategy};
+use logic::{analyze_stg_with, derive_next_state_functions_with, LogicStrategy};
 use std::time::Duration;
-use stg::benchmarks;
+use stg::{benchmarks, ReachabilityConfig};
 
 fn derive_strategies(c: &mut Criterion) {
     let mut group = c.benchmark_group("logic/derive");
@@ -72,16 +73,15 @@ fn symbolic_stg_scale(c: &mut Criterion) {
     // Widths far beyond the explicit path: par_hs16 has 4^16 ≈ 4.3·10⁹
     // states, par_hs40 has 80 signals (> the u64 code width) and 4^40
     // states.
+    let reach = ReachabilityConfig::default();
     for n in [16usize, 24, 40] {
         let model = benchmarks::parallel_handshakes(n);
         group.bench_function(format!("par_hs{n}"), |b| {
             b.iter(|| {
-                black_box(
-                    derive_next_state_functions_stg(&model, 0, None).unwrap().total_literals(),
-                )
+                black_box(analyze_stg_with(&model, 0, &reach).unwrap().functions.total_literals())
             })
         });
-        let funcs = derive_next_state_functions_stg(&model, 0, None).unwrap();
+        let funcs = analyze_stg_with(&model, 0, &reach).unwrap().functions;
         assert_eq!(funcs.total_literals(), n, "par_hs{n}: every ack is one req literal");
         group.attach_metrics(&[
             ("literals", funcs.total_literals() as f64),

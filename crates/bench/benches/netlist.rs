@@ -16,10 +16,16 @@
 
 use bench::harness::{black_box, Criterion};
 use csc::{solve_stg_symbolic, SolverConfig};
-use logic::derive_next_state_functions_stg;
 use std::time::Duration;
 use stg::benchmarks;
 use stg::ReachabilityConfig;
+
+/// The next-state functions of a conflict-free STG, seeded at 0.
+fn functions_of(model: &stg::Stg) -> logic::NextStateFunctions {
+    logic::analyze_stg_with(model, 0, &ReachabilityConfig::default())
+        .expect("covers derive")
+        .functions
+}
 
 /// The bench corpus: encoded (conflict-free) STGs with their derived
 /// covers and synthesized circuits.
@@ -33,12 +39,12 @@ fn prepared() -> Vec<(String, stg::Stg, logic::NextStateFunctions, netlist::Netl
         benchmarks::mixed_handshake(),
     ] {
         let solved = solve_stg_symbolic(&model, &config).expect("bench models solve").stg;
-        let functions = derive_next_state_functions_stg(&solved, 0, None).expect("covers derive");
+        let functions = functions_of(&solved);
         let circuit = netlist::synthesize(&solved, &functions).expect("synthesis succeeds");
         out.push((model.name().to_owned(), solved, functions, circuit));
     }
     for model in [benchmarks::pipeline_2ph(8), benchmarks::parallel_handshakes(6)] {
-        let functions = derive_next_state_functions_stg(&model, 0, None).expect("covers derive");
+        let functions = functions_of(&model);
         let circuit = netlist::synthesize(&model, &functions).expect("synthesis succeeds");
         out.push((model.name().to_owned(), model, functions, circuit));
     }

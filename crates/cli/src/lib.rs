@@ -33,16 +33,17 @@
 
 use bdd::{Budget, BudgetExceeded};
 use csc::{
-    conflict_pairs, solve_stg, solve_stg_symbolic_with, CscError, CscSolution, EncodedGraph,
-    SolverConfig, SolverStrategy, StageStats, SymbolicSolution,
+    conflict_pairs, solve_space, CscError, CscSolution, EncodedGraph, SolverConfig, SolverStrategy,
+    StageStats, SymbolicSolution,
 };
 use logic::{
-    analyze_stg_with, area_of_functions, LogicDiagnostic, LogicError, LogicStrategy,
+    analyze_space, area_of_functions, LogicDiagnostic, LogicError, LogicStrategy,
     SymbolicLogicReport,
 };
+use netlist::{NetlistError, NetlistVerification};
 use std::fmt;
 use std::time::{Duration, Instant};
-use stg::{ReachabilityConfig, ReachabilityStrategy, Stg};
+use stg::{ReachabilityConfig, ReachabilityStrategy, Stg, StgError, SymbolicStateSpace};
 
 /// Options of the end-to-end flow.
 #[derive(Clone, Debug)]
@@ -297,6 +298,12 @@ pub struct FlowReport {
     /// verification verdict (`None` when no logic was derived, e.g. under
     /// `--no-area` or on a partial report).
     pub netlist: Option<NetlistStage>,
+    /// Reachability fixpoints the whole run computed, encoded or
+    /// places-only, on every rung it tried.  A symbolic run builds one
+    /// encoded space for the input and shares it between the analysis, the
+    /// solver and the netlist check, so the count is 1 plus one per
+    /// candidate net the solver verified.
+    pub fixpoints: usize,
 }
 
 impl fmt::Display for FlowReport {
@@ -418,6 +425,8 @@ pub fn render_stage_table(report: &FlowReport) -> String {
     }
     out.push_str(&format!("{:<22} {:>12}\n", "candidates evaluated", stage.candidates_evaluated));
     out.push_str(&format!("{:<22} {:>12}\n", "candidates pruned", stage.candidates_pruned));
+    out.push_str(&format!("{:<22} {:>12}\n", "candidates verified", stage.candidates_verified));
+    out.push_str(&format!("{:<22} {:>12}\n", "reachability fixpoints", report.fixpoints));
     out.push_str(&format!("{:<22} {:>12}\n", "evaluation jobs", report.jobs));
     out.push_str(&format!("{:<22} {:>12}\n", "solver engine", report.solver_strategy.to_string()));
     out.push_str(&format!("{:<22} {:>12}\n", "logic engine", report.logic_strategy.to_string()));
@@ -479,6 +488,14 @@ pub fn render_stage_table(report: &FlowReport) -> String {
 /// Propagates [`CscError`] from the solver; models whose CSC conflicts
 /// cannot be solved without touching the environment are reported this way.
 pub fn run_flow(model: &Stg, options: &FlowOptions) -> Result<FlowReport, CscError> {
+    let fixpoints_before = stg::fixpoints_run();
+    let mut report = run_ladder(model, options)?;
+    report.fixpoints = stg::fixpoints_run() - fixpoints_before;
+    Ok(report)
+}
+
+/// The rungs of [`run_flow`], in descent order.
+fn run_ladder(model: &Stg, options: &FlowOptions) -> Result<FlowReport, CscError> {
     let start = Instant::now();
     let (_, _, signals) = model.stats();
     let budget = options.budget();
@@ -618,8 +635,11 @@ enum RungAttempt {
     Route,
 }
 
-/// One symbolic attempt: analyze, and if a CSC conflict surfaces with the
-/// symbolic solver selected, insert state signals and re-analyze.
+/// One symbolic attempt: build the input's encoded state space, analyze it,
+/// and if a CSC conflict surfaces with the symbolic solver selected, hand
+/// the space to the solver and analyze the space of its last iteration.
+/// The netlist check runs on whichever space the final analysis used, so a
+/// conflict-free design computes exactly one fixpoint.
 fn symbolic_rung(
     model: &Stg,
     options: &FlowOptions,
@@ -627,70 +647,69 @@ fn symbolic_rung(
     start: Instant,
     diagnosis: &mut Vec<LogicDiagnostic>,
 ) -> RungAttempt {
-    match analyze_stg_with(model, options.initial_code, reach) {
-        Ok(analysis) => RungAttempt::Done(Box::new(symbolic_report(
-            model, options, &analysis, None, reach, start,
-        ))),
-        Err(LogicError::Budget(trip)) => RungAttempt::Degrade(RungFailure::budget(trip)),
-        Err(LogicError::ReachabilityNotConverged { iterations }) => {
-            RungAttempt::Degrade(RungFailure::not_converged(iterations))
+    let mut space = match model.try_symbolic_encoded_state_space(options.initial_code, reach) {
+        Ok(space) => space,
+        Err(StgError::Budget(trip)) => return RungAttempt::Degrade(RungFailure::budget(trip)),
+        Err(StgError::NotConverged { iterations }) => {
+            return RungAttempt::Degrade(RungFailure::not_converged(iterations))
         }
-        // A genuine CSC conflict with the symbolic solver selected: resolve
-        // it by state-signal insertion on BDDs, then re-analyze the encoded
-        // STG — still no explicit state graph anywhere.
-        Err(csc_violation @ LogicError::CscViolation { .. }) => {
-            *diagnosis = vec![LogicDiagnostic::from(&csc_violation)];
-            if options.strategy != SolverStrategy::Symbolic {
-                return RungAttempt::Route;
-            }
-            match solve_stg_symbolic_with(model, &options.solver, options.initial_code, reach) {
-                Ok(solution) => {
-                    match analyze_stg_with(&solution.stg, options.initial_code, reach) {
-                        Ok(analysis) => {
-                            diagnosis.clear();
-                            RungAttempt::Done(Box::new(symbolic_report(
-                                model,
-                                options,
-                                &analysis,
-                                Some(&solution),
-                                reach,
-                                start,
-                            )))
-                        }
-                        Err(LogicError::Budget(trip)) => {
-                            RungAttempt::Degrade(RungFailure::budget(trip))
-                        }
-                        Err(LogicError::ReachabilityNotConverged { iterations }) => {
-                            RungAttempt::Degrade(RungFailure::not_converged(iterations))
-                        }
-                        Err(_) => RungAttempt::Route,
-                    }
+        Err(_) => return RungAttempt::Route,
+    };
+    let mut analysis = analyze_space(model, &mut space);
+    let mut solution = None;
+    // A genuine CSC conflict with the symbolic solver selected: resolve it
+    // by state-signal insertion on BDDs, then analyze the encoded STG —
+    // still no explicit state graph anywhere.
+    if let Err(csc_violation @ LogicError::CscViolation { .. }) = &analysis {
+        *diagnosis = vec![LogicDiagnostic::from(csc_violation)];
+        if options.strategy != SolverStrategy::Symbolic {
+            return RungAttempt::Route;
+        }
+        let solved;
+        (solved, space) =
+            match solve_space(model, space, &options.solver, options.initial_code, reach) {
+                Ok(solved) => solved,
+                Err(CscError::Budget(trip)) => {
+                    return RungAttempt::Degrade(RungFailure::budget(trip))
                 }
-                Err(CscError::Budget(trip)) => RungAttempt::Degrade(RungFailure::budget(trip)),
                 Err(CscError::NotConverged { iterations }) => {
-                    RungAttempt::Degrade(RungFailure::not_converged(iterations))
+                    return RungAttempt::Degrade(RungFailure::not_converged(iterations))
                 }
                 // No candidate, signal limit, inconsistent insertion: the
                 // explicit pipeline is the fallback.
-                Err(_) => RungAttempt::Route,
-            }
+                Err(_) => return RungAttempt::Route,
+            };
+        analysis = analyze_space(&solved.stg, &mut space);
+        solution = Some(solved);
+    }
+    match analysis {
+        Ok(analysis) => {
+            diagnosis.clear();
+            let report =
+                symbolic_report(model, options, &analysis, solution.as_ref(), &mut space, start);
+            RungAttempt::Done(Box::new(report))
         }
-        // Wrong seed or another structural failure: the explicit pipeline
-        // is the ground truth fallback.
-        Err(_) => RungAttempt::Route,
+        Err(error) => logic_failure(error),
     }
 }
 
-/// Synthesizes the gate netlist from derived functions and — when
-/// requested and an encoded STG is available — closes the loop by
-/// verifying the circuit against it under the flow's budget.
+/// A failed symbolic analysis: a budget trip degrades the rung; a wrong
+/// seed or another structural failure routes to the explicit pipeline, the
+/// ground-truth fallback.
+fn logic_failure(error: LogicError) -> RungAttempt {
+    match error {
+        LogicError::Budget(trip) => RungAttempt::Degrade(RungFailure::budget(trip)),
+        _ => RungAttempt::Route,
+    }
+}
+
+/// Synthesizes the gate netlist from derived functions.  The verdict starts
+/// as [`NetlistVerdict::NotRequested`]; callers that want the closed-loop
+/// check run [`NetlistStage::verify_with`].
 fn build_netlist_stage(
     name: &str,
     signals: &[(String, bool)],
     functions: &logic::NextStateFunctions,
-    verify_against: Option<(&Stg, u64)>,
-    verify_requested: bool,
-    reach: &ReachabilityConfig,
 ) -> Option<NetlistStage> {
     let build_start = Instant::now();
     // The functions were derived from the same signal space, so synthesis
@@ -701,27 +720,34 @@ fn build_netlist_stage(
     let gates = circuit.gates.len();
     let c_elements = circuit.c_elements();
     let literals = circuit.literals();
-    let mut verify_ms = 0.0;
-    let verdict = if !verify_requested {
-        NetlistVerdict::NotRequested
-    } else {
-        match verify_against {
-            None => {
-                NetlistVerdict::Aborted { reason: "no encoded STG to verify against".to_owned() }
-            }
-            Some((stg, initial_code)) => {
-                let verify_start = Instant::now();
-                let outcome = netlist::verify(stg, &circuit, initial_code, reach);
-                verify_ms = verify_start.elapsed().as_secs_f64() * 1e3;
-                match outcome {
-                    Ok(v) if v.passed() => NetlistVerdict::Verified { states_f64: v.states_f64 },
-                    Ok(v) => NetlistVerdict::Failed { diagnostics: v.diagnostics },
-                    Err(e) => NetlistVerdict::Aborted { reason: e.to_string() },
-                }
-            }
-        }
-    };
-    Some(NetlistStage { circuit, gates, c_elements, literals, build_ms, verify_ms, verdict })
+    Some(NetlistStage {
+        circuit,
+        gates,
+        c_elements,
+        literals,
+        build_ms,
+        verify_ms: 0.0,
+        verdict: NetlistVerdict::NotRequested,
+    })
+}
+
+impl NetlistStage {
+    /// Closes the loop: runs `check` on the circuit and records its verdict
+    /// and wall time.  A check that cannot finish (budget trip, truncated
+    /// fixpoint) is a typed [`NetlistVerdict::Aborted`], not a flow failure.
+    fn verify_with(
+        &mut self,
+        check: impl FnOnce(&netlist::Netlist) -> Result<NetlistVerification, NetlistError>,
+    ) {
+        let verify_start = Instant::now();
+        let outcome = check(&self.circuit);
+        self.verify_ms = verify_start.elapsed().as_secs_f64() * 1e3;
+        self.verdict = match outcome {
+            Ok(v) if v.passed() => NetlistVerdict::Verified { states_f64: v.states_f64 },
+            Ok(v) => NetlistVerdict::Failed { diagnostics: v.diagnostics },
+            Err(e) => NetlistVerdict::Aborted { reason: e.to_string() },
+        };
+    }
 }
 
 /// Signal descriptors `(name, is_input)` of an STG, for netlist synthesis.
@@ -731,13 +757,14 @@ fn signal_descriptors(stg: &Stg) -> Vec<(String, bool)> {
 
 /// Builds the report of a successful symbolic rung.  With `solution`, the
 /// analysis describes the solver's encoded output STG; without it, the
-/// input already satisfied CSC.
+/// input already satisfied CSC.  `space` is the encoded space the analysis
+/// ran on; the netlist check reuses it.
 fn symbolic_report(
     model: &Stg,
     options: &FlowOptions,
     analysis: &SymbolicLogicReport,
     solution: Option<&SymbolicSolution>,
-    reach: &ReachabilityConfig,
+    space: &mut SymbolicStateSpace,
     start: Instant,
 ) -> FlowReport {
     let (places, transitions, signals) = model.stats();
@@ -751,19 +778,15 @@ fn symbolic_report(
         ),
         None => (final_states, analysis.markings, 0),
     };
-    let netlist = if options.estimate_area {
-        let encoded: &Stg = solution.map_or(model, |s| &s.stg);
-        build_netlist_stage(
-            encoded.name(),
-            &signal_descriptors(encoded),
-            &analysis.functions,
-            Some((encoded, options.initial_code)),
-            options.verify_netlist,
-            reach,
-        )
+    let encoded: &Stg = solution.map_or(model, |s| &s.stg);
+    let mut netlist = if options.estimate_area {
+        build_netlist_stage(encoded.name(), &signal_descriptors(encoded), &analysis.functions)
     } else {
         None
     };
+    if let Some(stage) = netlist.as_mut().filter(|_| options.verify_netlist) {
+        stage.verify_with(|circuit| netlist::verify_space(encoded, space, circuit));
+    }
     FlowReport {
         name: model.name().to_owned(),
         places,
@@ -795,6 +818,7 @@ fn symbolic_report(
         rung: FlowRung::Symbolic,
         degradations: Vec::new(),
         netlist,
+        fixpoints: 0,
     }
 }
 
@@ -832,19 +856,26 @@ fn explicit_pipeline(
                     .iter()
                     .map(|s| (s.name.clone(), !s.kind.is_non_input()))
                     .collect();
-                // The re-synthesized STG shares the graph's signal order, so
-                // the graph's initial code seeds the verification correctly.
-                let initial_code = solution.graph.code(solution.graph.ts.initial());
-                let reach =
-                    ReachabilityConfig { budget: budget.cloned(), ..ReachabilityConfig::default() };
-                netlist = build_netlist_stage(
-                    model.name(),
-                    &signals,
-                    &functions,
-                    solution.stg.as_ref().map(|stg| (stg, initial_code)),
-                    options.verify_netlist,
-                    &reach,
-                );
+                netlist = build_netlist_stage(model.name(), &signals, &functions);
+                if let Some(stage) = netlist.as_mut().filter(|_| options.verify_netlist) {
+                    // The re-synthesized STG shares the graph's signal order,
+                    // so the graph's initial code seeds the verification.
+                    let initial_code = solution.graph.code(solution.graph.ts.initial());
+                    let reach = ReachabilityConfig {
+                        budget: budget.cloned(),
+                        ..ReachabilityConfig::default()
+                    };
+                    match &solution.stg {
+                        Some(stg) => stage.verify_with(|circuit| {
+                            netlist::verify(stg, circuit, initial_code, &reach)
+                        }),
+                        None => {
+                            stage.verdict = NetlistVerdict::Aborted {
+                                reason: "no encoded STG to verify against".to_owned(),
+                            }
+                        }
+                    }
+                }
                 (
                     Some(area.total_literals),
                     Some(area.total_cubes),
@@ -860,7 +891,6 @@ fn explicit_pipeline(
         (None, None, None)
     };
 
-    let _ = solve_stg; // re-exported path kept for doc visibility
     Ok(FlowReport {
         name: model.name().to_owned(),
         places,
@@ -886,6 +916,7 @@ fn explicit_pipeline(
         rung: FlowRung::Explicit,
         degradations: Vec::new(),
         netlist,
+        fixpoints: 0,
     })
 }
 
@@ -923,6 +954,7 @@ fn partial_report(
         rung: FlowRung::PartialReport,
         degradations,
         netlist: None,
+        fixpoints: 0,
     }
 }
 

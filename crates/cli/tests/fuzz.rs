@@ -11,6 +11,8 @@
 //!   the rung order, with a contiguous trail ending at the reported rung,
 //! * **engine agreement** — the explicit and the symbolic reachability
 //!   engines count the same states and reach the same CSC verdict,
+//! * **seed-guard agreement** — the closure guard on the encoded space
+//!   accepts exactly the seeds a places-only fixpoint comparison accepts,
 //! * **parser hardening** — mutated `.g` text is rejected with typed
 //!   errors, and the flow survives whatever still parses.
 //!
@@ -51,6 +53,51 @@ fn explicit_and_symbolic_engines_agree_on_fuzzed_models() {
             "seed {seed}: engines disagree on the CSC verdict"
         );
     }
+}
+
+/// Distinct markings a code-encoded space covers: `|∃codes. Reach|`.
+fn covered_markings(space: &mut stg::SymbolicStateSpace) -> f64 {
+    let signal_vars: Vec<_> =
+        (0..space.num_signals()).map(|s| space.current_var_of_signal(s)).collect();
+    let (reachable, places) = (space.reachable(), space.num_places());
+    let m = space.manager_mut();
+    let covered = m.exists_many(reachable, &signal_vars);
+    m.sat_count_f64(covered) / 2f64.powi((m.num_vars() - places) as i32)
+}
+
+/// The seed guard (`SymbolicStateSpace::check_seed`) decides on the
+/// encoded space what comparing it against a places-only fixpoint decides;
+/// the fixpoint stays here as the guard's oracle.  Every fuzzed STG is
+/// checked under its true seed and under each single-bit perturbation of
+/// that seed.
+#[test]
+fn seed_guard_agrees_with_the_places_only_fixpoint() {
+    let config = stg::ReachabilityConfig::default();
+    let mut rejected = 0;
+    for seed in 0..seed_count(500) {
+        let model = random_stg(seed);
+        let sg = model.state_graph(200_000).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        let true_code = sg.code(sg.ts.initial());
+        let markings = model.try_symbolic_state_space(&config).unwrap().state_count_f64();
+        let perturbed = (0..model.num_signals().min(64)).map(|bit| true_code ^ (1 << bit));
+        for code in std::iter::once(true_code).chain(perturbed) {
+            let mut space = model.try_symbolic_encoded_state_space(code, &config).unwrap();
+            let covered = covered_markings(&mut space);
+            let oracle = covered == markings && space.state_count_f64() == covered;
+            let verdict = space.check_seed(&model);
+            assert_eq!(verdict.is_ok(), oracle, "seed {seed}, code {code:#b}: {verdict:?}");
+            assert!(code != true_code || oracle, "seed {seed}: the true seed must pass");
+            // The witness is a blocked transition exactly when markings
+            // were lost, and no witness when a marking got two codes.
+            if let Err(stg::StgError::SeedMismatch { blocked_transition, .. }) = &verdict {
+                assert_eq!(blocked_transition.is_some(), covered < markings, "seed {seed}");
+                rejected += 1;
+            }
+        }
+    }
+    // Every signal of a fuzzed STG switches, so a wrong seed bit blocks its
+    // first edge: the oracle must have seen rejections, not only passes.
+    assert!(rejected > 0 || seed_count(500) == 0, "no perturbed seed was rejected");
 }
 
 #[test]
@@ -119,7 +166,7 @@ fn fuzzed_netlists_emit_round_trip_and_agree_with_the_cover_level_verdict() {
         // Cover-level agreement, direction one: the derivation succeeds
         // exactly when the covers satisfy ON ∧ OFF = ∅ over the reachable
         // codes — i.e. when the cover-level CSC check passes.
-        let analysis = logic::analyze_stg(&model, 0, None);
+        let analysis = logic::analyze_stg_with(&model, 0, &config);
         let analysis = match analysis {
             Ok(analysis) => {
                 assert!(!csc_violated, "seed {seed}: covers derived despite a CSC violation");

@@ -42,8 +42,11 @@ pub enum CscError {
     /// reachable markings consistently: some edge is blocked by a wrong
     /// signal value, so markings are lost or doubly coded.
     SeedMismatch {
-        /// Reachable markings of the places-only fixpoint (ground truth).
-        markings: usize,
+        /// The first transition (in net order) the seed blocks, as
+        /// established by the seed guard
+        /// ([`stg::SymbolicStateSpace::check_seed`]); `None` when no edge
+        /// is blocked but a marking carries two codes.
+        blocked_transition: Option<String>,
         /// States of the encoded (marking, code) fixpoint.
         coded_states: usize,
     },
@@ -71,11 +74,13 @@ impl fmt::Display for CscError {
             CscError::NotConverged { iterations } => {
                 write!(f, "symbolic reachability did not converge within {iterations} iterations")
             }
-            CscError::SeedMismatch { markings, coded_states } => write!(
-                f,
-                "initial code mismatch: {markings} reachable markings vs {coded_states} coded states \
-                 (wrong initial_code seed)"
-            ),
+            CscError::SeedMismatch { blocked_transition, coded_states } => {
+                let cause = blocked_transition.as_ref().map_or_else(
+                    || "a marking carries two codes".to_owned(),
+                    |t| format!("the seed blocks transition '{t}'"),
+                );
+                write!(f, "initial code mismatch: {cause} ({coded_states} coded states)")
+            }
             CscError::Budget(e) => write!(f, "{e}"),
         }
     }

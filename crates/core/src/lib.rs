@@ -83,6 +83,6 @@ pub use solver::{
     StageStats, VerifyDiagnostic,
 };
 pub use symbolic::{
-    solve_stg_symbolic, solve_stg_symbolic_budgeted, solve_stg_symbolic_seeded,
-    solve_stg_symbolic_with, ConflictCore, SolverStrategy, SymbolicSolution,
+    solve_space, solve_stg_symbolic, solve_stg_symbolic_seeded, solve_stg_symbolic_with,
+    ConflictCore, SolverStrategy, SymbolicSolution,
 };

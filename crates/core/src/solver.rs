@@ -116,6 +116,9 @@ pub struct StageStats {
     /// Candidate blocks skipped before scoring (duplicates, degenerate
     /// full-space unions).
     pub candidates_pruned: usize,
+    /// Candidate nets the symbolic solver rebuilt to verify an insertion,
+    /// one reachability fixpoint each (0 for the explicit solver).
+    pub candidates_verified: usize,
 }
 
 impl fmt::Display for StageStats {
@@ -151,6 +154,10 @@ pub struct SolveStats {
     pub stage: StageStats,
     /// Evaluation threads the run actually used.
     pub jobs: usize,
+    /// Reachability fixpoints the run computed (0 for the explicit
+    /// solver; for the symbolic one, one per candidate net it verified,
+    /// plus one for the input's space when it built that itself).
+    pub fixpoints: usize,
 }
 
 /// The result of a successful CSC resolution.

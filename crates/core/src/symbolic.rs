@@ -44,7 +44,7 @@
 
 use crate::solver::{SolveStats, SolverConfig};
 use crate::CscError;
-use bdd::{Bdd, BddManager, Budget, FxHashMap, FxHashSet, VarId};
+use bdd::{Bdd, BddManager, FxHashMap, FxHashSet, VarId};
 use petri::{PetriNetBuilder, TransId};
 use std::time::Instant;
 use stg::{
@@ -150,6 +150,55 @@ pub fn solve_stg_symbolic(
 ///
 /// # Errors
 ///
+/// Same as [`solve_stg_symbolic_with`].
+pub fn solve_stg_symbolic_seeded(
+    model: &Stg,
+    config: &SolverConfig,
+    initial_code: u64,
+) -> Result<SymbolicSolution, CscError> {
+    solve_stg_symbolic_with(model, config, initial_code, &ReachabilityConfig::default())
+}
+
+/// [`solve_space`] on a freshly built encoded state space of `model`: the
+/// input's reachability runs under `reach` (its budget, iteration cap and
+/// strategy), as does every candidate verification rebuild.  The degradation
+/// ladder uses this to retry the solve with a restricted fixpoint
+/// (monolithic BFS) on the same budget.
+///
+/// # Errors
+///
+/// * [`CscError::NotConverged`] if a reachability fixpoint hits its
+///   iteration cap,
+/// * every error of [`solve_space`].
+pub fn solve_stg_symbolic_with(
+    model: &Stg,
+    config: &SolverConfig,
+    initial_code: u64,
+    reach: &ReachabilityConfig,
+) -> Result<SymbolicSolution, CscError> {
+    let before = stg::fixpoints_run();
+    let space =
+        model.try_symbolic_encoded_state_space(initial_code, reach).map_err(reachability_error)?;
+    let (mut solution, _) = solve_space(model, space, config, initial_code, reach)?;
+    solution.stats.fixpoints = stg::fixpoints_run() - before;
+    Ok(solution)
+}
+
+/// Solves CSC on `model`, starting from its encoded state space `space`
+/// ([`stg::Stg::try_symbolic_encoded_state_space`] seeded with
+/// `initial_code`): the body of every symbolic solve.
+///
+/// `space` becomes the first iteration, so a caller that already analysed
+/// it (the flow facade) pays for no second fixpoint.  Each candidate net is
+/// verified on a rebuilt space (reachability under `reach`), and the
+/// accepted rebuild becomes the next iteration.  The space of the last
+/// iteration — the encoded STG's — is returned beside the solution, ready
+/// for the logic analysis and the netlist check.
+/// [`SolveStats::fixpoints`] counts the fixpoints the solve ran itself: one
+/// per candidate net verified ([`crate::StageStats::candidates_verified`]).
+///
+/// # Errors
+///
 /// * [`CscError::NotConverged`] if a reachability fixpoint hits its
 ///   iteration cap,
 /// * [`CscError::SeedMismatch`] if `initial_code` does not label the
@@ -162,52 +211,16 @@ pub fn solve_stg_symbolic(
 /// * [`CscError::InconsistentInsertion`] if an insertion breaks the
 ///   one-code-per-marking invariant (an internal error, reported rather
 ///   than silently accepted).
-pub fn solve_stg_symbolic_seeded(
+pub fn solve_space(
     model: &Stg,
-    config: &SolverConfig,
-    initial_code: u64,
-) -> Result<SymbolicSolution, CscError> {
-    solve_symbolic_inner(model, config, initial_code, &ReachabilityConfig::default())
-}
-
-/// [`solve_stg_symbolic_seeded`] under a shared resource [`Budget`]: every
-/// reachability fixpoint and candidate evaluation charges the budget, and a
-/// tripped ceiling surfaces as [`CscError::Budget`] within one check
-/// interval instead of running away.
-pub fn solve_stg_symbolic_budgeted(
-    model: &Stg,
-    config: &SolverConfig,
-    initial_code: u64,
-    budget: &Budget,
-) -> Result<SymbolicSolution, CscError> {
-    solve_symbolic_inner(
-        model,
-        config,
-        initial_code,
-        &ReachabilityConfig::with_budget(budget.clone()),
-    )
-}
-
-/// [`solve_stg_symbolic_seeded`] under a caller-supplied
-/// [`ReachabilityConfig`]: the degradation ladder uses this to retry the
-/// solve with a restricted fixpoint (monolithic BFS) on the same budget.
-pub fn solve_stg_symbolic_with(
-    model: &Stg,
+    space: SymbolicStateSpace,
     config: &SolverConfig,
     initial_code: u64,
     reach: &ReachabilityConfig,
-) -> Result<SymbolicSolution, CscError> {
-    solve_symbolic_inner(model, config, initial_code, reach)
-}
-
-fn solve_symbolic_inner(
-    model: &Stg,
-    config: &SolverConfig,
-    initial_code: u64,
-    reach: &ReachabilityConfig,
-) -> Result<SymbolicSolution, CscError> {
+) -> Result<(SymbolicSolution, SymbolicStateSpace), CscError> {
     let budget = reach.budget.as_ref();
     let start = Instant::now();
+    let fixpoints_before = stg::fixpoints_run();
     let mut current = model.clone();
     let mut inserted: Vec<String> = Vec::new();
     let mut cores: Vec<ConflictCore> = Vec::new();
@@ -216,19 +229,10 @@ fn solve_symbolic_inner(
     // The verified iteration of the accepted plan is carried into the next
     // round, so each insertion pays for exactly one encoded-reachability
     // analysis of the grown net.
-    let mut carried: Option<Iteration> = None;
+    let mut it = Iteration::build(model, space, None)?;
 
     loop {
         let t0 = Instant::now();
-        let mut it = match carried.take() {
-            Some(it) => it,
-            None => Iteration::build(
-                &current,
-                initial_code,
-                inserted.last().map(String::as_str),
-                reach,
-            )?,
-        };
         let conflicted = it.detect_conflicts();
         it.check_budget()?;
         stats.stage.conflict_ms += ms_since(t0);
@@ -241,14 +245,16 @@ fn solve_symbolic_inner(
         if conflicted.is_empty() {
             stats.final_states = states;
             stats.elapsed = start.elapsed();
-            return Ok(SymbolicSolution {
+            stats.fixpoints = stg::fixpoints_run() - fixpoints_before;
+            let solution = SymbolicSolution {
                 stg: current,
                 inserted_signals: inserted,
                 stats,
                 cores,
                 initial_states_f64,
                 final_states_f64: it.state_count,
-            });
+            };
+            return Ok((solution, it.space));
         }
         if inserted.len() >= config.max_signals {
             return Err(CscError::SignalLimitReached {
@@ -266,11 +272,14 @@ fn solve_symbolic_inner(
         // targeted signal's pairs is the fallback tier, mirroring the
         // explicit search's secondary-conflict fallback).
         let current_total = it.total_conflict_pairs();
-        let current_markings = it.marking_count;
+        let current_markings = it.markings_without(&(0..0));
         let name = fresh_signal_name(&current, &config.signal_prefix);
         if let Some(budget) = budget {
             budget.set_stage("candidate-search");
         }
+        // The rebuilt net's reachability is a sub-step of candidate
+        // verification: label its budget trips accordingly.
+        let verify_reach = ReachabilityConfig { stage: Some("candidate-search"), ..reach.clone() };
         let mut chosen: Option<(ConflictCore, Stg, Iteration)> = None;
         'signals: for &signal in &conflicted {
             it.check_budget()?;
@@ -284,7 +293,6 @@ fn solve_symbolic_inner(
             stats.stage.partition_ms += ms_since(t2);
             let core_pairs = it.signal_conflict_pairs(signal);
             let t3 = Instant::now();
-            let debug = std::env::var_os("CSC_SYM_DEBUG").is_some();
             // Build each plan's net once; take the first that strictly
             // reduces the total pair count, falling back to the first that
             // at least shrinks the targeted signal's pairs (the
@@ -293,25 +301,16 @@ fn solve_symbolic_inner(
             for plan in &plans {
                 it.check_budget()?;
                 let mut plan = plan.clone();
-                let tp = Instant::now();
                 it.finalize_premarks(&mut plan);
-                if debug {
-                    eprintln!("  premarks: {:.2?}", tp.elapsed());
-                }
                 let Ok(inserted_stg) = insert_signal(&current, &name, &plan) else {
                     continue;
                 };
                 let InsertedStg { stg: candidate_stg, new_places } = inserted_stg;
-                let tb = Instant::now();
-                // The rebuilt net's reachability is a sub-step of candidate
-                // verification: label its budget trips accordingly.
-                let verify_reach =
-                    ReachabilityConfig { stage: Some("candidate-search"), ..reach.clone() };
-                let built =
-                    Iteration::build(&candidate_stg, initial_code, Some(&name), &verify_reach);
-                if debug {
-                    eprintln!("  verify build: {:.2?} (ok={})", tb.elapsed(), built.is_ok());
-                }
+                stats.stage.candidates_verified += 1;
+                let built = candidate_stg
+                    .try_symbolic_encoded_state_space(initial_code, &verify_reach)
+                    .map_err(reachability_error)
+                    .and_then(|space| Iteration::build(&candidate_stg, space, Some(&name)));
                 let mut next = match built {
                     Ok(next) => next,
                     // A budget trip must stop the whole solve, not just this
@@ -323,21 +322,11 @@ fn solve_symbolic_inner(
                 // the original places must reach exactly the original
                 // markings — a lost marking means the added waiting arcs
                 // blocked (or deadlocked) real behaviour.
-                let projected = next.old_marking_count(&new_places);
+                let projected = next.markings_without(&new_places);
                 if (projected - current_markings).abs() > 0.25 {
-                    if debug {
-                        eprintln!(
-                            "  verify: markings {projected} != {current_markings} \
-                             (join_rise={}, join_fall={})",
-                            plan.join_rise, plan.join_fall
-                        );
-                    }
                     continue;
                 }
                 let next_total = next.total_conflict_pairs();
-                if debug {
-                    eprintln!("  verify: total {current_total} -> {next_total}");
-                }
                 // Strict decrease with both an absolute and a relative
                 // margin: pair totals above 2^53 (wide designs, where every
                 // independent-component configuration multiplies the count)
@@ -366,17 +355,8 @@ fn solve_symbolic_inner(
         let Some((core, next_stg, next_it)) = chosen else {
             return Err(CscError::NoCandidate { remaining_conflicts: conflicted.len() });
         };
-        if std::env::var_os("CSC_SYM_DEBUG").is_some() {
-            eprintln!(
-                "iter {}: {} conflicted signals, core {} code {:?}",
-                stats.iterations,
-                conflicted.len(),
-                core.signal,
-                core.code.iter().map(|&b| u8::from(b)).collect::<Vec<_>>()
-            );
-        }
         current = next_stg;
-        carried = Some(next_it);
+        it = next_it;
         inserted.push(name);
         cores.push(core);
         stats.iterations += 1;
@@ -609,7 +589,6 @@ struct Iteration {
     reach: Bdd,
     initial: Bdd,
     state_count: f64,
-    marking_count: f64,
     conflict_code_count: f64,
     /// Conflict code sets per signal index (`None` = no conflict).
     conflict_codes: Vec<Option<Bdd>>,
@@ -630,26 +609,29 @@ impl Iteration {
         self.space.manager_mut().check_budget().map_err(CscError::Budget)
     }
 
-    /// Runs encoded reachability, guards the seed, and interns the branch
-    /// predicates.  `last_inserted` labels a consistency failure; the
-    /// config's budget (if any) is attached to the space's manager, so every
-    /// analysis this iteration performs afterwards is charged against it.
+    /// Guards the seed of `stg`'s encoded space and interns the branch
+    /// predicates.  `last_inserted` labels a guard failure: on the input it
+    /// means a wrong `initial_code`, on a candidate net that the insertion
+    /// broke consistency.  The budget attached to the space's manager (if
+    /// any) is charged by every analysis this iteration performs.
     fn build(
         stg: &Stg,
-        initial_code: u64,
+        mut space: SymbolicStateSpace,
         last_inserted: Option<&str>,
-        reach_config: &ReachabilityConfig,
     ) -> Result<Self, CscError> {
-        let mut space = stg
-            .try_symbolic_encoded_state_space(initial_code, reach_config)
-            .map_err(reachability_error)?;
-        // Seed guard: every reachable marking must carry exactly one code.
-        // The places-only fixpoint is the ground truth; a mismatch on the
-        // first iteration means a wrong `initial_code`, later on it would
-        // mean the previous insertion broke consistency.
-        let marking_space =
-            stg.try_symbolic_state_space(reach_config).map_err(reachability_error)?;
-        let markings = marking_space.state_count_f64();
+        match space.check_seed(stg) {
+            Ok(()) => {}
+            Err(StgError::SeedMismatch { blocked_transition, coded_states, .. }) => {
+                return Err(match last_inserted {
+                    Some(signal) => CscError::InconsistentInsertion { signal: signal.to_owned() },
+                    None => CscError::SeedMismatch {
+                        blocked_transition,
+                        coded_states: coded_states.try_into().unwrap_or(usize::MAX),
+                    },
+                });
+            }
+            Err(other) => return Err(reachability_error(other)),
+        }
         let coded_states = space.state_count_f64();
         let num_places = space.num_places();
         let num_signals = space.num_signals();
@@ -659,23 +641,6 @@ impl Iteration {
             (0..num_signals).map(|s| space.current_var_of_signal(s)).collect();
         let reach = space.reachable();
         let initial = space.initial_state();
-        let coded_markings = {
-            let num_manager_vars = space.manager().num_vars();
-            let m = space.manager_mut();
-            let marked_only = m.exists_many(reach, &signal_vars);
-            let free_vars = (num_manager_vars - num_places) as i32;
-            m.sat_count_f64(marked_only) / 2f64.powi(free_vars)
-        };
-        let close = |a: f64, b: f64| (a - b).abs() <= (a.abs().max(b.abs())) * 1e-9 + 0.25;
-        if !close(markings, coded_markings) || !close(coded_states, coded_markings) {
-            return Err(match last_inserted {
-                Some(signal) => CscError::InconsistentInsertion { signal: signal.to_owned() },
-                None => CscError::SeedMismatch {
-                    markings: saturating_usize(markings),
-                    coded_states: saturating_usize(coded_states),
-                },
-            });
-        }
 
         let raw_branches = space.transition_branches(stg);
         let m = space.manager_mut();
@@ -740,7 +705,6 @@ impl Iteration {
             reach,
             initial,
             state_count: coded_states,
-            marking_count: markings,
             conflict_code_count: 0.0,
             conflict_codes: vec![None; num_signals],
             code_eq,
@@ -1251,15 +1215,6 @@ impl Iteration {
     ) -> Vec<InsertionPlan> {
         const MAX_PLANS: usize = 6;
         let cap = (4 * config.frontier_width).max(24);
-        if std::env::var_os("CSC_SYM_DEBUG").is_some() {
-            let zeros = candidates.iter().filter(|(_, c)| c.remaining == 0).count();
-            eprintln!(
-                "  select: {} candidates, {} with remaining=0, top: {:?}",
-                candidates.len(),
-                zeros,
-                candidates.iter().take(4).map(|(_, c)| *c).collect::<Vec<_>>()
-            );
-        }
         let mut plans: Vec<(DetailCost, InsertionPlan)> = Vec::new();
         for (rank, (block, cheap)) in candidates.iter().enumerate() {
             // The insertion must make progress on the chosen core; past the
@@ -1276,11 +1231,6 @@ impl Iteration {
         }
         plans.sort_by(|a, b| a.0.cmp(&b.0));
         plans.truncate(MAX_PLANS);
-        if std::env::var_os("CSC_SYM_DEBUG").is_some() {
-            for (cost, _) in &plans {
-                eprintln!("  plan: {cost:?}");
-            }
-        }
         // Expand the trigger-mode variants: joined legs first (single-visit
         // blocks, the common case), then per-leg instances where several
         // triggers exist (multi-segment blocks).  Verification keeps the
@@ -1442,8 +1392,9 @@ impl Iteration {
     /// and leg places) are quantified away — used by the verification gate
     /// to reject insertions that restrict the original net's behaviour (a
     /// behaviour-preserving insertion extends markings, it never shrinks
-    /// the projection).
-    fn old_marking_count(&mut self, new_places: &std::ops::Range<usize>) -> f64 {
+    /// the projection).  With an empty range it counts this iteration's own
+    /// markings.
+    fn markings_without(&mut self, new_places: &std::ops::Range<usize>) -> f64 {
         let quantify: Vec<VarId> = self
             .place_vars
             .iter()
@@ -1482,7 +1433,6 @@ impl Iteration {
     /// stay mixed or would delay an input.  Returns the detailed cost and
     /// the ready-to-apply insertion plan.
     fn detail_eval(&mut self, core: &Core, block: &Zone) -> Option<(DetailCost, InsertionPlan)> {
-        let debug = std::env::var_os("CSC_SYM_DEBUG").is_some();
         // Orientation: the new signal starts at 0, so the initial state must
         // lie outside the block.
         let block = {
@@ -1497,12 +1447,7 @@ impl Iteration {
         if block.set.is_false() || block.set == self.reach {
             return None;
         }
-        let Some(block) = self.repair_block_uniformity(block) else {
-            if debug {
-                eprintln!("  reject: block-uniformity repair escaped");
-            }
-            return None;
-        };
+        let block = self.repair_block_uniformity(block)?;
         let side0 = {
             let m = self.space.manager_mut();
             Zone { set: m.and_not(self.reach, block.set), sup: block.sup.clone() }
@@ -1510,9 +1455,6 @@ impl Iteration {
         let er_rise = self.exit_border(&side0);
         let er_fall = self.exit_border(&block);
         if er_rise.set.is_false() || er_fall.set.is_false() {
-            if debug {
-                eprintln!("  reject: empty ER");
-            }
             return None; // the new signal would never rise or never fall
         }
 
@@ -1533,9 +1475,6 @@ impl Iteration {
             let wo_s0 = !m.and(core.without, s0).is_false();
             let wo_s1 = !m.and(core.without, s1).is_false();
             if !((w_s0 && wo_s1) || (w_s1 && wo_s0)) {
-                if debug {
-                    eprintln!("  reject: no core pair lands in opposite stable regions");
-                }
                 return None;
             }
         }
@@ -1604,9 +1543,6 @@ impl Iteration {
         // The new edges need at least one trigger each, or they could fire
         // unboundedly (empty preset) — reject such degenerate plans.
         if !arcs.iter().any(|a| a.produce_r1) || !arcs.iter().any(|a| a.produce_r0) {
-            if debug {
-                eprintln!("  reject: an inserted edge would have no trigger");
-            }
             return None;
         }
         // Input edges may trigger the new signal but never wait for it.
@@ -1616,9 +1552,6 @@ impl Iteration {
             }
             if let TransitionLabel::Edge { signal, .. } = self.labels[t] {
                 if self.input_signal[signal.index()] {
-                    if debug {
-                        eprintln!("  reject: delays input transition {t}");
-                    }
                     return None;
                 }
             }
@@ -1901,6 +1834,17 @@ mod tests {
     }
 
     #[test]
+    fn a_solve_runs_one_fixpoint_per_verified_candidate_net() {
+        for model in [benchmarks::pulser(), benchmarks::vme_read(), benchmarks::handshake()] {
+            let solution = solve_stg_symbolic(&model, &SolverConfig::default()).unwrap();
+            let stats = &solution.stats;
+            // The input's space, then one rebuild per candidate net.
+            assert_eq!(stats.fixpoints, 1 + stats.stage.candidates_verified, "{}", model.name());
+            assert!(stats.stage.candidates_verified >= solution.inserted_signals.len());
+        }
+    }
+
+    #[test]
     fn signal_budget_is_respected() {
         let config = SolverConfig { max_signals: 0, ..SolverConfig::default() };
         let err = solve_stg_symbolic(&benchmarks::pulser(), &config).unwrap_err();
@@ -1915,7 +1859,18 @@ mod tests {
         let explicit = crate::solve_stg(&benchmarks::pulser(), &SolverConfig::default()).unwrap();
         let encoded = explicit.stg.expect("pulser re-synthesizes");
         let err = solve_stg_symbolic(&encoded, &SolverConfig::default()).unwrap_err();
-        assert!(matches!(err, CscError::SeedMismatch { .. }), "{err}");
+        // The guard names the edge the wrong seed blocks: the inserted
+        // signal starts at 1, so its falling edge cannot fire from code 0.
+        let CscError::SeedMismatch { blocked_transition: Some(blocked), .. } = &err else {
+            panic!("expected a blocked transition as the witness, got {err}");
+        };
+        assert_eq!(blocked, "csc0-", "{err}");
+        assert!(err.to_string().contains("'csc0-'"), "{err}");
+        // With the true seed the same net solves without insertion.
+        let sg = encoded.state_graph(10_000).unwrap();
+        let seeded =
+            solve_stg_symbolic_seeded(&encoded, &SolverConfig::default(), sg.code(sg.ts.initial()));
+        assert!(seeded.unwrap().inserted_signals.is_empty());
     }
 
     #[test]

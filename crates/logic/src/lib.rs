@@ -21,9 +21,10 @@
 //!   through [`LogicStrategy`]: the default *symbolic* engine builds ON/OFF
 //!   sets as BDDs and extracts covers by interval ISOP, the *explicit*
 //!   engine enumerates one minterm per state,
-//! * [`derive_next_state_functions_stg`] — the fully symbolic pipeline:
-//!   reachability, ON/OFF construction and cover extraction all on BDDs,
-//!   with no explicit state enumeration and no 64-signal cap,
+//! * [`analyze_space`] — the fully symbolic pipeline on an STG's encoded
+//!   state space: seed guard, ON/OFF construction, cover extraction and the
+//!   persistency check all on BDDs, with no explicit state enumeration and
+//!   no 64-signal cap ([`analyze_stg_with`] builds the space first),
 //! * [`AreaReport`] — literal-count area estimates ([`estimate_area`] /
 //!   [`estimate_area_with`]),
 //! * typed implementability diagnostics ([`LogicDiagnostic`],
@@ -61,7 +62,4 @@ pub use nextstate::{
     derive_next_state_functions, derive_next_state_functions_with, LogicError, LogicStrategy,
     NextStateFunctions, SignalFunction,
 };
-pub use symbolic::{
-    analyze_stg, analyze_stg_budgeted, analyze_stg_with,
-    derive_from_stg as derive_next_state_functions_stg, SymbolicLogicReport,
-};
+pub use symbolic::{analyze_space, analyze_stg_with, SymbolicLogicReport};

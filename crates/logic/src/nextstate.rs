@@ -13,7 +13,7 @@
 //!
 //! Both produce identical ON/OFF semantics; the symbolic engine also runs
 //! directly from an [`stg::Stg`] through the symbolic reachability engine
-//! ([`crate::derive_next_state_functions_stg`]), which lifts the explicit
+//! ([`crate::analyze_space`]), which lifts the explicit
 //! path's 64-signal / explicit-state-count limits entirely.
 
 use crate::cube::{Cover, Cube};
@@ -55,8 +55,11 @@ pub enum LogicError {
     /// `initial_code` — or fall back to the explicit engine, which infers
     /// the initial values by constraint propagation.
     InitialCodeMismatch {
-        /// Reachable markings of the net (places-only fixpoint), rounded.
-        markings: u128,
+        /// The first transition (in net order) the seed blocks, as
+        /// established by the seed guard
+        /// ([`stg::SymbolicStateSpace::check_seed`]); `None` when no edge
+        /// is blocked but a marking carries two codes.
+        blocked_transition: Option<String>,
         /// Distinct markings covered by the encoded space, rounded.
         coded_markings: u128,
         /// (marking, code) pairs of the encoded space, rounded.
@@ -80,12 +83,16 @@ impl fmt::Display for LogicError {
             LogicError::ReachabilityNotConverged { iterations } => {
                 write!(f, "symbolic reachability did not converge within {iterations} iterations")
             }
-            LogicError::InitialCodeMismatch { markings, coded_markings, coded_states } => {
+            LogicError::InitialCodeMismatch { blocked_transition, coded_markings, coded_states } => {
+                let cause = match blocked_transition {
+                    Some(t) => format!("transition '{t}' is blocked"),
+                    None => "a marking carries two codes".to_owned(),
+                };
                 write!(
                     f,
-                    "the initial signal values label the reachable markings inconsistently \
-                     ({markings} markings, {coded_markings} coded, {coded_states} \
-                     marking/code pairs); pass the correct initial code"
+                    "the initial signal values label the reachable markings inconsistently: \
+                     {cause} ({coded_markings} coded markings, {coded_states} marking/code \
+                     pairs); pass the correct initial code"
                 )
             }
             LogicError::Budget(e) => write!(f, "{e}"),

@@ -11,12 +11,13 @@
 //!   to the buckets, and all minimization happens on the BDDs.  Compared to
 //!   the explicit engine this replaces the O(cubes² · vars) cover passes
 //!   with ISOP.
-//! * [`derive_from_stg`] never enumerates states at all: the reachable set
-//!   comes from the `stg` symbolic engine, the per-signal excitation
-//!   predicates from its partitioned transition relations (preset-marked
-//!   cubes), and the ON/OFF *code* sets by quantifying the place variables
-//!   away.  This is the path that scales to state spaces (and signal
-//!   counts) the explicit representation cannot touch.
+//! * [`analyze_space`] never enumerates states at all: the reachable set is
+//!   the encoded [`SymbolicStateSpace`] of the `stg` symbolic engine, the
+//!   per-signal excitation predicates are preset-marked cubes, and the
+//!   ON/OFF *code* sets come from quantifying the place variables away.
+//!   This is the path that scales to state spaces (and signal counts) the
+//!   explicit representation cannot touch; [`analyze_stg_with`] wraps it
+//!   for callers that hold only the STG.
 //!
 //! An ISOP cover is irredundant but its cubes are not necessarily prime, so
 //! a cheap BDD-exact polish pass expands every cube against the OFF-set and
@@ -28,9 +29,11 @@ use crate::cube::{Cover, Cube};
 use crate::nextstate::{
     code_pattern, next_value_masks, LogicError, LogicStrategy, NextStateFunctions, SignalFunction,
 };
-use bdd::{Bdd, BddManager, Budget, VarId};
+use bdd::{Bdd, BddManager, VarId};
 use csc::EncodedGraph;
-use stg::{Polarity, ReachabilityConfig, SignalId, Stg, StgError, TransitionLabel};
+use stg::{
+    Polarity, ReachabilityConfig, SignalId, Stg, StgError, SymbolicStateSpace, TransitionLabel,
+};
 use ts::StateId;
 
 /// Derives the next-state functions of an encoded state graph on BDDs.
@@ -42,7 +45,7 @@ use ts::StateId;
 ///
 /// [`LogicError::CscViolation`] when CSC does not hold.  (Codes of an
 /// [`EncodedGraph`] are 64-bit words, so the explicit 64-signal cap applies
-/// to this entry point by construction; [`derive_from_stg`] has no cap.)
+/// to this entry point by construction; [`analyze_space`] has no cap.)
 pub(crate) fn derive_from_graph(graph: &EncodedGraph) -> Result<NextStateFunctions, LogicError> {
     let num_signals = graph.num_signals();
     if num_signals > 64 {
@@ -93,36 +96,6 @@ pub(crate) fn derive_from_graph(graph: &EncodedGraph) -> Result<NextStateFunctio
     })
 }
 
-/// Derives the next-state functions of a (CSC-satisfying, consistent) STG
-/// without ever enumerating its states.
-///
-/// `initial_code` seeds the signal values of the initial marking (bit `i` =
-/// signal `i`; signals past bit 63 start at 0), matching
-/// [`stg::Stg::symbolic_encoded_state_space`]; `max_iterations` bounds the
-/// reachability fixpoint.
-///
-/// The next value of signal `a` in a reachable state is determined from the
-/// excitation predicates of its transitions (preset-marked cubes): rising —
-/// or toggling out of 0 — demands 1, falling (or toggling out of 1) demands
-/// 0, and an unexcited signal holds its current value.  Projecting the
-/// resulting state sets onto the code variables yields the ON/OFF sets of
-/// the paper; a code in both is exactly a CSC violation.
-///
-/// # Errors
-///
-/// [`LogicError::ReachabilityNotConverged`] if the fixpoint hits its cap,
-/// [`LogicError::InitialCodeMismatch`] if `initial_code` does not label the
-/// reachable markings consistently (wrong seed: some edge is blocked by a
-/// wrong signal value, so markings are lost — or a marking gets two codes),
-/// and [`LogicError::CscViolation`] when CSC does not hold.
-pub fn derive_from_stg(
-    stg: &Stg,
-    initial_code: u64,
-    max_iterations: Option<usize>,
-) -> Result<NextStateFunctions, LogicError> {
-    analyze_stg(stg, initial_code, max_iterations).map(|report| report.functions)
-}
-
 /// Everything the fully symbolic pipeline learns about an STG in one pass:
 /// the derived functions, the implementability diagnostics, and the state
 /// counts (so callers — e.g. the flow facade — do not re-run reachability).
@@ -133,20 +106,28 @@ pub struct SymbolicLogicReport {
     /// Typed implementability diagnostics (output persistency); empty when
     /// the specification admits a hazard-free implementation.
     pub diagnostics: Vec<LogicDiagnostic>,
-    /// Reachable markings of the net (places-only fixpoint), as a float.
+    /// Reachable markings of the net, as a float: the encoded space's state
+    /// count, which the seed guard proved to be one code per reachable
+    /// marking.
     pub markings: f64,
 }
 
-/// [`derive_from_stg`] plus the symbolic output-persistency check and the
-/// reachable-marking count — one reachability analysis instead of three.
+/// [`analyze_space`] on a freshly built encoded state space: reachability
+/// under `reach` (its budget, iteration cap and strategy), then the seed
+/// guard, the next-state functions and the output-persistency check.
+///
+/// `initial_code` seeds the signal values of the initial marking (bit `i` =
+/// signal `i`; signals past bit 63 start at 0), as in
+/// [`stg::Stg::try_symbolic_encoded_state_space`].  Callers that already
+/// hold the space — the flow facade — call [`analyze_space`] directly.
 ///
 /// ```
-/// use logic::analyze_stg;
+/// use logic::analyze_stg_with;
 ///
 /// // Two independent handshakes: 16 reachable markings, each ack follows
 /// // its own request with a single literal, no persistency hazards.
 /// let model = stg::benchmarks::parallel_handshakes(2);
-/// let report = analyze_stg(&model, 0, None)?;
+/// let report = analyze_stg_with(&model, 0, &stg::ReachabilityConfig::default())?;
 /// assert_eq!(report.markings, 16.0);
 /// assert_eq!(report.functions.total_literals(), 2);
 /// assert!(report.diagnostics.is_empty());
@@ -155,63 +136,65 @@ pub struct SymbolicLogicReport {
 ///
 /// # Errors
 ///
-/// Same as [`derive_from_stg`].
-pub fn analyze_stg(
-    stg: &Stg,
-    initial_code: u64,
-    max_iterations: Option<usize>,
-) -> Result<SymbolicLogicReport, LogicError> {
-    let reach = ReachabilityConfig { max_iterations, ..Default::default() };
-    analyze_inner(stg, initial_code, &reach)
-}
-
-/// [`analyze_stg`] under a shared resource [`Budget`]: reachability and the
-/// ISOP cover extractions charge the budget, and a tripped ceiling surfaces
-/// as [`LogicError::Budget`] within one check interval.
-pub fn analyze_stg_budgeted(
-    stg: &Stg,
-    initial_code: u64,
-    max_iterations: Option<usize>,
-    budget: &Budget,
-) -> Result<SymbolicLogicReport, LogicError> {
-    let reach =
-        ReachabilityConfig { max_iterations, budget: Some(budget.clone()), ..Default::default() };
-    analyze_inner(stg, initial_code, &reach)
-}
-
-/// [`analyze_stg`] under a caller-supplied [`ReachabilityConfig`]: the
-/// fallback ladder uses this to re-run the analysis with a restricted
-/// fixpoint (monolithic BFS) while keeping the same shared budget.
+/// [`LogicError::ReachabilityNotConverged`] if the fixpoint hits its cap,
+/// [`LogicError::Budget`] when the budget trips, and every error of
+/// [`analyze_space`].
 pub fn analyze_stg_with(
     stg: &Stg,
     initial_code: u64,
     reach: &ReachabilityConfig,
 ) -> Result<SymbolicLogicReport, LogicError> {
-    analyze_inner(stg, initial_code, reach)
+    let mut space =
+        stg.try_symbolic_encoded_state_space(initial_code, reach).map_err(reachability_error)?;
+    analyze_space(stg, &mut space)
 }
 
-/// Maps a reachability failure onto the logic error space.  Reachability
-/// only fails through its budget or a truncated fixpoint, so the catch-all
-/// arm is an internal invariant.
+/// Maps a reachability or seed-guard failure onto the logic error space.
+/// Both fail only through the budget, a truncated fixpoint or a seed
+/// mismatch, so the catch-all arm is an internal invariant.
 fn reachability_error(e: StgError) -> LogicError {
     match e {
         StgError::Budget(trip) => LogicError::Budget(trip),
         StgError::NotConverged { iterations } => {
             LogicError::ReachabilityNotConverged { iterations }
         }
+        StgError::SeedMismatch { blocked_transition, coded_markings, coded_states } => {
+            LogicError::InitialCodeMismatch { blocked_transition, coded_markings, coded_states }
+        }
         other => unreachable!("reachability cannot fail with {other:?}"),
     }
 }
 
-fn analyze_inner(
+/// Derives the next-state functions of a (CSC-satisfying, consistent) STG
+/// from its code-encoded state space, without ever enumerating states.
+///
+/// `space` must be `stg`'s encoded space
+/// ([`stg::Stg::try_symbolic_encoded_state_space`]); the analysis only adds
+/// BDDs to its manager, so the same space serves the solver and the netlist
+/// check afterwards.  The seed guard
+/// ([`stg::SymbolicStateSpace::check_seed`]) runs first, so a wrong seed is
+/// reported, never turned into logic.
+///
+/// The next value of signal `a` in a reachable state is determined from the
+/// excitation predicates of its transitions (preset-marked cubes): rising —
+/// or toggling out of 0 — demands 1, falling (or toggling out of 1) demands
+/// 0, and an unexcited signal holds its current value.  Projecting the
+/// resulting state sets onto the code variables yields the ON/OFF sets of
+/// the paper; a code in both is exactly a CSC violation.
+///
+/// # Errors
+///
+/// [`LogicError::InitialCodeMismatch`] if the space's seed does not label
+/// the reachable markings consistently (some edge is blocked by a wrong
+/// signal value, or a marking gets two codes), [`LogicError::CscViolation`]
+/// when CSC does not hold, and [`LogicError::Budget`] when the budget
+/// attached to the space's manager trips.
+pub fn analyze_space(
     stg: &Stg,
-    initial_code: u64,
-    reach_config: &ReachabilityConfig,
+    space: &mut SymbolicStateSpace,
 ) -> Result<SymbolicLogicReport, LogicError> {
-    let budget = reach_config.budget.as_ref();
-    let mut space = stg
-        .try_symbolic_encoded_state_space(initial_code, reach_config)
-        .map_err(reachability_error)?;
+    space.check_seed(stg).map_err(reachability_error)?;
+    let markings = space.state_count_f64();
     let num_places = space.num_places();
     let num_signals = space.num_signals();
     let place_vars: Vec<VarId> = (0..num_places).map(|p| space.current_var_of_place(p)).collect();
@@ -222,64 +205,22 @@ fn analyze_inner(
     for (s, &v) in signal_vars.iter().enumerate() {
         signal_of_var[v as usize] = s;
     }
-
-    // Guard against a wrong `initial_code`: the signal pre-value literals in
-    // the transition relations would silently block edges, truncating the
-    // encoded space.  The places-only fixpoint is the ground truth: every
-    // reachable marking must appear in the encoded space with exactly one
-    // code.
-    let marking_space = stg.try_symbolic_state_space(reach_config).map_err(reachability_error)?;
-    let markings = marking_space.state_count_f64();
-    let coded_states = space.state_count_f64();
+    // Excitation predicates per polarity: some transition of the signal
+    // has its whole preset marked.
+    let non_inputs = stg.non_input_signals();
+    let excitations: Vec<[Bdd; 3]> =
+        non_inputs.iter().map(|&signal| space.excitations(stg, signal)).collect();
     let reachable = space.reachable();
-    let num_manager_vars = space.manager().num_vars();
     let m = space.manager_mut();
-    let coded_markings = {
-        let marked_only = m.exists_many(reachable, &signal_vars);
-        // `marked_only` depends on the current place copies only; every
-        // other manager variable is free in the count.
-        let free_vars = (num_manager_vars - num_places) as i32;
-        m.sat_count_f64(marked_only) / 2f64.powi(free_vars)
-    };
-    let close = |a: f64, b: f64| (a - b).abs() <= (a.abs().max(b.abs())) * 1e-9 + 0.25;
-    if !close(markings, coded_markings) || !close(coded_states, coded_markings) {
-        let round = |v: f64| if v >= u128::MAX as f64 { u128::MAX } else { v.round() as u128 };
-        return Err(LogicError::InitialCodeMismatch {
-            markings: round(markings),
-            coded_markings: round(coded_markings),
-            coded_states: round(coded_states),
-        });
-    }
     let place_quant = m.quant_cube(&place_vars);
 
-    if let Some(budget) = budget {
+    if let Some(budget) = m.budget() {
         budget.set_stage("isop");
     }
     let mut functions = Vec::new();
-    for signal in stg.non_input_signals() {
+    for (&signal, &[rise, fall, toggle]) in non_inputs.iter().zip(&excitations) {
         m.check_budget()?;
-        let index = signal.index();
-        let a = m.var(signal_vars[index]);
-        // Excitation predicates per polarity: some transition of the signal
-        // has its whole preset marked.
-        let mut rise = m.bottom();
-        let mut fall = m.bottom();
-        let mut toggle = m.bottom();
-        for t in stg.transitions_of_signal(signal) {
-            let polarity = match stg.label(t) {
-                TransitionLabel::Edge { polarity, .. } => polarity,
-                TransitionLabel::Dummy => continue,
-            };
-            let lits: Vec<(VarId, bool)> =
-                stg.net().preset(t).iter().map(|p| (place_vars[p.index()], true)).collect();
-            let cube = m.cube_of(&lits);
-            let bucket = match polarity {
-                Polarity::Rise => &mut rise,
-                Polarity::Fall => &mut fall,
-                Polarity::Toggle => &mut toggle,
-            };
-            *bucket = m.or(*bucket, cube);
-        }
+        let a = m.var(signal_vars[signal.index()]);
         // next = 1 ⟺ rising ∨ toggling out of 0 ∨ (stable at 1: neither
         // falling nor toggling).
         let not_a = m.not(a);
@@ -563,6 +504,17 @@ mod tests {
     use crate::derive_next_state_functions_with;
     use stg::benchmarks;
 
+    /// The functions of the symbolic STG pipeline, seeded with
+    /// `initial_code`, under the default reachability configuration.
+    fn functions_of(model: &Stg, initial_code: u64) -> Result<NextStateFunctions, LogicError> {
+        analyze_stg_with(model, initial_code, &ReachabilityConfig::default())
+            .map(|report| report.functions)
+    }
+
+    fn report_of(model: &Stg) -> SymbolicLogicReport {
+        analyze_stg_with(model, 0, &ReachabilityConfig::default()).unwrap()
+    }
+
     fn graph_of(model: &Stg) -> EncodedGraph {
         EncodedGraph::from_state_graph(&model.state_graph(1_000_000).unwrap())
     }
@@ -586,7 +538,7 @@ mod tests {
                 derive_next_state_functions_with(&graph, LogicStrategy::Explicit).unwrap();
             let symbolic =
                 derive_next_state_functions_with(&graph, LogicStrategy::Symbolic).unwrap();
-            let from_stg = derive_from_stg(&model, initial_code, None).unwrap();
+            let from_stg = functions_of(&model, initial_code).unwrap();
             for (e, (s, g)) in explicit
                 .functions
                 .iter()
@@ -661,7 +613,7 @@ mod tests {
         explicit.sort();
         assert_eq!(explicit, ["a", "b"], "both outputs lose the race");
         // The fully symbolic analysis must find the same signals.
-        let report = analyze_stg(&model, 0, None).unwrap();
+        let report = report_of(&model);
         let mut symbolic: Vec<String> = report
             .diagnostics
             .into_iter()
@@ -673,18 +625,22 @@ mod tests {
         symbolic.sort();
         assert_eq!(symbolic, explicit);
         // Persistent models report nothing.
-        let clean = analyze_stg(&benchmarks::parallel_handshakes(3), 0, None).unwrap();
+        let clean = report_of(&benchmarks::parallel_handshakes(3));
         assert!(clean.diagnostics.is_empty());
     }
 
     #[test]
     fn stg_engine_detects_csc_violations() {
-        let err = derive_from_stg(&benchmarks::pulser(), 0, None).unwrap_err();
+        let err = functions_of(&benchmarks::pulser(), 0).unwrap_err();
         assert!(matches!(err, LogicError::CscViolation { .. }), "{err}");
         // vme_read's conflict also shows up without the explicit graph.
-        let err = derive_from_stg(&benchmarks::vme_read(), 0, None).unwrap_err();
+        let err = functions_of(&benchmarks::vme_read(), 0).unwrap_err();
         assert!(matches!(err, LogicError::CscViolation { .. }), "{err}");
     }
+
+    /// The transition the all-zero seed blocks first in the re-encoded
+    /// pulser.
+    const BLOCKED_BY_ZERO_SEED: &str = "csc0-";
 
     #[test]
     fn wrong_initial_code_is_rejected_not_mislabelled() {
@@ -698,11 +654,25 @@ mod tests {
         let sg = encoded.state_graph(10_000).unwrap();
         let true_code = sg.code(sg.ts.initial());
         assert_ne!(true_code, 0, "the regression needs a non-zero initial code");
-        let err = derive_from_stg(&encoded, 0, None).unwrap_err();
-        assert!(matches!(err, LogicError::InitialCodeMismatch { .. }), "{err}");
+        let err = functions_of(&encoded, 0).unwrap_err();
+        let LogicError::InitialCodeMismatch { blocked_transition: Some(blocked), .. } = &err else {
+            panic!("expected a blocked transition as the witness, got {err}");
+        };
+        assert_eq!(blocked, BLOCKED_BY_ZERO_SEED, "{err}");
+        assert!(err.to_string().contains(BLOCKED_BY_ZERO_SEED), "{err}");
+        // Only an edge of a wrongly seeded signal can be blocked: every
+        // other signal follows its true value along every firing sequence.
+        let t = (0..encoded.net().num_transitions())
+            .map(petri::TransId::from)
+            .find(|&t| encoded.net().transition_name(t) == blocked)
+            .expect("the witness names a transition of the net");
+        let TransitionLabel::Edge { signal, .. } = encoded.label(t) else {
+            panic!("a dummy cannot be blocked by a code");
+        };
+        assert_ne!((true_code >> signal.index()) & 1, 0, "{blocked}: its signal is seeded right");
         // With the correct seed the derivation agrees with the explicit
         // engine.
-        let funcs = derive_from_stg(&encoded, true_code, None).unwrap();
+        let funcs = functions_of(&encoded, true_code).unwrap();
         let graph = EncodedGraph::from_state_graph(&sg);
         let explicit = derive_next_state_functions_with(&graph, LogicStrategy::Explicit).unwrap();
         assert_eq!(funcs.total_literals(), explicit.total_literals());
@@ -711,7 +681,9 @@ mod tests {
 
     #[test]
     fn stg_engine_reports_non_convergence() {
-        let err = derive_from_stg(&benchmarks::parallel_handshakes(4), 0, Some(1)).unwrap_err();
+        let capped =
+            ReachabilityConfig { max_iterations: Some(1), ..ReachabilityConfig::default() };
+        let err = analyze_stg_with(&benchmarks::parallel_handshakes(4), 0, &capped).unwrap_err();
         assert!(matches!(err, LogicError::ReachabilityNotConverged { iterations: 1 }), "{err}");
     }
 
@@ -720,7 +692,7 @@ mod tests {
         // 40 independent handshakes: 80 signals, 4^40 states.  Every ack
         // follows its own request with a single literal.
         let model = benchmarks::parallel_handshakes(40);
-        let funcs = derive_from_stg(&model, 0, None).unwrap();
+        let funcs = functions_of(&model, 0).unwrap();
         assert_eq!(funcs.num_variables, 80);
         assert_eq!(funcs.functions.len(), 40);
         for f in &funcs.functions {

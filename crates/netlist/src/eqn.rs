@@ -320,14 +320,14 @@ fn parse_sop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::functions_of;
     use crate::{equivalent, synthesize};
-    use logic::derive_next_state_functions_stg;
 
     fn vme_netlist() -> Netlist {
         let solution =
             csc::solve_stg_symbolic(&stg::benchmarks::vme_read(), &csc::SolverConfig::default())
                 .unwrap();
-        let functions = derive_next_state_functions_stg(&solution.stg, 0, None).unwrap();
+        let functions = functions_of(&solution.stg);
         synthesize(&solution.stg, &functions).unwrap()
     }
 

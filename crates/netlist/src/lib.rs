@@ -15,8 +15,9 @@
 //! * [`Netlist::to_eqn`] and [`Netlist::to_verilog`] emit the circuit as a
 //!   line-based `.eqn` description (parseable back via [`parse_eqn`]) and as
 //!   structural Verilog.
-//! * [`verify`] replays the **emitted netlist** — not the covers it came
-//!   from — against the source STG on the symbolic reachability engine:
+//! * [`verify`] (or [`verify_space`], on an encoded state space the caller
+//!   already holds) replays the **emitted netlist** — not the covers it
+//!   came from — against the source STG on the symbolic reachability engine:
 //!   every gate's excitation (`set ∧ ¬q ∨ q ∧ ¬reset`) must coincide with
 //!   the STG's enabled edges in every reachable state (projection trace
 //!   equivalence), and no other transition may withdraw an excitation
@@ -31,7 +32,7 @@ mod eqn;
 mod verify;
 
 pub use eqn::{parse_eqn, EqnParseError};
-pub use verify::{verify, NetlistDiagnostic, NetlistVerification};
+pub use verify::{verify, verify_space, NetlistDiagnostic, NetlistVerification};
 
 use bdd::{Bdd, BddManager, VarId};
 use logic::{Cover, Cube, Literal, NextStateFunctions};
@@ -338,12 +339,16 @@ fn isop_cover(cubes: &[Vec<(VarId, bool)>], num_vars: usize) -> Cover {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use logic::derive_next_state_functions_stg;
+
+    /// The symbolic pipeline's functions for `model`, seeded at 0.
+    pub(crate) fn functions_of(model: &stg::Stg) -> logic::NextStateFunctions {
+        logic::analyze_stg_with(model, 0, &stg::ReachabilityConfig::default()).unwrap().functions
+    }
 
     #[test]
     fn handshake_acks_become_single_literal_complex_gates() {
         let model = stg::benchmarks::parallel_handshakes(2);
-        let functions = derive_next_state_functions_stg(&model, 0, None).unwrap();
+        let functions = functions_of(&model);
         let net = synthesize(&model, &functions).unwrap();
         assert_eq!(net.gates.len(), 2);
         assert_eq!(net.inputs.len(), 2);
@@ -359,7 +364,7 @@ mod tests {
         let solution =
             csc::solve_stg_symbolic(&stg::benchmarks::vme_read(), &csc::SolverConfig::default())
                 .unwrap();
-        let functions = derive_next_state_functions_stg(&solution.stg, 0, None).unwrap();
+        let functions = functions_of(&solution.stg);
         let net = synthesize(&solution.stg, &functions).unwrap();
         assert_eq!(net.gates.len(), functions.functions.len());
         assert!(net.c_elements() > 0, "the VME controller needs state-holding elements");
@@ -390,9 +395,7 @@ mod tests {
     #[test]
     fn width_mismatch_is_typed() {
         let model = stg::benchmarks::handshake();
-        let functions =
-            derive_next_state_functions_stg(&stg::benchmarks::parallel_handshakes(2), 0, None)
-                .unwrap();
+        let functions = functions_of(&stg::benchmarks::parallel_handshakes(2));
         let err = synthesize(&model, &functions).unwrap_err();
         assert!(matches!(err, NetlistError::WidthMismatch { signals: 2, variables: 4 }), "{err}");
     }

@@ -22,13 +22,14 @@
 //!   ([`stg::TransitionBranch`]), so the check needs no next-state
 //!   variables at all.
 //!
-//! Every check honours the budget carried by the [`ReachabilityConfig`]:
-//! a tripped ceiling surfaces as [`NetlistError::Budget`], never as a hang.
+//! Every check honours the budget attached to the space's manager (the
+//! [`ReachabilityConfig`]'s budget for [`verify`]): a tripped ceiling
+//! surfaces as [`NetlistError::Budget`], never as a hang.
 
 use crate::{cover_bdd, GateKind, Netlist, NetlistError};
 use bdd::{Bdd, BddManager, VarId};
 use std::fmt;
-use stg::{Polarity, ReachabilityConfig, Stg, StgError, TransitionLabel};
+use stg::{ReachabilityConfig, Stg, StgError, SymbolicStateSpace, TransitionLabel};
 
 /// A typed, witness-carrying verification finding.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -110,20 +111,16 @@ struct GateExcitation {
     excite_down: Bdd,
 }
 
-/// Verifies an emitted netlist against its source STG; see the module docs
-/// for the model.  `initial_code` seeds the encoded reachability exactly as
-/// in [`logic::analyze_stg`].
-///
-/// Gates are matched to STG signals by *name*, so both a freshly
-/// synthesized netlist and one re-read through [`crate::parse_eqn`] (whose
-/// variable numbering differs) verify against the same specification.
+/// [`verify_space`] on a freshly built encoded state space of `stg`
+/// (reachability under `config`, seeded with `initial_code` as in
+/// [`logic::analyze_stg_with`]).  The flow (`synthkit::run_flow`) does not
+/// rebuild the space: it calls [`verify_space`] on the space its logic
+/// analysis used.
 ///
 /// # Errors
 ///
-/// [`NetlistError::UnknownSignal`] / [`NetlistError::MissingGate`] when the
-/// netlist and the STG describe different signal sets,
 /// [`NetlistError::NotConverged`] and [`NetlistError::Budget`] from the
-/// governed reachability analysis.
+/// governed reachability analysis, and every error of [`verify_space`].
 pub fn verify(
     stg: &Stg,
     netlist: &Netlist,
@@ -134,6 +131,33 @@ pub fn verify(
     if config.stage.is_none() {
         config.stage = Some("netlist-verify");
     }
+    let mut space =
+        stg.try_symbolic_encoded_state_space(initial_code, &config).map_err(reach_error)?;
+    verify_space(stg, &mut space, netlist)
+}
+
+/// Verifies an emitted netlist against its source STG on the STG's
+/// encoded state space; see the module docs for the model.
+///
+/// `space` must be `stg`'s encoded space
+/// ([`stg::Stg::try_symbolic_encoded_state_space`]).  The check only adds
+/// BDDs to its manager and charges the budget attached to it, labelling
+/// trips `netlist-verify`.
+///
+/// Gates are matched to STG signals by *name*, so both a freshly
+/// synthesized netlist and one re-read through [`crate::parse_eqn`] (whose
+/// variable numbering differs) verify against the same specification.
+///
+/// # Errors
+///
+/// [`NetlistError::UnknownSignal`] / [`NetlistError::MissingGate`] when the
+/// netlist and the STG describe different signal sets, and
+/// [`NetlistError::Budget`] when the budget trips.
+pub fn verify_space(
+    stg: &Stg,
+    space: &mut SymbolicStateSpace,
+    netlist: &Netlist,
+) -> Result<NetlistVerification, NetlistError> {
     let num_signals = stg.num_signals();
     if netlist.num_variables != num_signals {
         return Err(NetlistError::WidthMismatch {
@@ -157,18 +181,23 @@ pub fn verify(
         }
     }
 
-    let mut space =
-        stg.try_symbolic_encoded_state_space(initial_code, &config).map_err(reach_error)?;
     let states_f64 = space.state_count_f64();
-    let num_places = space.num_places();
-    let place_vars: Vec<VarId> = (0..num_places).map(|p| space.current_var_of_place(p)).collect();
     let signal_vars: Vec<VarId> =
         (0..num_signals).map(|s| space.current_var_of_signal(s)).collect();
     // Netlist variable → manager variable (through the STG signal index).
     let var_of: Vec<VarId> = stg_of_var.iter().map(|&s| signal_vars[s]).collect();
     let reachable = space.reachable();
     let branches = space.transition_branches(stg);
+    // The STG's excitation predicates of each gate's signal.
+    let excitations: Vec<[Bdd; 3]> = netlist
+        .gates
+        .iter()
+        .map(|gate| space.excitations(stg, stg_of_var[gate.signal.index()].into()))
+        .collect();
     let m = space.manager_mut();
+    if let Some(budget) = m.budget() {
+        budget.set_stage("netlist-verify");
+    }
 
     // One excitation cluster per gate: next(q) = set ∧ ¬q ∨ q ∧ ¬reset.
     let mut gates = Vec::with_capacity(netlist.gates.len());
@@ -200,28 +229,9 @@ pub fn verify(
     // Projection trace equivalence: per gate, compare the circuit
     // excitations against the STG's enabled edges on the reachable set.
     let mut trace_equivalent = true;
-    for gate in &gates {
+    for (gate, &[rise, fall, toggle]) in gates.iter().zip(&excitations) {
         m.check_budget()?;
-        let signal = stg::SignalId::from(gate.signal);
         let a = m.var(signal_vars[gate.signal]);
-        let mut rise = m.bottom();
-        let mut fall = m.bottom();
-        let mut toggle = m.bottom();
-        for t in stg.transitions_of_signal(signal) {
-            let polarity = match stg.label(t) {
-                TransitionLabel::Edge { polarity, .. } => polarity,
-                TransitionLabel::Dummy => continue,
-            };
-            let lits: Vec<(VarId, bool)> =
-                stg.net().preset(t).iter().map(|p| (place_vars[p.index()], true)).collect();
-            let cube = m.cube_of(&lits);
-            let bucket = match polarity {
-                Polarity::Rise => &mut rise,
-                Polarity::Fall => &mut fall,
-                Polarity::Toggle => &mut toggle,
-            };
-            *bucket = m.or(*bucket, cube);
-        }
         let not_a = m.not(a);
         let toggle_up = m.and(toggle, not_a);
         let toggle_down = m.and(toggle, a);
@@ -315,9 +325,9 @@ fn reach_error(e: StgError) -> NetlistError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::functions_of;
     use crate::{parse_eqn, synthesize};
     use bdd::Budget;
-    use logic::derive_next_state_functions_stg;
 
     fn verify_default(stg: &Stg, netlist: &Netlist, initial_code: u64) -> NetlistVerification {
         verify(stg, netlist, initial_code, &ReachabilityConfig::default()).unwrap()
@@ -326,7 +336,7 @@ mod tests {
     #[test]
     fn clean_handshakes_verify_speed_independent_and_trace_equivalent() {
         let model = stg::benchmarks::parallel_handshakes(3);
-        let functions = derive_next_state_functions_stg(&model, 0, None).unwrap();
+        let functions = functions_of(&model);
         let net = synthesize(&model, &functions).unwrap();
         let verdict = verify_default(&model, &net, 0);
         assert!(verdict.passed(), "{:?}", verdict.diagnostics);
@@ -334,11 +344,28 @@ mod tests {
     }
 
     #[test]
+    fn a_shared_space_verifies_like_a_fresh_one() {
+        // The flow hands the analysis' space to the check instead of
+        // rebuilding it: verdicts and witnesses must not change.
+        for model in [stg::benchmarks::arbiter(), stg::benchmarks::parallel_handshakes(3)] {
+            let config = ReachabilityConfig::default();
+            let mut space = model.try_symbolic_encoded_state_space(0, &config).unwrap();
+            let analysis = logic::analyze_space(&model, &mut space).unwrap();
+            let net = synthesize(&model, &analysis.functions).unwrap();
+            let shared = verify_space(&model, &mut space, &net).unwrap();
+            let fresh = verify_default(&model, &net, 0);
+            assert_eq!(shared.passed(), fresh.passed(), "{}", model.name());
+            assert_eq!(shared.states_f64, fresh.states_f64, "{}", model.name());
+            assert_eq!(shared.diagnostics, fresh.diagnostics, "{}", model.name());
+        }
+    }
+
+    #[test]
     fn solved_vme_read_netlist_closes_the_loop() {
         let solution =
             csc::solve_stg_symbolic(&stg::benchmarks::vme_read(), &csc::SolverConfig::default())
                 .unwrap();
-        let functions = derive_next_state_functions_stg(&solution.stg, 0, None).unwrap();
+        let functions = functions_of(&solution.stg);
         let net = synthesize(&solution.stg, &functions).unwrap();
         let verdict = verify_default(&solution.stg, &net, 0);
         assert!(verdict.passed(), "{:?}", verdict.diagnostics);
@@ -352,7 +379,7 @@ mod tests {
     #[test]
     fn a_corrupted_cover_is_caught_as_trace_divergence() {
         let model = stg::benchmarks::parallel_handshakes(2);
-        let functions = derive_next_state_functions_stg(&model, 0, None).unwrap();
+        let functions = functions_of(&model);
         let mut net = synthesize(&model, &functions).unwrap();
         // Invert the first gate's cover: ack = !req instead of req.
         let gate = &mut net.gates[0];
@@ -383,7 +410,7 @@ mod tests {
     #[test]
     fn signal_set_mismatches_are_typed() {
         let model = stg::benchmarks::parallel_handshakes(2);
-        let functions = derive_next_state_functions_stg(&model, 0, None).unwrap();
+        let functions = functions_of(&model);
         let mut net = synthesize(&model, &functions).unwrap();
         net.signal_names[0] = "bogus".to_owned();
         let err = verify(&model, &net, 0, &ReachabilityConfig::default()).unwrap_err();
@@ -398,7 +425,7 @@ mod tests {
     #[test]
     fn budget_trips_surface_as_typed_errors() {
         let model = stg::benchmarks::parallel_handshakes(6);
-        let functions = derive_next_state_functions_stg(&model, 0, None).unwrap();
+        let functions = functions_of(&model);
         let net = synthesize(&model, &functions).unwrap();
         let config = ReachabilityConfig::with_budget(Budget::new(Some(16), None, None));
         let err = verify(&model, &net, 0, &config).unwrap_err();

@@ -45,6 +45,18 @@ pub enum StgError {
         /// Image rounds performed before giving up.
         iterations: usize,
     },
+    /// The seed of a code-encoded state space labels the reachable markings
+    /// inconsistently ([`crate::SymbolicStateSpace::check_seed`]).
+    SeedMismatch {
+        /// The first transition (in net order) the seed blocks: enabled in
+        /// a covered marking, its firing leaves the covered markings.
+        /// `None` when no edge is blocked but a marking carries two codes.
+        blocked_transition: Option<String>,
+        /// Distinct markings the encoded space covers, rounded.
+        coded_markings: u128,
+        /// (marking, code) pairs of the encoded space, rounded.
+        coded_states: u128,
+    },
     /// A resource budget (node ceiling, step ceiling, deadline or
     /// cancellation) tripped during a symbolic analysis.
     Budget(BudgetExceeded),
@@ -68,6 +80,12 @@ impl fmt::Display for StgError {
             StgError::UnknownName { name } => write!(f, "unknown signal or transition '{name}'"),
             StgError::NotConverged { iterations } => {
                 write!(f, "symbolic reachability did not converge within {iterations} iterations")
+            }
+            StgError::SeedMismatch { blocked_transition: Some(t), coded_markings, .. } => {
+                write!(f, "the seed blocks '{t}', leaving {coded_markings} markings coded")
+            }
+            StgError::SeedMismatch { blocked_transition: None, coded_states, .. } => {
+                write!(f, "the seed gives a marking two codes ({coded_states} coded states)")
             }
             StgError::Budget(e) => write!(f, "{e}"),
         }

@@ -54,6 +54,6 @@ pub use parser::parse_g;
 pub use signal::{Polarity, Signal, SignalId, SignalKind};
 pub use state_graph::StateGraph;
 pub use symbolic::{
-    ReachabilityConfig, ReachabilityStrategy, SymbolicStateSpace, TransitionBranch,
+    fixpoints_run, ReachabilityConfig, ReachabilityStrategy, SymbolicStateSpace, TransitionBranch,
 };
 pub use validate::{validate, Severity, ValidationIssue, ValidationReport};

@@ -29,9 +29,21 @@
 
 use crate::error::StgError;
 use crate::model::{Stg, TransitionLabel};
-use crate::signal::Polarity;
+use crate::signal::{Polarity, SignalId};
 use bdd::{Bdd, BddManager, BddStats, Budget, FxHashMap, VarId};
 use petri::TransId;
+use std::cell::Cell;
+
+thread_local! {
+    static FIXPOINTS: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Reachability fixpoints, encoded or places-only, the calling thread has
+/// started so far.  The difference around a single-threaded computation
+/// counts its fixpoints exactly, whatever runs on other threads.
+pub fn fixpoints_run() -> usize {
+    FIXPOINTS.with(Cell::get)
+}
 
 /// How the reachability fixpoint feeds each image step.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -224,6 +236,10 @@ impl Stg {
     /// Fallible reachability over the place variables: honours the budget in
     /// `config` and reports a typed [`StgError::NotConverged`] when the
     /// iteration cap is hit, instead of silently returning a truncated set.
+    ///
+    /// No flow stage runs this fixpoint: [`SymbolicStateSpace::check_seed`]
+    /// decides on the encoded space what comparing against it would decide,
+    /// and the fuzz harness keeps it as that guard's oracle.
     pub fn try_symbolic_state_space(
         &self,
         config: &ReachabilityConfig,
@@ -298,6 +314,7 @@ impl Stg {
         max_iterations: Option<usize>,
         budget: Option<&Budget>,
     ) -> Result<SymbolicStateSpace, StgError> {
+        FIXPOINTS.with(|count| count.set(count.get() + 1));
         let net = self.net();
         let num_places = net.num_places();
         let num_signals = if with_codes { self.num_signals() } else { 0 };
@@ -637,24 +654,95 @@ impl SymbolicStateSpace {
     /// enumeration is the exact one the reachability engine used, so images
     /// computed from these branches agree with [`Self::reachable`].
     pub fn transition_branches(&self, stg: &Stg) -> Vec<TransitionBranch> {
+        self.branches(stg, self.num_signals > 0)
+    }
+
+    /// [`Self::transition_branches`], with or without the code literals.
+    fn branches(&self, stg: &Stg, with_codes: bool) -> Vec<TransitionBranch> {
         assert_eq!(stg.net().num_places(), self.num_places, "space/model mismatch");
-        let with_codes = self.num_signals > 0;
+        let current = |lits: &[(usize, bool)]| -> Vec<(VarId, bool)> {
+            lits.iter().map(|&(sv, v)| ((2 * self.pos[sv]) as VarId, v)).collect()
+        };
         enumerate_branches(stg, with_codes)
             .into_iter()
             .map(|raw| TransitionBranch {
                 trans: raw.trans,
-                enabled: raw
-                    .enabled
-                    .iter()
-                    .map(|&(sv, v)| ((2 * self.pos[sv]) as VarId, v))
-                    .collect(),
-                pinned: raw
-                    .pinned
-                    .iter()
-                    .map(|&(sv, v)| ((2 * self.pos[sv]) as VarId, v))
-                    .collect(),
+                enabled: current(&raw.enabled),
+                pinned: current(&raw.pinned),
             })
             .collect()
+    }
+
+    /// The excitation predicates of `signal` over the current place copies,
+    /// indexed by [`Polarity`] declaration order (`[rise, fall, toggle]`):
+    /// some transition of that polarity has its whole preset marked.
+    pub fn excitations(&mut self, stg: &Stg, signal: SignalId) -> [Bdd; 3] {
+        let mut by_polarity = [self.manager.bottom(); 3];
+        for t in stg.transitions_of_signal(signal) {
+            let TransitionLabel::Edge { polarity, .. } = stg.label(t) else { continue };
+            let lits: Vec<(VarId, bool)> = stg
+                .net()
+                .preset(t)
+                .iter()
+                .map(|p| (self.current_var_of_place(p.index()), true))
+                .collect();
+            let cube = self.manager.cube_of(&lits);
+            let slot = &mut by_polarity[polarity as usize];
+            *slot = self.manager.or(*slot, cube);
+        }
+        by_polarity
+    }
+
+    /// The seed guard of a code-encoded space: decides, on the space itself,
+    /// whether the seed (`initial_code`) labels every reachable marking of
+    /// `stg` with exactly one code.
+    ///
+    /// Let `P = ∃codes. Reach` be the markings the space covers.  The guard
+    /// holds iff every place-only firing from `P` stays in `P`, and
+    /// `|Reach| = |P|` (one code per marking).  It is exact: `P` is always
+    /// contained in the place-reachable set and contains the initial
+    /// marking, so a `P` closed under firing *is* the place-reachable set —
+    /// the guard accepts exactly what comparing against a places-only
+    /// fixpoint would accept, without running one.
+    ///
+    /// # Errors
+    ///
+    /// [`StgError::SeedMismatch`] naming the first blocked transition (or
+    /// `None` when a marking carries two codes), and [`StgError::Budget`]
+    /// when the space's budget trips.
+    pub fn check_seed(&mut self, stg: &Stg) -> Result<(), StgError> {
+        let signal_vars: Vec<VarId> =
+            (0..self.num_signals).map(|s| self.current_var_of_signal(s)).collect();
+        let coded = self.manager.exists_many(self.reachable, &signal_vars);
+        let mut blocked_transition = None;
+        for branch in self.branches(stg, false) {
+            // A firing leaves `P` from the sources where `P`, cofactored at
+            // the branch's post-values, no longer holds.
+            let m = &mut self.manager;
+            let enabled = m.cube_of(&branch.enabled);
+            let src = m.and(coded, enabled);
+            let after = branch.pinned.iter().fold(coded, |f, &(v, value)| m.restrict(f, v, value));
+            if !m.and_not(src, after).is_false() {
+                blocked_transition = Some(stg.net().transition_name(branch.trans).to_owned());
+                break;
+            }
+        }
+        // The verdict is only meaningful on unpoisoned results.
+        self.manager.check_budget()?;
+        // `coded` depends on the current place copies only.
+        let free_vars = (self.manager.num_vars() - self.num_places) as i32;
+        let coded_markings = self.manager.sat_count_f64(coded) / 2f64.powi(free_vars);
+        let coded_states = self.state_count_f64();
+        let close = |a: f64, b: f64| (a - b).abs() <= (a.abs().max(b.abs())) * 1e-9 + 0.25;
+        if blocked_transition.is_none() && close(coded_states, coded_markings) {
+            return Ok(());
+        }
+        let round = |v: f64| if v >= u128::MAX as f64 { u128::MAX } else { v.round() as u128 };
+        Err(StgError::SeedMismatch {
+            blocked_transition,
+            coded_markings: round(coded_markings),
+            coded_states: round(coded_states),
+        })
     }
 }
 
@@ -723,22 +811,16 @@ impl Stg {
         initial_code: u64,
         config: &ReachabilityConfig,
     ) -> Result<bool, StgError> {
-        let space = self.try_symbolic_encoded_state_space(initial_code, config)?;
-        let num_places = space.num_places;
+        let mut space = self.try_symbolic_encoded_state_space(initial_code, config)?;
         let place_vars: Vec<VarId> =
-            (0..num_places).map(|p| space.current_var_of_place(p)).collect();
-        let mut m = space.manager;
+            (0..space.num_places).map(|p| space.current_var_of_place(p)).collect();
         let reachable = space.reachable;
         for signal in self.non_input_signals() {
             // Enabled(signal) as a function of places: some transition of the
             // signal has all its input places marked.
-            let mut enabled = m.bottom();
-            for t in self.transitions_of_signal(signal) {
-                let lits: Vec<(VarId, bool)> =
-                    self.net().preset(t).iter().map(|p| (place_vars[p.index()], true)).collect();
-                let cube = m.cube_of(&lits);
-                enabled = m.or(enabled, cube);
-            }
+            let excitations = space.excitations(self, signal);
+            let m = &mut space.manager;
+            let enabled = m.or_many(excitations);
             let with = m.and(reachable, enabled);
             let without = m.and_not(reachable, enabled);
             let codes_with = m.exists_many(with, &place_vars);
@@ -850,6 +932,59 @@ mod tests {
         let space = stg.symbolic_encoded_state_space(0, None);
         assert!(space.converged);
         assert_eq!(space.state_count(), sg.num_states() as u128);
+    }
+
+    #[test]
+    fn the_seed_guard_names_the_edge_a_wrong_seed_blocks() {
+        use crate::StgError;
+        let config = super::ReachabilityConfig::default();
+        for stg in [benchmarks::handshake(), benchmarks::vme_read(), benchmarks::pulser_bank(2)] {
+            let mut space = stg.try_symbolic_encoded_state_space(0, &config).unwrap();
+            assert_eq!(space.check_seed(&stg), Ok(()), "{}", stg.name());
+        }
+        // req = 1 blocks req+ at once; ack = 1 lets req+ fire, then blocks ack+.
+        let stg = benchmarks::handshake();
+        for (seed, blocked) in [(0b01, "req+"), (0b10, "ack+")] {
+            let mut space = stg.try_symbolic_encoded_state_space(seed, &config).unwrap();
+            match space.check_seed(&stg) {
+                Err(StgError::SeedMismatch { blocked_transition: Some(t), .. }) => {
+                    assert_eq!(t, blocked, "seed {seed:#b}");
+                }
+                other => panic!("seed {seed:#b}: expected a blocked edge, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn the_seed_guard_reports_a_doubly_coded_marking_without_a_witness() {
+        use crate::{Polarity, SignalKind, StgBuilder, StgError};
+        // From `p0`, either toggle `c` or skip it; both land in `p1`, which
+        // is therefore reached with both values of `c` under any seed.
+        let mut b = StgBuilder::new("choice_toggle");
+        let c = b.add_signal("c", SignalKind::Output);
+        let toggle = b.add_edge(c, Polarity::Toggle);
+        let skip = b.add_dummy("skip");
+        let back = b.add_dummy("back");
+        let p0 = b.add_place("p0", true);
+        let p1 = b.add_place("p1", false);
+        for t in [toggle, skip] {
+            b.arc_place_to_transition(p0, t);
+            b.arc_transition_to_place(t, p1);
+        }
+        b.arc_place_to_transition(p1, back);
+        b.arc_transition_to_place(back, p0);
+        let stg = b.build().unwrap();
+        let config = super::ReachabilityConfig::default();
+        let mut space = stg.try_symbolic_encoded_state_space(0, &config).unwrap();
+        let verdict = space.check_seed(&stg);
+        assert_eq!(
+            verdict,
+            Err(StgError::SeedMismatch {
+                blocked_transition: None,
+                coded_markings: 2,
+                coded_states: 4
+            })
+        );
     }
 
     #[test]

@@ -9,14 +9,15 @@
 //! Part 2 repeats the whole exercise *symbolically*: the conflict is
 //! detected on reachability BDDs, the state signal is inserted directly
 //! into the Petri net by [`csc::solve_stg_symbolic`] (no state graph is
-//! ever built), and the next-state logic is derived from the encoded STG
-//! by the symbolic logic engine.
+//! ever built), and the next-state logic is derived from the encoded STG's
+//! symbolic state space by the symbolic logic engine.
 //!
 //! Part 3 closes the loop to gates: the minimized covers become a
 //! netlist of complex gates and generalized C-elements
 //! ([`netlist::synthesize`]), emitted as `.eqn` equations, and the
 //! emitted circuit is verified *against the STG it came from* by the
-//! symbolic circuit checker ([`netlist::verify`]) — the same checks
+//! symbolic circuit checker ([`netlist::verify_space`]), on the same
+//! encoded state space the logic was derived from — the same checks
 //! `rsynth --emit eqn --verify-netlist` runs.
 //!
 //! Run with `cargo run -p synthkit --example csc_walkthrough`; the smoke
@@ -145,9 +146,12 @@ pub fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{}", symbolic.stg.to_g());
 
     // Logic derivation on the encoded STG — reachability, ON/OFF sets and
-    // interval-ISOP covers, all on the same BDD engine.
+    // interval-ISOP covers, all on the same BDD engine.  The encoded state
+    // space is built once and serves the netlist check in Part 3 too.
     println!("== next-state logic, derived symbolically ==");
-    let analysis = logic::analyze_stg(&symbolic.stg, 0, None)?;
+    let mut space =
+        symbolic.stg.try_symbolic_encoded_state_space(0, &stg::ReachabilityConfig::default())?;
+    let analysis = logic::analyze_space(&symbolic.stg, &mut space)?;
     for function in &analysis.functions.functions {
         println!(
             "  {:6} = {:2} literals in {} cube(s)",
@@ -179,12 +183,12 @@ pub fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The emitted circuit — not the covers it came from — is rebuilt as a
     // symbolic transition model and checked against the encoded STG's
-    // reachable space: every gate excitation must match the STG's
-    // (projection-trace equivalence) and no transition may withdraw
-    // another gate's excitation (speed independence).
+    // reachable space (the one the logic came from): every gate excitation
+    // must match the STG's (projection-trace equivalence) and no
+    // transition may withdraw another gate's excitation (speed
+    // independence).
     println!("\n== closed-loop verification (rsynth --verify-netlist) ==");
-    let verification =
-        netlist::verify(&symbolic.stg, &circuit, 0, &stg::ReachabilityConfig::default())?;
+    let verification = netlist::verify_space(&symbolic.stg, &mut space, &circuit)?;
     println!(
         "  {} reachable states: trace-equivalent = {}, speed-independent = {}",
         verification.states_f64, verification.trace_equivalent, verification.speed_independent

@@ -89,6 +89,44 @@ fn corpus_flow_reports_match_the_goldens() {
     }
 }
 
+/// One encoded state space per STG version.  A conflict-free design
+/// computes exactly one reachability fixpoint — analysis and netlist check
+/// share it — and a conflicted one adds exactly one per candidate net the
+/// solver verified: the solver starts from the flow's space, and its last
+/// iteration's space serves the final analysis and the check.
+#[test]
+fn each_flow_computes_one_fixpoint_per_stg_version() {
+    let (mut clean, mut conflicted): (Vec<_>, Vec<_>) =
+        benchmarks::corpus_suite().into_iter().partition(|(_, _, csc_holds)| *csc_holds);
+    clean.push(("par_hs16", benchmarks::parallel_handshakes(16), true));
+    clean.push(("pipe2_8", benchmarks::pipeline_2ph(8), true));
+    conflicted.push(("vme_read", benchmarks::vme_read(), false));
+    conflicted.push(("pulser_bank2", benchmarks::pulser_bank(2), false));
+    conflicted.push(("wide_conflict4", benchmarks::wide_conflict(4), false));
+    for (name, model, _) in &clean {
+        let report = verified_flow(model);
+        assert_eq!(report.inserted_signals, 0, "{name}");
+        let verdict = report.netlist.map(|stage| stage.verdict);
+        assert!(
+            matches!(
+                verdict,
+                Some(NetlistVerdict::Verified { .. } | NetlistVerdict::Failed { .. })
+            ),
+            "{name}: the netlist check must run, got {verdict:?}"
+        );
+        assert_eq!(report.fixpoints, 1, "{name}: fixpoints");
+    }
+    for (name, model, _) in &conflicted {
+        let report = verified_flow(model);
+        assert!(report.inserted_signals > 0, "{name}");
+        let verdict = report.netlist.map(|stage| stage.verdict);
+        assert!(matches!(verdict, Some(NetlistVerdict::Verified { .. })), "{name}: {verdict:?}");
+        let verified = report.stage.candidates_verified;
+        assert!(verified >= report.inserted_signals, "{name}: {verified} candidate nets");
+        assert_eq!(report.fixpoints, 1 + verified, "{name}: fixpoints");
+    }
+}
+
 #[test]
 fn corpus_csc_flags_match_the_state_graph() {
     for (name, model, csc_holds) in benchmarks::corpus_suite() {

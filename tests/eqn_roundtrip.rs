@@ -10,7 +10,8 @@ use stg::fuzz::random_stg;
 /// Synthesizes a netlist straight from an STG's next-state covers, or
 /// `None` when the model has no implementable covers (CSC conflicts).
 fn synthesized(model: &stg::Stg) -> Option<netlist::Netlist> {
-    let functions = logic::derive_next_state_functions_stg(model, 0, None).ok()?;
+    let reach = stg::ReachabilityConfig::default();
+    let functions = logic::analyze_stg_with(model, 0, &reach).ok()?.functions;
     Some(netlist::synthesize(model, &functions).expect("synthesis from derived covers"))
 }
 

@@ -290,8 +290,9 @@ fn logic_strategies_agree_on_random_stgs() {
                 // On conflict-free consistent models the STG-driven engine
                 // must agree with the graph-driven ones as well.
                 let initial_code = sg.code(sg.ts.initial());
+                let reach = stg::ReachabilityConfig::default();
                 let from_stg =
-                    logic::derive_next_state_functions_stg(&model, initial_code, None).unwrap();
+                    logic::analyze_stg_with(&model, initial_code, &reach).unwrap().functions;
                 for (ef, gf) in e.functions.iter().zip(&from_stg.functions) {
                     assert_eq!(ef.signal, gf.signal, "seed {seed}");
                     for code in 0..(1u64 << n) {
