@@ -36,7 +36,11 @@ pub const CHECK_INTERVAL: u64 = 1024;
 pub enum Resource {
     /// The ceiling on live BDD nodes allocated across the flow.
     Nodes,
-    /// The ceiling on memoised apply steps (a proxy for CPU work).
+    /// The ceiling on apply steps (a proxy for CPU work): every node
+    /// construction, plus every uncached recursion of the kernels that may
+    /// answer without allocating (`restrict_cube`, `intersects`,
+    /// `implies`), so a search that mostly tests regions still pays for
+    /// its work.
     ApplySteps,
     /// The wall-clock deadline.
     WallClock,

@@ -62,13 +62,6 @@ impl IsopCover {
 type IsopMemo = FxHashMap<(NodeId, NodeId), (Rc<IsopNode>, NodeId)>;
 
 impl BddManager {
-    /// The cofactor of `f` by a single literal: `f` with `var` fixed to
-    /// `value`.  Synonym of [`Self::restrict`] under the name the two-level
-    /// minimization literature uses.
-    pub fn cofactor(&mut self, f: Bdd, var: VarId, value: bool) -> Bdd {
-        self.restrict(f, var, value)
-    }
-
     /// One satisfying assignment of `f` as `(var, value)` literals, or
     /// `None` when `f` is unsatisfiable.  Debugging helper: pairs with
     /// [`Self::cubes`] the way `one_sat`/`cube_iter` do in other BDD
@@ -170,17 +163,6 @@ impl BddManager {
         };
         memo.insert((l, u), (dag.clone(), f));
         (dag, f)
-    }
-
-    /// Both cofactors of `f` by `var`, assuming `var` is at or above `f`'s
-    /// root level.
-    fn cofactor_pair(&self, f: NodeId, var: VarId) -> (NodeId, NodeId) {
-        if self.var_of(f) == var {
-            let (_, low, high) = self.node_triple(f);
-            (low, high)
-        } else {
-            (f, f)
-        }
     }
 }
 
@@ -355,8 +337,8 @@ mod tests {
         let a = m.var(0);
         let c = m.var(2);
         let f = m.and(a, c);
-        assert_eq!(m.cofactor(f, 0, true), c);
-        assert_eq!(m.cofactor(f, 0, false), m.bottom());
+        assert_eq!(m.restrict(f, 0, true), c);
+        assert_eq!(m.restrict(f, 0, false), m.bottom());
         let sat = m.one_sat(f).unwrap();
         assert!(sat.contains(&(0, true)) && sat.contains(&(2, true)));
         assert!(m.one_sat(m.bottom()).is_none());

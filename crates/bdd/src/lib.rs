@@ -19,8 +19,13 @@
 //!   [`BddManager::and_exists`] conjoins and quantifies in a single pass
 //!   without materialising the intermediate conjunction — the image
 //!   operator symbolic reachability is built on,
-//! * restriction, satisfy-count, cube enumeration and memory/cache
-//!   statistics ([`BddManager::stats`]) round out the toolkit.
+//! * emptiness questions are answered without building the BDD they ask
+//!   about: [`BddManager::intersects`] and [`BddManager::implies`] stop
+//!   at the first satisfying path and allocate nothing, and
+//!   [`BddManager::restrict_cube`] cofactors at a whole cube in one
+//!   memoised pass,
+//! * satisfy-count, cube enumeration and memory/cache statistics
+//!   ([`BddManager::stats`]) round out the toolkit.
 //!
 //! # Example
 //!

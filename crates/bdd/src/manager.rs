@@ -21,7 +21,9 @@
 //!   `(Op, NodeId, NodeId, NodeId)`: binary connectives use two operands
 //!   (negation uses `Op::Not` with both operands equal), while the
 //!   quantifier recursions key the third slot with the variable cube and
-//!   the fused relational product `and_exists` uses all three.  Entries
+//!   the fused relational product `and_exists` uses all three.  The
+//!   cube cofactor is keyed `(f, cube)`, and the non-building tests
+//!   `intersects`/`implies` store their yes/no answer as a terminal.  Entries
 //!   carry a generation tag: [`BddManager::clear_caches`] invalidates
 //!   every entry in O(1) by bumping the generation, and the cache is
 //!   re-sized (which also clears it) when the arena outgrows it.
@@ -95,6 +97,14 @@ enum Op {
     Unprime = 7,
     /// Shift every even variable up by one — keyed `(f, -, -)`.
     Prime = 8,
+    /// `f` cofactored at every literal of a cube — keyed `(f, cube, -)`.
+    RestrictCube = 9,
+    /// Whether `f ∧ g` is satisfiable — keyed `(f, g, -)`, answered as a
+    /// terminal.
+    Intersects = 10,
+    /// Whether `f ∧ ¬g` is satisfiable (the complement of `f → g`) — keyed
+    /// `(f, g, -)`, answered as a terminal.
+    IntersectsNot = 11,
 }
 
 /// Sentinel for an empty unique-table slot (no node can have this id: the
@@ -341,8 +351,9 @@ pub struct BddManager {
     scratch: RefCell<TraversalScratch>,
     /// Optional shared resource budget; see [`Self::set_budget`].
     budget: Option<Budget>,
-    /// `mk` calls since the last budget flush (batched so the hot path pays
-    /// one increment and one compare per call).
+    /// Steps since the last budget flush: `mk` calls plus uncached
+    /// recursions of the non-building kernels (batched by
+    /// [`Self::charge_step`]).
     steps_since_check: u64,
     /// Arena length at the last flush, to charge only the delta.
     nodes_at_last_check: u64,
@@ -389,13 +400,19 @@ impl BddManager {
 
     /// Attaches a shared [`Budget`] to this manager.
     ///
-    /// From now on node allocations are charged to the budget in batches of
-    /// [`CHECK_INTERVAL`] `mk` calls; when a ceiling trips, every in-flight
-    /// recursion unwinds by returning the `false` terminal (without storing
-    /// cache entries), and the typed report waits in
-    /// [`Self::take_budget_trip`].  Results produced after a trip are
-    /// meaningless and must be discarded by the caller.
+    /// From now on node allocations and apply steps are charged to the
+    /// budget in batches of [`CHECK_INTERVAL`] steps.  A step is one `mk`
+    /// call or one uncached recursion of [`Self::restrict_cube`],
+    /// [`Self::intersects`] or [`Self::implies`] — the kernels that may
+    /// answer without allocating — so the deadline and cancel flag are
+    /// sampled at the same rate whether an analysis builds BDDs or only
+    /// tests them.  When a ceiling trips, every in-flight recursion unwinds
+    /// by returning the `false` terminal (without storing cache entries),
+    /// and the typed report waits in [`Self::take_budget_trip`].  Results
+    /// produced after a trip are meaningless and must be discarded by the
+    /// caller.
     pub fn set_budget(&mut self, budget: Budget) {
+        self.steps_since_check = 0;
         self.nodes_at_last_check = self.nodes.len() as u64;
         self.budget = Some(budget);
     }
@@ -438,7 +455,7 @@ impl BddManager {
         trip
     }
 
-    /// Charges the un-flushed `mk` batch to the budget and records a trip if
+    /// Charges the un-flushed step batch to the budget and records a trip if
     /// a ceiling is crossed.
     fn flush_budget(&mut self) {
         let steps = std::mem::take(&mut self.steps_since_check);
@@ -590,15 +607,20 @@ impl BddManager {
         {
             self.cache.grow_for(self.nodes.len());
         }
-        // Budget accounting is batched: one increment per call, a flush
-        // (shared atomics + clock sample) every CHECK_INTERVAL calls.
-        if self.budget.is_some() {
-            self.steps_since_check += 1;
-            if self.steps_since_check >= CHECK_INTERVAL {
-                self.flush_budget();
-            }
-        }
+        self.charge_step();
         id
+    }
+
+    /// Charges one apply step.  Accounting is batched: one increment per
+    /// step, a flush (shared atomics + clock sample) every
+    /// [`CHECK_INTERVAL`] steps; without a budget the flush only resets the
+    /// counter.
+    #[inline]
+    fn charge_step(&mut self) {
+        self.steps_since_check += 1;
+        if self.steps_since_check >= CHECK_INTERVAL {
+            self.flush_budget();
+        }
     }
 
     /// Logical negation.
@@ -732,9 +754,7 @@ impl BddManager {
                     return f;
                 }
             }
-            Op::Not | Op::Exists | Op::Forall | Op::AndExists | Op::Unprime | Op::Prime => {
-                unreachable!("apply only handles the binary Boolean connectives")
-            }
+            _ => unreachable!("apply only handles the binary Boolean connectives"),
         }
         if self.tripped {
             // Budget poison: unwind fast; caller discards via `take_budget_trip`.
@@ -769,42 +789,88 @@ impl BddManager {
         r
     }
 
-    /// The cofactor of `f` with `var` fixed to `value`.
+    /// The cofactor of `f` with `var` fixed to `value`: [`Self::restrict_cube`]
+    /// on a one-literal cube.
     pub fn restrict(&mut self, f: Bdd, var: VarId, value: bool) -> Bdd {
-        let mut cache = FxHashMap::default();
-        Bdd(self.restrict_rec(f.0, var, value, &mut cache))
+        let literal = self.literal(var, value);
+        self.restrict_cube(f, literal)
     }
 
-    fn restrict_rec(
-        &mut self,
-        f: NodeId,
-        var: VarId,
-        value: bool,
-        cache: &mut FxHashMap<NodeId, NodeId>,
-    ) -> NodeId {
-        if f.is_terminal() {
+    /// The cofactor of `f` at every literal of `cube` (a conjunction of
+    /// literals, as built by [`Self::cube_of`]): `f` with each cube variable
+    /// fixed to its value.
+    ///
+    /// One memoised recursion over the whole cube, not a per-literal loop:
+    /// nodes above the cube's literals are rebuilt once, and results are
+    /// shared through the operation cache across calls.  Evaluating a
+    /// predicate at the target of an STG branch is this cofactor at the
+    /// branch's post-values.
+    pub fn restrict_cube(&mut self, f: Bdd, cube: Bdd) -> Bdd {
+        // A tripped manager may have collapsed the cube to FALSE while it
+        // was being built; poison the result instead of asserting.
+        if self.tripped {
+            return Bdd(NodeId::FALSE);
+        }
+        debug_assert!(self.is_cube(cube), "cofactor cube must be a conjunction of literals");
+        Bdd(self.restrict_cube_rec(f.0, cube.0))
+    }
+
+    fn restrict_cube_rec(&mut self, f: NodeId, mut cube: NodeId) -> NodeId {
+        // Literals above `f`'s root do not occur in `f`: skip them.
+        let vf = self.var_of(f);
+        while cube != NodeId::TRUE && self.var_of(cube) < vf {
+            cube = self.cube_tail(cube);
+        }
+        if f.is_terminal() || cube == NodeId::TRUE {
             return f;
         }
-        let n = self.node(f);
-        if n.var > var {
-            return f;
+        if self.tripped {
+            return NodeId::FALSE;
         }
-        if let Some(&r) = cache.get(&f) {
+        if let Some(r) = self.cache.lookup(Op::RestrictCube, f, cube) {
             return r;
         }
-        let r = if n.var == var {
-            if value {
-                n.high
-            } else {
-                n.low
-            }
+        self.charge_step();
+        let n = self.node(f);
+        let r = if n.var == self.var_of(cube) {
+            // A positive literal's node has a `false` low child.
+            let branch = if self.node(cube).low == NodeId::FALSE { n.high } else { n.low };
+            let rest = self.cube_tail(cube);
+            self.restrict_cube_rec(branch, rest)
         } else {
-            let low = self.restrict_rec(n.low, var, value, cache);
-            let high = self.restrict_rec(n.high, var, value, cache);
+            let low = self.restrict_cube_rec(n.low, cube);
+            let high = self.restrict_cube_rec(n.high, cube);
             self.mk(n.var, low, high)
         };
-        cache.insert(f, r);
+        if !self.tripped {
+            self.cache.store(Op::RestrictCube, f, cube, r);
+        }
         r
+    }
+
+    /// The cube below the root literal of a (non-constant) cube.
+    #[inline]
+    fn cube_tail(&self, cube: NodeId) -> NodeId {
+        let n = self.node(cube);
+        if n.low == NodeId::FALSE {
+            n.high
+        } else {
+            n.low
+        }
+    }
+
+    /// Whether `f` is a conjunction of literals: every node has exactly one
+    /// `false` child.  The constant `true` is the empty cube.
+    fn is_cube(&self, f: Bdd) -> bool {
+        let mut cur = f.0;
+        while !cur.is_terminal() {
+            let n = self.node(cur);
+            if (n.low == NodeId::FALSE) == (n.high == NodeId::FALSE) {
+                return false;
+            }
+            cur = self.cube_tail(cur);
+        }
+        cur == NodeId::TRUE
     }
 
     /// Builds the positive cube `v₀ ∧ v₁ ∧ …` identifying a quantification
@@ -1164,9 +1230,57 @@ impl BddManager {
         r
     }
 
-    /// Returns `true` if `f → g` is a tautology.
+    /// Returns `true` if `f ∧ g` is satisfiable, decided without building
+    /// the conjunction: the recursion stops at the first satisfying path,
+    /// and its answers are memoised as terminals.  Allocates no nodes.
+    pub fn intersects(&mut self, f: Bdd, g: Bdd) -> bool {
+        self.meets(f.0, g.0, false)
+    }
+
+    /// Returns `true` if `f → g` is a tautology, i.e. `f ∧ ¬g` is empty —
+    /// decided by the same non-building recursion as [`Self::intersects`],
+    /// with `g` complemented on the fly instead of building `¬g`.
     pub fn implies(&mut self, f: Bdd, g: Bdd) -> bool {
-        self.and_not(f, g).is_false()
+        !self.meets(f.0, g.0, true)
+    }
+
+    /// Whether `f ∧ g` (`f ∧ ¬g` when `negate_g`) has a satisfying path.
+    /// Poisoned managers answer `false`.
+    fn meets(&mut self, f: NodeId, g: NodeId, negate_g: bool) -> bool {
+        if f == NodeId::FALSE {
+            return false;
+        }
+        if g.is_terminal() {
+            return (g == NodeId::TRUE) != negate_g;
+        }
+        // `g` is not constant, so both `g` and `¬g` are satisfiable.
+        if f == NodeId::TRUE {
+            return true;
+        }
+        if f == g {
+            return !negate_g;
+        }
+        if self.tripped {
+            return false;
+        }
+        let (op, f, g) = if negate_g {
+            (Op::IntersectsNot, f, g)
+        } else {
+            // Conjunction is commutative: normalise the operand order.
+            (Op::Intersects, f.min(g), f.max(g))
+        };
+        if let Some(r) = self.cache.lookup(op, f, g) {
+            return r == NodeId::TRUE;
+        }
+        self.charge_step();
+        let v = self.var_of(f).min(self.var_of(g));
+        let (f_low, f_high) = self.cofactor_pair(f, v);
+        let (g_low, g_high) = self.cofactor_pair(g, v);
+        let r = self.meets(f_low, g_low, negate_g) || self.meets(f_high, g_high, negate_g);
+        if !self.tripped {
+            self.cache.store(op, f, g, if r { NodeId::TRUE } else { NodeId::FALSE });
+        }
+        r
     }
 
     /// Evaluates `f` under a complete assignment (indexed by variable).
@@ -1319,6 +1433,17 @@ impl BddManager {
     pub(crate) fn node_triple(&self, id: NodeId) -> (VarId, NodeId, NodeId) {
         let n = self.node(id);
         (n.var, n.low, n.high)
+    }
+
+    /// Both cofactors of `f` by `var`, assuming `var` is at or above `f`'s
+    /// root level.
+    pub(crate) fn cofactor_pair(&self, f: NodeId, var: VarId) -> (NodeId, NodeId) {
+        if self.var_of(f) == var {
+            let n = self.node(f);
+            (n.low, n.high)
+        } else {
+            (f, f)
+        }
     }
 }
 
@@ -1657,6 +1782,91 @@ mod tests {
         assert!(!m.is_quant_cube(not_a_cube));
         assert!(m.is_quant_cube(m.top()));
         assert!(!m.is_quant_cube(m.bottom()));
+    }
+
+    /// A random cube over a random subset of `0..nv`, with its literals.
+    fn random_cube(m: &mut BddManager, rng: &mut Rng, nv: u32) -> (Bdd, Vec<(VarId, bool)>) {
+        let mut lits = Vec::new();
+        for v in 0..nv {
+            if rng.next() % 2 == 0 {
+                lits.push((v, rng.next() % 2 == 0));
+            }
+        }
+        (m.cube_of(&lits), lits)
+    }
+
+    #[test]
+    fn restrict_cube_equals_the_quantified_conjunction_on_random_cube_sets() {
+        for seed in 200..240u64 {
+            let mut rng = Rng(seed);
+            let nv = 2 + (rng.next() % 7) as u32;
+            let mut m = BddManager::new(nv as usize);
+            let fc = 1 + (rng.next() % 6) as usize;
+            let f = random_cube_set(&mut m, &mut rng, nv, fc);
+            let (cube, lits) = random_cube(&mut m, &mut rng, nv);
+            let vars: Vec<VarId> = lits.iter().map(|&(v, _)| v).collect();
+            let conjoined = m.and(f, cube);
+            let oracle = m.exists_many(conjoined, &vars);
+            assert_eq!(m.restrict_cube(f, cube), oracle, "seed {seed}, cube {lits:?}");
+        }
+    }
+
+    #[test]
+    fn intersects_and_implies_match_the_built_conjunction_without_allocating() {
+        for seed in 300..360u64 {
+            let mut rng = Rng(seed);
+            let nv = 2 + (rng.next() % 7) as u32;
+            let mut m = BddManager::new(nv as usize);
+            let fc = 1 + (rng.next() % 6) as usize;
+            let f = random_cube_set(&mut m, &mut rng, nv, fc);
+            let gc = 1 + (rng.next() % 6) as usize;
+            let g = random_cube_set(&mut m, &mut rng, nv, gc);
+            let fg = m.and(f, g);
+            let pairs = [(f, g), (g, f), (f, f), (fg, f), (f, fg), (f, m.top()), (m.bottom(), g)];
+            // The oracles build nodes; the tests themselves must not.
+            let oracles: Vec<(bool, bool)> = pairs
+                .iter()
+                .map(|&(a, b)| {
+                    let nb = m.not(b);
+                    (!m.and(a, b).is_false(), m.and(a, nb).is_false())
+                })
+                .collect();
+            let nodes = m.num_nodes();
+            for (&(a, b), &(meets, entails)) in pairs.iter().zip(&oracles) {
+                assert_eq!(m.intersects(a, b), meets, "seed {seed}: intersects({a:?}, {b:?})");
+                assert_eq!(m.implies(a, b), entails, "seed {seed}: implies({a:?}, {b:?})");
+            }
+            assert_eq!(m.num_nodes(), nodes, "seed {seed}: a yes/no test allocated nodes");
+        }
+    }
+
+    #[test]
+    fn step_ceiling_trips_on_non_building_tests_alone() {
+        use crate::budget::{Budget, Resource};
+        let nv = 16;
+        let mut m = BddManager::new(nv as usize);
+        let mut rng = Rng(7);
+        let fs: Vec<Bdd> = (0..64).map(|_| random_cube_set(&mut m, &mut rng, nv, 6)).collect();
+        let (cube, _) = random_cube(&mut m, &mut rng, nv);
+        m.set_budget(Budget::new(None, Some(4 * CHECK_INTERVAL), None));
+        let nodes = m.num_nodes();
+        let mut trip = None;
+        'pairs: for &f in &fs {
+            for &g in &fs {
+                m.intersects(f, g);
+                m.implies(f, g);
+                if let Err(e) = m.check_budget() {
+                    trip = Some(e);
+                    break 'pairs;
+                }
+            }
+        }
+        let trip = trip.expect("the step ceiling never tripped");
+        assert_eq!(trip.resource, Resource::ApplySteps);
+        assert_eq!(m.num_nodes(), nodes, "the loop allocated nothing");
+        // Poisoned kernels unwind with the placeholder.
+        assert!(m.restrict_cube(fs[0], cube).is_false());
+        assert!(!m.intersects(fs[0], fs[1]));
     }
 
     #[test]

@@ -9,7 +9,10 @@
 //! The `csc_symbolic/solver` group times [`csc::solve_stg_symbolic`] on
 //! conflicted models the explicit solver also handles, attaching the
 //! inserted-signal counts of *both* solvers so the baseline documents the
-//! quality parity (symbolic never inserts more on these rows).  The
+//! quality parity (symbolic never inserts more on these rows).  `counter4`
+//! and `pipe4_4` are the two designs that carry most of the `controllers`
+//! workload of the end-to-end benchmark: `counter4` evaluates the most
+//! candidates of any Table 2 design, `pipe4_4` has the largest spaces.  The
 //! `csc_symbolic/wide` group times the `wide_conflict` family — a CSC
 //! conflict embedded in a wide product of handshakes — whose ≥64-signal
 //! row cannot be attempted by the explicit pipeline at all.
@@ -29,6 +32,8 @@ fn solver_families(c: &mut Criterion) {
         ("seq8", benchmarks::sequencer(8)),
         ("counter2", benchmarks::counter(2)),
         ("pulser_bank2", benchmarks::pulser_bank(2)),
+        ("counter4", benchmarks::counter(4)),
+        ("pipe4_4", benchmarks::pipeline_4ph(4)),
     ];
     let config = SolverConfig::default();
     for (name, model) in models {

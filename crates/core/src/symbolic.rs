@@ -503,9 +503,11 @@ struct BranchOps {
     trans: TransId,
     enabled: Bdd,
     quant: Bdd,
+    /// The post-values of the changed variables.  A predicate cofactored
+    /// at this cube ([`BddManager::restrict_cube`]) is the predicate
+    /// evaluated at the branch's *target*, as a function of the source.
     pinned_cube: Bdd,
-    pinned: Vec<(VarId, bool)>,
-    /// The (sorted) variables the branch changes — `pinned`'s variables.
+    /// The (sorted) variables the branch changes — `pinned_cube`'s variables.
     /// A branch whose changed set is disjoint from a predicate's support
     /// can never change membership in it: firings neither enter nor leave,
     /// and its image of a subset of the predicate stays inside.  Every
@@ -659,7 +661,6 @@ impl Iteration {
                     enabled,
                     quant: m.quant_cube(&changed),
                     pinned_cube: m.cube_of(&b.pinned),
-                    pinned: b.pinned.clone(),
                     changed,
                     vars,
                 }
@@ -890,16 +891,6 @@ impl Iteration {
         Zone { set: img, sup }
     }
 
-    /// `predicate` evaluated at the *target* of a branch, as a function of
-    /// the source state: the cofactor at the pinned literals.
-    fn at_target(m: &mut BddManager, b: &BranchOps, predicate: Bdd) -> Bdd {
-        let mut g = predicate;
-        for &(v, value) in &b.pinned {
-            g = m.cofactor(g, v, value);
-        }
-        g
-    }
-
     /// The minimal well-formed exit border of a zone: states of it with a
     /// firing that leaves it, closed under successors inside it — the
     /// symbolic mirror of
@@ -921,7 +912,7 @@ impl Iteration {
             if src.is_false() {
                 continue;
             }
-            let leaves = Self::at_target(m, &self.branches[i], complement);
+            let leaves = m.restrict_cube(complement, b.pinned_cube);
             let exits = m.and(src, leaves);
             if !exits.is_false() {
                 border = m.or(border, exits);
@@ -975,25 +966,33 @@ impl Iteration {
     fn count_mixed_transitions(&mut self, block: &Zone) -> usize {
         let mut count = 0;
         for bi in self.branches_touching(&block.sup) {
-            let m = self.space.manager_mut();
             let srcs = self.srcs[bi];
             if srcs.is_false() {
                 continue;
             }
-            let tgt_in = Self::at_target(m, &self.branches[bi], block.set);
-            let not_in = m.not(tgt_in);
-            let src_in = m.and(srcs, block.set);
-            let src_out = m.and_not(srcs, block.set);
-            let stays_in = !m.and(src_in, tgt_in).is_false();
-            let leaves = !m.and(src_in, not_in).is_false();
-            let enters = !m.and(src_out, tgt_in).is_false();
-            let stays_out = !m.and(src_out, not_in).is_false();
-            let crossing = leaves || enters;
-            if (crossing && (stays_in || stays_out)) || (leaves && enters) {
+            let m = self.space.manager_mut();
+            if Self::crossing_is_mixed(m, &self.branches[bi], srcs, block.set) {
                 count += 1;
             }
         }
         count
+    }
+
+    /// Whether a branch's reachable firings (`srcs`) cross `set`
+    /// non-uniformly: some cross while others stay (inside or outside), or
+    /// some enter while others leave.  Each of the four "does some firing
+    /// stay in / leave / enter / stay out" questions is a non-building
+    /// emptiness test on the target predicate.
+    fn crossing_is_mixed(m: &mut BddManager, b: &BranchOps, srcs: Bdd, set: Bdd) -> bool {
+        let tgt_in = m.restrict_cube(set, b.pinned_cube);
+        let src_in = m.and(srcs, set);
+        let src_out = m.and_not(srcs, set);
+        let stays_in = m.intersects(src_in, tgt_in);
+        let leaves = !m.implies(src_in, tgt_in);
+        let enters = m.intersects(src_out, tgt_in);
+        let stays_out = !m.implies(src_out, tgt_in);
+        let crossing = leaves || enters;
+        (crossing && (stays_in || stays_out)) || (leaves && enters)
     }
 
     /// The candidate bricks: per-place marked predicates, per-branch
@@ -1130,10 +1129,7 @@ impl Iteration {
                 for brick in &bricks {
                     // Adjacent: overlapping/forward-reachable from the
                     // block, or leading into it.
-                    let forward = {
-                        let m = self.space.manager_mut();
-                        !m.and(zone, brick.set).is_false()
-                    };
+                    let forward = self.space.manager_mut().intersects(zone, brick.set);
                     let adjacent = forward || {
                         let img = match brick_images.get(&brick.set.node_id()) {
                             Some(&img) => img,
@@ -1143,8 +1139,7 @@ impl Iteration {
                                 img
                             }
                         };
-                        let m = self.space.manager_mut();
-                        !m.and(img, block.set).is_false()
+                        self.space.manager_mut().intersects(img, block.set)
                     };
                     if !adjacent {
                         continue;
@@ -1270,24 +1265,12 @@ impl Iteration {
             };
             let mut grow_sup = block.sup.clone();
             for bi in self.branches_touching(&block.sup) {
-                let (srcs, src_in, src_out, tgt_in_pred) = {
-                    let m = self.space.manager_mut();
-                    let srcs = self.srcs[bi];
-                    if srcs.is_false() {
-                        continue;
-                    }
-                    let tgt_in_pred = Self::at_target(m, &self.branches[bi], block.set);
-                    (srcs, m.and(srcs, block.set), m.and_not(srcs, block.set), tgt_in_pred)
-                };
+                let srcs = self.srcs[bi];
+                if srcs.is_false() {
+                    continue;
+                }
                 let m = self.space.manager_mut();
-                let not_block = m.not(tgt_in_pred);
-                let stays_in = !m.and(src_in, tgt_in_pred).is_false();
-                let leaves = !m.and(src_in, not_block).is_false();
-                let enters = !m.and(src_out, tgt_in_pred).is_false();
-                let stays_out = !m.and(src_out, not_block).is_false();
-                let crossing = leaves || enters;
-                let mixed = (crossing && (stays_in || stays_out)) || (leaves && enters);
-                if mixed {
+                if Self::crossing_is_mixed(m, &self.branches[bi], srcs, block.set) {
                     let img = Self::branch_image(m, &self.branches[bi], srcs);
                     let touched = m.or(srcs, img);
                     grow = m.or(grow, touched);
@@ -1300,8 +1283,7 @@ impl Iteration {
             }
             block.set = m.or(block.set, grow);
             block.sup = grow_sup;
-            let initial_inside = !m.and(self.initial, block.set).is_false();
-            if initial_inside || block.set == self.reach {
+            if m.intersects(self.initial, block.set) || block.set == self.reach {
                 return None;
             }
         }
@@ -1437,8 +1419,7 @@ impl Iteration {
         // lie outside the block.
         let block = {
             let m = self.space.manager_mut();
-            let initial_inside = !m.and(self.initial, block.set).is_false();
-            if initial_inside {
+            if m.intersects(self.initial, block.set) {
                 Zone { set: m.and_not(self.reach, block.set), sup: block.sup.clone() }
             } else {
                 block.clone()
@@ -1470,10 +1451,10 @@ impl Iteration {
         // on the chosen conflict.
         {
             let m = self.space.manager_mut();
-            let w_s0 = !m.and(core.with, s0).is_false();
-            let w_s1 = !m.and(core.with, s1).is_false();
-            let wo_s0 = !m.and(core.without, s0).is_false();
-            let wo_s1 = !m.and(core.without, s1).is_false();
+            let w_s0 = m.intersects(core.with, s0);
+            let w_s1 = m.intersects(core.with, s1);
+            let wo_s0 = m.intersects(core.without, s0);
+            let wo_s1 = m.intersects(core.without, s1);
             if !((w_s0 && wo_s1) || (w_s1 && wo_s0)) {
                 return None;
             }
@@ -1489,54 +1470,29 @@ impl Iteration {
         let mut short_circuits = 0usize;
         let relevant = merge_sup(&merge_sup(&block.sup, &er_rise.sup), &er_fall.sup);
         for bi in self.branches_touching(&relevant) {
-            let t = self.branches[bi].trans.index();
+            let b = &self.branches[bi];
+            let t = b.trans.index();
             let m = self.space.manager_mut();
             let srcs = self.srcs[bi];
             if srcs.is_false() {
                 continue;
             }
-            let tgt_in_block = Self::at_target(m, &self.branches[bi], block.set);
+            let tgt_in_block = m.restrict_cube(block.set, b.pinned_cube);
             let src_in = m.and(srcs, block.set);
             let src_out = m.and_not(srcs, block.set);
-            if !{
-                let x = m.and(src_out, tgt_in_block);
-                x.is_false()
-            } {
-                arcs[t].consume_a1 = true;
-            }
-            if !{
-                let not_in = m.not(tgt_in_block);
-                let x = m.and(src_in, not_in);
-                x.is_false()
-            } {
-                arcs[t].consume_a0 = true;
-            }
-            let tgt_er_rise = Self::at_target(m, &self.branches[bi], er_rise.set);
+            arcs[t].consume_a1 |= m.intersects(src_out, tgt_in_block);
+            arcs[t].consume_a0 |= !m.implies(src_in, tgt_in_block);
+            let tgt_er_rise = m.restrict_cube(er_rise.set, b.pinned_cube);
             let src_not_erp = m.and_not(srcs, er_rise.set);
-            if !{
-                let x = m.and(src_not_erp, tgt_er_rise);
-                x.is_false()
-            } {
-                arcs[t].produce_r1 = true;
-            }
-            let tgt_er_fall = Self::at_target(m, &self.branches[bi], er_fall.set);
+            arcs[t].produce_r1 |= m.intersects(src_not_erp, tgt_er_rise);
+            let tgt_er_fall = m.restrict_cube(er_fall.set, b.pinned_cube);
             let src_not_erm = m.and_not(srcs, er_fall.set);
-            if !{
-                let x = m.and(src_not_erm, tgt_er_fall);
-                x.is_false()
-            } {
-                arcs[t].produce_r0 = true;
-            }
+            arcs[t].produce_r0 |= m.intersects(src_not_erm, tgt_er_fall);
             // Direct jumps between the two excitation regions: the new
             // signal would have to fall right after rising (or vice versa).
             let src_erp = m.and(srcs, er_rise.set);
             let src_erm = m.and(srcs, er_fall.set);
-            let jump = {
-                let a = m.and(src_erp, tgt_er_fall);
-                let b = m.and(src_erm, tgt_er_rise);
-                !a.is_false() || !b.is_false()
-            };
-            if jump {
+            if m.intersects(src_erp, tgt_er_fall) || m.intersects(src_erm, tgt_er_rise) {
                 short_circuits += 1;
             }
         }
@@ -1599,10 +1555,7 @@ impl Iteration {
             let bucket_total = m.sat_count_f64(core.bucket);
             (2.0 * bucket_in - bucket_total).abs()
         };
-        let initial_rise_instance = {
-            let m = self.space.manager_mut();
-            !m.and(self.initial, er_rise.set).is_false()
-        };
+        let initial_rise_instance = self.space.manager_mut().intersects(self.initial, er_rise.set);
         Some((
             DetailCost { unresolved, border, short_circuits, triggers, imbalance },
             InsertionPlan {
@@ -1638,10 +1591,10 @@ impl Iteration {
             };
             let m = self.space.manager_mut();
             if plan.arcs[t].produce_r1 {
-                plan.arcs[t].premark_r1 = !m.and(without, plan.er_rise).is_false();
+                plan.arcs[t].premark_r1 = m.intersects(without, plan.er_rise);
             }
             if plan.arcs[t].produce_r0 {
-                plan.arcs[t].premark_r0 = !m.and(without, plan.er_fall).is_false();
+                plan.arcs[t].premark_r0 = m.intersects(without, plan.er_fall);
             }
         }
     }

@@ -271,8 +271,9 @@ pub fn verify_space(
                 TransitionLabel::Edge { .. } => {}
             }
             let enabled = m.cube_of(&branch.enabled);
+            let pinned = m.cube_of(&branch.pinned);
             for excite in [gate.excite_up, gate.excite_down] {
-                let successor = restrict_literals(m, excite, &branch.pinned);
+                let successor = m.restrict_cube(excite, pinned);
                 let withdrawn = m.and_not(excite, successor);
                 let co_enabled = m.and(withdrawn, enabled);
                 let witness = m.and(reachable, co_enabled);
@@ -291,12 +292,6 @@ pub fn verify_space(
     m.check_budget()?;
 
     Ok(NetlistVerification { states_f64, trace_equivalent, speed_independent, diagnostics })
-}
-
-/// Cofactors `f` at every pinned literal — "the value of `f` after firing
-/// the branch".
-fn restrict_literals(m: &mut BddManager, f: Bdd, pinned: &[(VarId, bool)]) -> Bdd {
-    pinned.iter().fold(f, |acc, &(var, value)| m.restrict(acc, var, value))
 }
 
 /// Renders a witness state's code (most significant signal first;

@@ -721,8 +721,9 @@ impl SymbolicStateSpace {
             let m = &mut self.manager;
             let enabled = m.cube_of(&branch.enabled);
             let src = m.and(coded, enabled);
-            let after = branch.pinned.iter().fold(coded, |f, &(v, value)| m.restrict(f, v, value));
-            if !m.and_not(src, after).is_false() {
+            let pinned = m.cube_of(&branch.pinned);
+            let after = m.restrict_cube(coded, pinned);
+            if !m.implies(src, after) {
                 blocked_transition = Some(stg.net().transition_name(branch.trans).to_owned());
                 break;
             }
