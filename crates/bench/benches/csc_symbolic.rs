@@ -70,16 +70,11 @@ fn wide_designs(c: &mut Criterion) {
     // by sampling noise.
     group.sample_size(1).measurement_time(Duration::from_millis(1));
     let config = SolverConfig::default();
-    // `BENCH_WIDE_MAX` caps the family for smoke runs (the 66-signal row
-    // alone costs a few minutes of reachability analyses).
-    let wide_max: usize =
-        std::env::var("BENCH_WIDE_MAX").ok().and_then(|v| v.parse().ok()).unwrap_or(32);
-    for n in [8usize, 16, 32].into_iter().filter(|&n| n <= wide_max) {
+    for n in [8usize, 16, 32] {
         let model = benchmarks::wide_conflict(n);
         let signals = model.num_signals();
         // The timed closure keeps its last solution so the metrics pass
-        // below never re-solves (each wide solve costs minutes of
-        // reachability analyses on the 66-signal row).
+        // below never re-solves.
         let last = std::cell::RefCell::new(None);
         group.bench_function(format!("wide_conflict{n}"), |b| {
             b.iter(|| {

@@ -30,9 +30,8 @@ const DEADLINE_SLACK_MS: u64 = 2_000;
 fn rung_index(rung: FlowRung) -> f64 {
     match rung {
         FlowRung::Symbolic => 0.0,
-        FlowRung::SymbolicRestricted => 1.0,
-        FlowRung::Explicit => 2.0,
-        FlowRung::PartialReport => 3.0,
+        FlowRung::Explicit => 1.0,
+        FlowRung::PartialReport => 2.0,
     }
 }
 
@@ -88,7 +87,7 @@ fn degradation_rows(c: &mut Criterion) {
     group.sample_size(1).measurement_time(Duration::from_millis(1));
 
     // The headline row: 66 signals, so the explicit rung is out of reach;
-    // a tight node ceiling kills both symbolic rungs and the ladder must
+    // a tight node ceiling kills the symbolic rung and the ladder must
     // bottom out in a diagnosis-only partial report — within the deadline.
     let wide = benchmarks::wide_conflict(32);
     let tight = FlowOptions {
@@ -98,7 +97,7 @@ fn degradation_rows(c: &mut Criterion) {
     };
     governed_row(&mut group, "wide_conflict32_tight", &wide, &tight, FlowRung::PartialReport);
 
-    // A solvable descent: the same ceiling that kills the symbolic rungs
+    // A solvable descent: the same ceiling that kills the symbolic rung
     // on a 5-signal model leaves the explicit rung free to finish the job.
     let pulser = benchmarks::pulser();
     let strangled = FlowOptions { node_budget: Some(64), ..FlowOptions::default() };

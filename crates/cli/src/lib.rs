@@ -43,7 +43,7 @@ use logic::{
 use netlist::{NetlistError, NetlistVerification};
 use std::fmt;
 use std::time::{Duration, Instant};
-use stg::{ReachabilityConfig, ReachabilityStrategy, Stg, StgError, SymbolicStateSpace};
+use stg::{ReachabilityConfig, Stg, StgError, SymbolicStateSpace};
 
 /// Options of the end-to-end flow.
 #[derive(Clone, Debug)]
@@ -136,12 +136,8 @@ impl FlowOptions {
 /// ordered: a governed run only ever descends.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum FlowRung {
-    /// The full symbolic pipeline (frontier-BFS reachability).
+    /// The full symbolic pipeline (chained reachability).
     Symbolic,
-    /// Symbolic with a restricted fixpoint: monolithic BFS, which keeps a
-    /// single live frontier BDD and trades convergence speed for a smaller
-    /// peak node count.
-    SymbolicRestricted,
     /// The explicit state-graph pipeline (possible up to 64 signals).
     Explicit,
     /// Diagnosis only: conflicts reported as far as they were detected, no
@@ -153,7 +149,6 @@ impl fmt::Display for FlowRung {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             FlowRung::Symbolic => "symbolic",
-            FlowRung::SymbolicRestricted => "symbolic-restricted",
             FlowRung::Explicit => "explicit",
             FlowRung::PartialReport => "partial-report",
         })
@@ -262,8 +257,13 @@ pub struct FlowReport {
     pub csc_satisfied: bool,
     /// Number of inserted state signals.
     pub inserted_signals: usize,
-    /// States of the final state graph.
+    /// States of the final state graph (saturating at `usize::MAX`; see
+    /// [`FlowReport::final_states_f64`] for wide designs).
     pub final_states: usize,
+    /// State count of the final state graph as a float — the encoded STG's
+    /// own count, which differs from [`FlowReport::states_f64`] once state
+    /// signals are inserted.
+    pub final_states_f64: f64,
     /// Estimated area in literals (`None` when not requested).
     pub literals: Option<usize>,
     /// Product terms of the minimized covers (`None` when not requested).
@@ -280,9 +280,11 @@ pub struct FlowReport {
     pub logic_diagnostics: Vec<LogicDiagnostic>,
     /// Whether the flow ran fully symbolically (no explicit state graph).
     pub fully_symbolic: bool,
-    /// Whether a Petri net / STG could be re-synthesized (for the
-    /// symbolic-first path the input STG itself is the output).
-    pub resynthesized: bool,
+    /// The encoded STG the report describes: the symbolic solver's output,
+    /// the input itself when CSC already held, or the STG the explicit
+    /// engine re-synthesized.  `None` when the explicit engine's encoded
+    /// state graph is not excitation closed, or on a partial report.
+    pub encoded: Option<Stg>,
     /// Wall-clock seconds of the whole flow.
     pub cpu_seconds: f64,
     /// Per-stage solver timings and candidate counters.
@@ -332,7 +334,7 @@ impl fmt::Display for FlowReport {
             f,
             "encoding    : {} state signal(s) inserted, {} states, CSC {}",
             self.inserted_signals,
-            render_state_count(self.final_states, self.states_f64),
+            render_state_count(self.final_states, self.final_states_f64),
             if self.csc_satisfied { "satisfied" } else { "NOT satisfied" }
         )?;
         if let Some(literals) = self.literals {
@@ -385,7 +387,7 @@ impl fmt::Display for FlowReport {
         writeln!(
             f,
             "stg output  : {}",
-            if self.resynthesized { "re-synthesized" } else { "state graph only" }
+            if self.encoded.is_some() { "re-synthesized" } else { "state graph only" }
         )?;
         if !self.degradations.is_empty() || self.rung != FlowRung::Symbolic {
             writeln!(f, "rung        : {}", self.rung)?;
@@ -470,12 +472,14 @@ pub fn render_stage_table(report: &FlowReport) -> String {
 /// and descends a fallback ladder instead of running away:
 ///
 /// 1. [`FlowRung::Symbolic`] — the full symbolic pipeline,
-/// 2. [`FlowRung::SymbolicRestricted`] — monolithic-BFS fixpoints (smaller
-///    peak node count) on whatever budget remains,
-/// 3. [`FlowRung::Explicit`] — the explicit pipeline, taken only when the
+/// 2. [`FlowRung::Explicit`] — the explicit pipeline, taken only when the
 ///    design fits 64 signals and the deadline still stands,
-/// 4. [`FlowRung::PartialReport`] — a diagnosis-only report: conflicts as
+/// 3. [`FlowRung::PartialReport`] — a diagnosis-only report: conflicts as
 ///    far as they were detected, nothing inserted.
+///
+/// No second symbolic attempt sits between the first two rungs: budget
+/// counters and the deadline are cumulative, so whatever ended the symbolic
+/// rung would end a retry at once.
 ///
 /// Each descent is recorded as a [`DegradationEvent`] in
 /// [`FlowReport::degradations`], and a governed run returns `Ok` with a
@@ -509,48 +513,25 @@ fn run_ladder(model: &Stg, options: &FlowOptions) -> Result<FlowReport, CscError
     let mut diagnosis: Vec<LogicDiagnostic> = Vec::new();
 
     if options.logic == LogicStrategy::Symbolic {
-        let mut rung = FlowRung::Symbolic;
-        loop {
-            let reach = ReachabilityConfig {
-                strategy: match rung {
-                    FlowRung::Symbolic => ReachabilityStrategy::FrontierBfs,
-                    _ => ReachabilityStrategy::MonolithicBfs,
-                },
-                max_iterations: None,
-                budget: budget.clone(),
-                stage: None,
-            };
-            match symbolic_rung(model, options, &reach, start, &mut diagnosis) {
-                RungAttempt::Done(mut report) => {
-                    report.rung = rung;
-                    report.degradations = degradations;
-                    return Ok(*report);
+        let reach = ReachabilityConfig { budget: budget.clone(), ..ReachabilityConfig::default() };
+        match symbolic_rung(model, options, &reach, start, &mut diagnosis) {
+            RungAttempt::Done(report) => return Ok(*report),
+            RungAttempt::Degrade(failure) => {
+                if options.no_fallback {
+                    return Err(failure.error);
                 }
-                RungAttempt::Degrade(failure) => {
-                    if options.no_fallback {
-                        return Err(failure.error);
-                    }
-                    let to = match rung {
-                        FlowRung::Symbolic => FlowRung::SymbolicRestricted,
-                        _ => FlowRung::Explicit,
-                    };
-                    degradations.push(degradation_event(
-                        &failure.stage,
-                        &failure.trigger,
-                        budget.as_ref(),
-                        start,
-                        rung,
-                        to,
-                    ));
-                    if to == FlowRung::Explicit {
-                        break;
-                    }
-                    rung = to;
-                }
-                // By-design routing (explicit solver selected, wrong seed,
-                // typed solver failure): not a degradation.
-                RungAttempt::Route => break,
+                degradations.push(degradation_event(
+                    &failure.stage,
+                    &failure.trigger,
+                    budget.as_ref(),
+                    start,
+                    FlowRung::Symbolic,
+                    FlowRung::Explicit,
+                ));
             }
+            // By-design routing (explicit solver selected, wrong seed, typed
+            // solver failure): not a degradation.
+            RungAttempt::Route => {}
         }
     }
 
@@ -624,7 +605,7 @@ impl RungFailure {
 }
 
 enum RungAttempt {
-    /// The rung completed; the report still needs its ladder trail.
+    /// The rung completed.
     Done(Box<FlowReport>),
     /// A governor fired: descend the ladder (or surface the typed error
     /// under [`FlowOptions::no_fallback`]).
@@ -798,6 +779,7 @@ fn symbolic_report(
         csc_satisfied: true,
         inserted_signals: solution.map_or(0, |s| s.inserted_signals.len()),
         final_states,
+        final_states_f64: analysis.markings,
         literals: options.estimate_area.then_some(area.total_literals),
         cubes: options.estimate_area.then_some(area.total_cubes),
         logic_bdd_nodes: options.estimate_area.then_some(area.bdd_nodes),
@@ -811,7 +793,7 @@ fn symbolic_report(
         fully_symbolic: true,
         // The solver's output (or the input itself) *is* an STG — the
         // hand-back the paper asks for.
-        resynthesized: true,
+        encoded: Some(encoded.clone()),
         cpu_seconds: start.elapsed().as_secs_f64(),
         stage: solution.map_or_else(StageStats::default, |s| s.stats.stage),
         jobs: solution.map_or_else(|| options.solver.effective_jobs(), |s| s.stats.jobs),
@@ -902,6 +884,7 @@ fn explicit_pipeline(
         csc_satisfied: solution.graph.complete_state_coding_holds(),
         inserted_signals: solution.inserted_signals.len(),
         final_states: solution.graph.num_states(),
+        final_states_f64: solution.graph.num_states() as f64,
         literals,
         cubes,
         logic_bdd_nodes,
@@ -909,7 +892,7 @@ fn explicit_pipeline(
         solver_strategy: SolverStrategy::Explicit,
         logic_diagnostics,
         fully_symbolic: false,
-        resynthesized: solution.stg.is_some(),
+        encoded: solution.stg,
         cpu_seconds: start.elapsed().as_secs_f64(),
         stage: solution.stats.stage,
         jobs: solution.stats.jobs,
@@ -940,6 +923,7 @@ fn partial_report(
         csc_satisfied: false,
         inserted_signals: 0,
         final_states: 0,
+        final_states_f64: 0.0,
         literals: None,
         cubes: None,
         logic_bdd_nodes: None,
@@ -947,7 +931,7 @@ fn partial_report(
         solver_strategy: options.strategy,
         logic_diagnostics: diagnosis,
         fully_symbolic: false,
-        resynthesized: false,
+        encoded: None,
         cpu_seconds: start.elapsed().as_secs_f64(),
         stage: StageStats::default(),
         jobs: options.solver.effective_jobs(),
@@ -1163,6 +1147,21 @@ mod tests {
     }
 
     #[test]
+    fn saturated_reports_print_each_stg_its_own_state_count() {
+        // wide_conflict32's counts (6·4^32 input states, 8·4^32 once one
+        // state signal is inserted) saturate the usize fields; each line
+        // must fall back to its own float count.
+        let mut report = run_flow(&stg::benchmarks::pulser(), &FlowOptions::default()).unwrap();
+        report.states = usize::MAX;
+        report.states_f64 = 6.0 * 4f64.powi(32);
+        report.final_states = usize::MAX;
+        report.final_states_f64 = 8.0 * 4f64.powi(32);
+        let text = report.to_string();
+        assert!(text.contains("signals, 1.107e20 states"), "{text}");
+        assert!(text.contains("inserted, 1.476e20 states, CSC satisfied"), "{text}");
+    }
+
+    #[test]
     fn baseline_options_use_excitation_regions() {
         let options = FlowOptions::baseline();
         assert_eq!(options.solver.candidate_source, csc::CandidateSource::ExcitationRegions);
@@ -1201,8 +1200,7 @@ mod tests {
 
     #[test]
     fn node_budget_trip_descends_to_the_explicit_rung_and_still_solves() {
-        // A 64-node ceiling trips during the very first reachability, the
-        // restricted retry trips on the already-exhausted shared budget, and
+        // A 64-node ceiling trips during the very first reachability, and
         // the explicit rung (5 signals, no deadline) finishes the job.
         let options = FlowOptions { node_budget: Some(64), ..FlowOptions::default() };
         let report = run_flow(&stg::benchmarks::pulser(), &options).unwrap();
@@ -1210,13 +1208,7 @@ mod tests {
         assert!(report.csc_satisfied);
         assert!(report.inserted_signals >= 1);
         assert!(!report.fully_symbolic);
-        assert_eq!(
-            trail(&report),
-            vec![
-                (FlowRung::Symbolic, FlowRung::SymbolicRestricted),
-                (FlowRung::SymbolicRestricted, FlowRung::Explicit),
-            ]
-        );
+        assert_eq!(trail(&report), vec![(FlowRung::Symbolic, FlowRung::Explicit)]);
         assert_eq!(report.degradations[0].stage, "reachability");
         assert!(
             report.degradations[0].trigger.contains("nodes allocated"),
@@ -1231,9 +1223,9 @@ mod tests {
 
     #[test]
     fn wide_designs_skip_the_explicit_rung_and_end_in_a_partial_report() {
-        // 70 signals: when the node budget kills both symbolic rungs there
-        // is no explicit rung to descend to, so the ladder must record the
-        // skip and return a diagnosis-only report instead of an error.
+        // 70 signals: when the node budget kills the symbolic rung there is
+        // no explicit rung to descend to, so the ladder must record the skip
+        // and return a diagnosis-only report instead of an error.
         let options = FlowOptions { node_budget: Some(64), ..FlowOptions::default() };
         let report = run_flow(&stg::benchmarks::parallel_handshakes(35), &options).unwrap();
         assert_eq!(report.rung, FlowRung::PartialReport);
@@ -1243,8 +1235,7 @@ mod tests {
         assert_eq!(
             trail(&report),
             vec![
-                (FlowRung::Symbolic, FlowRung::SymbolicRestricted),
-                (FlowRung::SymbolicRestricted, FlowRung::Explicit),
+                (FlowRung::Symbolic, FlowRung::Explicit),
                 (FlowRung::Explicit, FlowRung::PartialReport),
             ]
         );

@@ -15,7 +15,7 @@
 //! ```
 
 use std::process::ExitCode;
-use synthkit::{render_stage_table, run_flow, FlowOptions};
+use synthkit::{render_stage_table, run_flow, FlowOptions, FlowRung};
 
 fn print_usage() {
     eprintln!(
@@ -49,8 +49,8 @@ logic:
 resources:
   --node-budget <n>         cap the BDD nodes the flow may allocate; on
                             overrun the flow degrades rung by rung
-                            (symbolic, symbolic-restricted, explicit,
-                            partial report) instead of running away
+                            (symbolic, explicit, partial report) instead
+                            of running away
   --timeout-ms <n>          cooperative wall-clock deadline for the whole
                             flow, in milliseconds
   --no-fallback             surface the typed budget error instead of
@@ -316,30 +316,19 @@ fn main() -> ExitCode {
                 }
             }
             if let Some(path) = write_g {
-                // Re-solve keeping the STG so we can serialise it.  The
-                // symbolic solver's output *is* an STG; the explicit
-                // pipeline re-synthesizes one when the encoded state graph
-                // is excitation closed.
-                let encoded = match options.strategy {
-                    csc::SolverStrategy::Symbolic => csc::solve_stg_symbolic_seeded(
-                        &model,
-                        &options.solver,
-                        options.initial_code,
-                    )
-                    .map(|sol| Some(sol.stg)),
-                    csc::SolverStrategy::Explicit => {
-                        csc::solve_stg(&model, &options.solver).map(|sol| sol.stg)
-                    }
-                };
-                match encoded {
-                    Ok(Some(encoded)) => match std::fs::write(&path, encoded.to_g()) {
+                // The report carries the STG it describes, whichever rung
+                // produced it.
+                match &report.encoded {
+                    Some(encoded) => match std::fs::write(&path, encoded.to_g()) {
                         Ok(()) => println!("encoded STG written to {path}"),
                         Err(e) => eprintln!("could not write {path}: {e}"),
                     },
-                    Ok(None) => eprintln!(
+                    None if report.rung == FlowRung::PartialReport => {
+                        eprintln!("the flow ended in a partial report; no STG was written")
+                    }
+                    None => eprintln!(
                         "the encoded state graph is not excitation closed; no STG was written"
                     ),
-                    Err(e) => eprintln!("re-synthesis failed: {e}"),
                 }
             }
             ExitCode::SUCCESS

@@ -39,8 +39,8 @@ logic:
 resources:
   --node-budget <n>         cap the BDD nodes the flow may allocate; on
                             overrun the flow degrades rung by rung
-                            (symbolic, symbolic-restricted, explicit,
-                            partial report) instead of running away
+                            (symbolic, explicit, partial report) instead
+                            of running away
   --timeout-ms <n>          cooperative wall-clock deadline for the whole
                             flow, in milliseconds
   --no-fallback             surface the typed budget error instead of
@@ -116,8 +116,8 @@ fn contradictory_logic_solver_combination_is_rejected() {
 
 #[test]
 fn budget_flags_drive_the_degradation_ladder() {
-    // A 64-node ceiling is far too small for the symbolic rungs, so the
-    // flow descends to the explicit engine and reports the trail.
+    // A 64-node ceiling is far too small for the symbolic rung, so the flow
+    // descends to the explicit engine and reports the trail.
     let out = rsynth(&["--benchmark", "pulser", "--node-budget", "64"]);
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let text = String::from_utf8(out.stdout).unwrap();
@@ -131,6 +131,40 @@ fn budget_flags_drive_the_degradation_ladder() {
     // Malformed values are rejected up front.
     assert!(!rsynth(&["--benchmark", "pulser", "--node-budget", "lots"]).status.success());
     assert!(!rsynth(&["--benchmark", "pulser", "--timeout-ms", "soon"]).status.success());
+}
+
+#[test]
+fn write_g_writes_the_stg_the_report_describes() {
+    // A degraded run's report describes the explicit engine's solution, so
+    // the file must be the one `--solver explicit` writes, not a fresh
+    // ungoverned symbolic solve.
+    let dir = std::env::temp_dir();
+    let degraded = dir.join(format!("rsynth_write_g_degraded_{}.g", std::process::id()));
+    let explicit = dir.join(format!("rsynth_write_g_explicit_{}.g", std::process::id()));
+    let out = rsynth(&[
+        "--benchmark",
+        "pulser",
+        "--node-budget",
+        "64",
+        "--write-g",
+        degraded.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(String::from_utf8(out.stdout).unwrap().contains("rung        : explicit"));
+    let out = rsynth(&[
+        "--benchmark",
+        "pulser",
+        "--solver",
+        "explicit",
+        "--write-g",
+        explicit.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let degraded_text = std::fs::read_to_string(&degraded).unwrap();
+    let explicit_text = std::fs::read_to_string(&explicit).unwrap();
+    let _ = std::fs::remove_file(&degraded);
+    let _ = std::fs::remove_file(&explicit);
+    assert_eq!(degraded_text, explicit_text);
 }
 
 #[test]

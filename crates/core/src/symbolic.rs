@@ -160,10 +160,8 @@ pub fn solve_stg_symbolic_seeded(
 }
 
 /// [`solve_space`] on a freshly built encoded state space of `model`: the
-/// input's reachability runs under `reach` (its budget, iteration cap and
-/// strategy), as does every candidate verification rebuild.  The degradation
-/// ladder uses this to retry the solve with a restricted fixpoint
-/// (monolithic BFS) on the same budget.
+/// input's reachability runs under `reach` (its budget and round cap), as
+/// does every candidate verification rebuild.
 ///
 /// # Errors
 ///
@@ -598,8 +596,8 @@ struct Iteration {
     /// relation the conflict relation is built on.
     code_eq: Bdd,
     /// Memoised [`Self::reachable_without`] results, keyed by the avoided
-    /// transition's index (plans share triggers, and the restricted
-    /// reachability is the premark computation's dominant cost).
+    /// transition's index: plans share triggers, so each trigger's
+    /// restricted fixpoint runs once per iteration.
     without_cache: FxHashMap<usize, Bdd>,
 }
 
@@ -1295,29 +1293,31 @@ impl Iteration {
     /// marked (the target region is reachable before the trigger's first
     /// firing, so its "delivery" logically happened before the initial
     /// marking).
+    ///
+    /// The fixpoint is chained like the encoded one (see [`stg::symbolic`]):
+    /// each round fires the branches one after another, each imaging the
+    /// round's frontier plus the states the branches before it found.
     fn reachable_without(&mut self, avoid: TransId) -> Bdd {
+        let m = self.space.manager_mut();
         let mut reach = self.initial;
         let mut frontier = self.initial;
         loop {
-            let mut img = {
-                let m = self.space.manager_mut();
-                m.bottom()
-            };
-            for bi in 0..self.branches.len() {
-                if self.branches[bi].trans == avoid {
+            let mut from = frontier;
+            let mut found = m.bottom();
+            for b in self.branches.iter().filter(|b| b.trans != avoid) {
+                let step = Self::branch_image(m, b, from);
+                let fresh = m.and_not(step, reach);
+                if fresh.is_false() {
                     continue;
                 }
-                let m = self.space.manager_mut();
-                let step = Self::branch_image(m, &self.branches[bi], frontier);
-                img = m.or(img, step);
+                reach = m.or(reach, fresh);
+                from = m.or(from, fresh);
+                found = m.or(found, fresh);
             }
-            let m = self.space.manager_mut();
-            let fresh = m.and_not(img, reach);
-            if fresh.is_false() {
+            if found.is_false() {
                 return reach;
             }
-            reach = m.or(reach, fresh);
-            frontier = fresh;
+            frontier = found;
         }
     }
 
@@ -1784,6 +1784,43 @@ mod tests {
         );
         let sg = solution.stg.state_graph(100_000).unwrap();
         assert!(sg.complete_state_coding_holds());
+    }
+
+    #[test]
+    fn restricted_reachability_matches_an_explicit_search_that_skips_the_transition() {
+        for model in [
+            benchmarks::vme_read(),
+            benchmarks::pulser_bank(2),
+            benchmarks::pipeline_4ph(3),
+            benchmarks::counter(2),
+        ] {
+            let sg = model.state_graph(100_000).unwrap();
+            let space =
+                model.try_symbolic_encoded_state_space(0, &ReachabilityConfig::default()).unwrap();
+            let state_vars = space.num_places() + space.num_signals();
+            let mut it = Iteration::build(&model, space, None).unwrap();
+            for t in (0..model.net().num_transitions()).map(TransId::from) {
+                // State-graph events coincide with net transitions.
+                let mut seen = vec![false; sg.num_states()];
+                let mut stack = vec![sg.ts.initial()];
+                seen[sg.ts.initial().index()] = true;
+                while let Some(state) = stack.pop() {
+                    for &(event, next) in sg.ts.successors(state) {
+                        if event.index() != t.index() && !seen[next.index()] {
+                            seen[next.index()] = true;
+                            stack.push(next);
+                        }
+                    }
+                }
+                let explicit = seen.iter().filter(|&&s| s).count() as f64;
+                let without = it.reachable_without(t);
+                let m = it.space.manager();
+                let next_copies = (m.num_vars() - state_vars) as i32;
+                let symbolic = m.sat_count_f64(without) / 2f64.powi(next_copies);
+                let name = model.net().transition_name(t);
+                assert_eq!(symbolic, explicit, "{}: without {name}", model.name());
+            }
+        }
     }
 
     #[test]

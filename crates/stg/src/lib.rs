@@ -53,7 +53,5 @@ pub use model::{Stg, StgBuilder, TransitionLabel};
 pub use parser::parse_g;
 pub use signal::{Polarity, Signal, SignalId, SignalKind};
 pub use state_graph::StateGraph;
-pub use symbolic::{
-    fixpoints_run, ReachabilityConfig, ReachabilityStrategy, SymbolicStateSpace, TransitionBranch,
-};
+pub use symbolic::{fixpoints_run, ReachabilityConfig, SymbolicStateSpace, TransitionBranch};
 pub use validate::{validate, Severity, ValidationIssue, ValidationReport};

@@ -17,10 +17,18 @@
 //!   Relations are grouped into *disjunctive clusters* per signal (dummy
 //!   transitions stay individual), so one image step per cluster replaces
 //!   the per-transition and/exists/and/or chain.
-//! * **Frontier-driven reachability** — the fixpoint images only the states
-//!   discovered in the previous step (`frontier = img \ reachable`) instead
-//!   of re-imaging the whole reachable set each iteration.  The monolithic
-//!   variant is kept selectable for equivalence testing and comparison.
+//! * **Chained reachability** — each image round fires the clusters one
+//!   after another, in the order they are built: a cluster images the
+//!   round's frontier plus every state the clusters before it found in the
+//!   same round, so one round advances every independent component of an
+//!   interleaving product instead of one component by one step.  The round
+//!   then hands everything it found to the next round as its frontier.
+//!   Chaining only fires enabled transitions, so it computes the same least
+//!   fixpoint as breadth-first search; and after round `k` the reachable set
+//!   holds every state within `k` steps of the initial one, so it never
+//!   needs more rounds than breadth-first search (the `4 × places` round cap
+//!   keeps its meaning).  A product of `k` handshakes converges in 3 rounds
+//!   where breadth-first search needs the sum of the component depths.
 //!
 //! The symbolic engine is used by the Table 1 harness to count state spaces
 //! far beyond what explicit enumeration can touch (e.g. `4^24` markings for
@@ -45,29 +53,14 @@ pub fn fixpoints_run() -> usize {
     FIXPOINTS.with(Cell::get)
 }
 
-/// How the reachability fixpoint feeds each image step.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub enum ReachabilityStrategy {
-    /// Image only the states discovered in the previous step.  This is the
-    /// default: every state is imaged exactly once, so wide shallow state
-    /// spaces converge with far less BDD traffic.
-    #[default]
-    FrontierBfs,
-    /// Image the entire reachable set every iteration (the textbook least
-    /// fixpoint).  Kept for equivalence testing and as a baseline.
-    MonolithicBfs,
-}
-
 /// Configuration for the fallible reachability entry points
 /// ([`Stg::try_symbolic_state_space`] and friends).
 ///
-/// The default is the frontier strategy, the default iteration cap
-/// (`4 × places`), and no resource budget.
+/// The default is the default round cap (`4 × places`) and no resource
+/// budget.
 #[derive(Clone, Debug, Default)]
 pub struct ReachabilityConfig {
-    /// How each image step is fed.
-    pub strategy: ReachabilityStrategy,
-    /// Cap on breadth-first image rounds; `None` uses `4 × places`.
+    /// Cap on chained image rounds; `None` uses `4 × places`.
     pub max_iterations: Option<usize>,
     /// Shared resource budget charged for every BDD node the fixpoint
     /// allocates and checked between image rounds.
@@ -99,7 +92,8 @@ pub struct SymbolicStateSpace {
     pos: Vec<usize>,
     /// `true` when the fixpoint completed without hitting the iteration cap.
     pub converged: bool,
-    /// Number of image rounds the fixpoint performed.
+    /// Number of chained image rounds the fixpoint performed; a converged
+    /// fixpoint counts its last round, which finds nothing new.
     pub iterations: usize,
 }
 
@@ -211,26 +205,13 @@ struct Cluster {
 impl Stg {
     /// Computes the reachable markings symbolically (place variables only).
     ///
-    /// `max_iterations` bounds the number of breadth-first image steps; the
-    /// default (`None`) allows `4 × places` steps, which is ample for the
-    /// benchmark suite.
+    /// `max_iterations` bounds the number of chained image rounds; the
+    /// default (`None`) allows `4 × places` rounds, which is ample for the
+    /// benchmark suite.  After round `k` every state within `k` steps of
+    /// the initial one is reachable (see the module docs), so the cap binds
+    /// no earlier than it would on breadth-first rounds.
     pub fn symbolic_state_space(&self, max_iterations: Option<usize>) -> SymbolicStateSpace {
-        infallible(self.symbolic_space_inner(
-            false,
-            0,
-            ReachabilityStrategy::default(),
-            max_iterations,
-            None,
-        ))
-    }
-
-    /// [`Self::symbolic_state_space`] with an explicit fixpoint strategy.
-    pub fn symbolic_state_space_with(
-        &self,
-        strategy: ReachabilityStrategy,
-        max_iterations: Option<usize>,
-    ) -> SymbolicStateSpace {
-        infallible(self.symbolic_space_inner(false, 0, strategy, max_iterations, None))
+        infallible(self.symbolic_space_inner(false, 0, max_iterations, None))
     }
 
     /// Fallible reachability over the place variables: honours the budget in
@@ -247,13 +228,8 @@ impl Stg {
         if let Some(budget) = &config.budget {
             budget.set_stage(config.stage.unwrap_or("reachability"));
         }
-        let space = self.symbolic_space_inner(
-            false,
-            0,
-            config.strategy,
-            config.max_iterations,
-            config.budget.as_ref(),
-        )?;
+        let space =
+            self.symbolic_space_inner(false, 0, config.max_iterations, config.budget.as_ref())?;
         ensure_converged(space)
     }
 
@@ -270,7 +246,6 @@ impl Stg {
         let space = self.symbolic_space_inner(
             true,
             initial_code,
-            config.strategy,
             config.max_iterations,
             config.budget.as_ref(),
         )?;
@@ -287,30 +262,13 @@ impl Stg {
         initial_code: u64,
         max_iterations: Option<usize>,
     ) -> SymbolicStateSpace {
-        infallible(self.symbolic_space_inner(
-            true,
-            initial_code,
-            ReachabilityStrategy::default(),
-            max_iterations,
-            None,
-        ))
-    }
-
-    /// [`Self::symbolic_encoded_state_space`] with an explicit strategy.
-    pub fn symbolic_encoded_state_space_with(
-        &self,
-        initial_code: u64,
-        strategy: ReachabilityStrategy,
-        max_iterations: Option<usize>,
-    ) -> SymbolicStateSpace {
-        infallible(self.symbolic_space_inner(true, initial_code, strategy, max_iterations, None))
+        infallible(self.symbolic_space_inner(true, initial_code, max_iterations, None))
     }
 
     fn symbolic_space_inner(
         &self,
         with_codes: bool,
         initial_code: u64,
-        strategy: ReachabilityStrategy,
         max_iterations: Option<usize>,
         budget: Option<&Budget>,
     ) -> Result<SymbolicStateSpace, StgError> {
@@ -480,37 +438,40 @@ impl Stg {
             m.check_budget()?;
         }
         for _ in 0..limit {
-            let from = match strategy {
-                ReachabilityStrategy::FrontierBfs => frontier,
-                ReachabilityStrategy::MonolithicBfs => reachable,
-            };
-            // One fused relational product per cluster: conjoin with the
-            // cluster relation and quantify the current copies in a single
-            // pass, then shift the next copies back down.
-            let mut image = m.bottom();
+            // One chained round: one fused relational product per cluster
+            // (conjoin with the cluster relation and quantify the current
+            // copies in a single pass, then shift the next copies back
+            // down), each cluster imaging the frontier plus whatever the
+            // clusters before it found this round.
+            let mut from = frontier;
+            let mut found = m.bottom();
             for cluster in &clusters {
                 let step = m.and_exists_with(from, cluster.relation, cluster.quant);
                 if step.is_false() {
                     continue;
                 }
                 let step = m.unprime(step);
-                image = m.or(image, step);
+                let fresh = m.and_not(step, reachable);
+                if fresh.is_false() {
+                    continue;
+                }
+                reachable = m.or(reachable, fresh);
+                from = m.or(from, fresh);
+                found = m.or(found, fresh);
             }
             iterations += 1;
             // One budget check per image round: flushes the batched node
             // charges and samples the deadline, and catches any poison an
-            // in-round trip left behind before the truncated image is
+            // in-round trip left behind before the truncated round is
             // mistaken for a fixpoint.
             if budget.is_some() {
                 m.check_budget()?;
             }
-            let fresh = m.and_not(image, reachable);
-            if fresh.is_false() {
+            if found.is_false() {
                 converged = true;
                 break;
             }
-            reachable = m.or(reachable, fresh);
-            frontier = fresh;
+            frontier = found;
         }
 
         Ok(SymbolicStateSpace {
@@ -840,7 +801,6 @@ impl Stg {
 
 #[cfg(test)]
 mod tests {
-    use super::ReachabilityStrategy;
     use crate::benchmarks;
 
     #[test]
@@ -860,7 +820,10 @@ mod tests {
     }
 
     #[test]
-    fn frontier_and_monolithic_fixpoints_compute_the_same_space() {
+    fn chained_fixpoints_match_the_explicit_state_graph() {
+        // Chaining only fires enabled transitions, so its set is a subset of
+        // the true reachable set: equal counts plus every explicit state
+        // being a member make the two sets identical.
         for stg in [
             benchmarks::handshake(),
             benchmarks::pulser(),
@@ -871,21 +834,45 @@ mod tests {
             benchmarks::parallelizer(4),
             benchmarks::pulser_bank(2),
         ] {
-            let frontier = stg.symbolic_state_space_with(ReachabilityStrategy::FrontierBfs, None);
-            let monolithic =
-                stg.symbolic_state_space_with(ReachabilityStrategy::MonolithicBfs, None);
-            assert!(frontier.converged, "{}", stg.name());
-            assert_eq!(frontier.converged, monolithic.converged, "{}", stg.name());
-            assert_eq!(frontier.state_count(), monolithic.state_count(), "{}", stg.name());
-            assert_eq!(frontier.bdd_size(), monolithic.bdd_size(), "{}", stg.name());
-            assert!(frontier.iterations > 0, "{}", stg.name());
-            // The encoded spaces must agree too (exercises toggle/code bits).
-            let ef =
-                stg.symbolic_encoded_state_space_with(0, ReachabilityStrategy::FrontierBfs, None);
-            let em =
-                stg.symbolic_encoded_state_space_with(0, ReachabilityStrategy::MonolithicBfs, None);
-            assert_eq!(ef.state_count(), em.state_count(), "{}", stg.name());
-            assert_eq!(ef.bdd_size(), em.bdd_size(), "{}", stg.name());
+            let sg = stg.state_graph(1_000_000).unwrap();
+            let explicit = sg.num_states() as u128;
+            let places = stg.symbolic_state_space(None);
+            // The encoded space exercises the code bits; a consistent STG
+            // carries one code per marking.
+            let encoded = stg.symbolic_encoded_state_space(sg.code(sg.ts.initial()), None);
+            assert!(places.converged && encoded.converged, "{}", stg.name());
+            assert!(places.iterations > 0, "{}", stg.name());
+            assert_eq!(places.state_count(), explicit, "{}", stg.name());
+            assert_eq!(encoded.state_count(), explicit, "{}", stg.name());
+            for (state, marking) in sg.markings.iter().enumerate() {
+                let mut assignment = marking.to_bools();
+                assert!(places.contains(&assignment), "{}: marking {marking}", stg.name());
+                let code = sg.code(ts::StateId(state as u32));
+                assignment.extend((0..sg.num_signals()).map(|s| (code >> s) & 1 != 0));
+                assert!(encoded.contains(&assignment), "{}: state {state}", stg.name());
+            }
+        }
+    }
+
+    #[test]
+    fn chained_rounds_and_arena_are_pinned() {
+        // An interleaving product converges in a few chained rounds, where
+        // breadth-first rounds need the sum of its components' depths (73
+        // on par_hs24).  Each count includes the final round, which finds
+        // nothing new.
+        for (stg, rounds, arena) in [
+            (benchmarks::parallel_handshakes(24), 3, Some(96_777)),
+            (benchmarks::pipeline_2ph(16), 18, None),
+            (benchmarks::wide_conflict(16), 4, None),
+            (benchmarks::pulser_bank(5), 4, None),
+            (benchmarks::counter(4), 17, None),
+        ] {
+            let space = stg.symbolic_encoded_state_space(0, None);
+            assert!(space.converged, "{}", stg.name());
+            assert_eq!(space.iterations, rounds, "{}", stg.name());
+            if let Some(arena) = arena {
+                assert_eq!(space.manager_stats().num_nodes, arena, "{}", stg.name());
+            }
         }
     }
 

@@ -4,8 +4,8 @@
 //! * event insertion over a region preserves observable traces,
 //! * state-set algebra is a Boolean algebra,
 //! * randomly generated marked-graph STGs have consistent state graphs and
-//!   agree between the explicit and the symbolic engine (under both the
-//!   frontier-driven and the monolithic fixpoint),
+//!   agree between the explicit and the symbolic engine (every explicit
+//!   marking and (marking, code) state is in the chained fixpoint's set),
 //! * the CSC solver, when it succeeds, always produces a conflict-free,
 //!   deterministic, trace-equivalent encoding.
 //!
@@ -18,7 +18,7 @@
 
 use csc::{solve_stg, SolverConfig};
 use regions::{is_region, is_sip_set, minimal_regions, RegionConfig};
-use stg::{Polarity, ReachabilityStrategy, StgBuilder};
+use stg::{Polarity, StgBuilder};
 use ts::traces::projected_trace_equivalent;
 use ts::{insert_event, InsertionStyle, StateId, StateSet, TransitionSystem};
 
@@ -174,13 +174,19 @@ fn random_stgs_are_consistent_and_engines_agree() {
                 let space = model.symbolic_state_space(None);
                 assert!(space.converged, "seed {seed}");
                 assert_eq!(space.state_count(), sg.num_states() as u128, "seed {seed}");
-                // The frontier-driven fixpoint (the default) and the
-                // monolithic one must compute the identical reachable set.
-                let monolithic =
-                    model.symbolic_state_space_with(ReachabilityStrategy::MonolithicBfs, None);
-                assert!(monolithic.converged, "seed {seed}");
-                assert_eq!(monolithic.state_count(), space.state_count(), "seed {seed}");
-                assert_eq!(monolithic.bdd_size(), space.bdd_size(), "seed {seed}");
+                // The chained fixpoint must hold exactly the explicit
+                // states: equal counts, and every explicit marking and
+                // (marking, code) pair is a member.
+                let encoded = model.symbolic_encoded_state_space(sg.code(sg.ts.initial()), None);
+                assert!(encoded.converged, "seed {seed}");
+                assert_eq!(encoded.state_count(), sg.num_states() as u128, "seed {seed}");
+                for (state, marking) in sg.markings.iter().enumerate() {
+                    let mut assignment = marking.to_bools();
+                    assert!(space.contains(&assignment), "seed {seed}: marking {marking}");
+                    let code = sg.code(StateId(state as u32));
+                    assignment.extend((0..sg.num_signals()).map(|s| (code >> s) & 1 != 0));
+                    assert!(encoded.contains(&assignment), "seed {seed}: state {state}");
+                }
             }
             Err(stg::StgError::Net(petri::PetriError::DeadInitialMarking)) => {
                 // Some couplings deadlock the ring; that is a legal outcome
