@@ -21,9 +21,12 @@
 //!   operator symbolic reachability is built on,
 //! * emptiness questions are answered without building the BDD they ask
 //!   about: [`BddManager::intersects`] and [`BddManager::implies`] stop
-//!   at the first satisfying path and allocate nothing, and
-//!   [`BddManager::restrict_cube`] cofactors at a whole cube in one
-//!   memoised pass,
+//!   at the first satisfying path and allocate nothing,
+//!   [`BddManager::crossing`] answers which of `s ∧ (a | ¬a) ∧ (b | ¬b)`
+//!   are non-empty in one three-operand walk (its four-bit mask is
+//!   memoised exactly: the walk stops early only once all four bits are
+//!   set), and [`BddManager::restrict_cube`] cofactors at a whole cube in
+//!   one memoised pass,
 //! * satisfy-count, cube enumeration and memory/cache statistics
 //!   ([`BddManager::stats`]) round out the toolkit.
 //!

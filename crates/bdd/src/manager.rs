@@ -22,8 +22,10 @@
 //!   (negation uses `Op::Not` with both operands equal), while the
 //!   quantifier recursions key the third slot with the variable cube and
 //!   the fused relational product `and_exists` uses all three.  The
-//!   cube cofactor is keyed `(f, cube)`, and the non-building tests
-//!   `intersects`/`implies` store their yes/no answer as a terminal.  Entries
+//!   cube cofactor is keyed `(f, cube)`, the non-building tests
+//!   `intersects`/`implies` store their yes/no answer as a terminal, and
+//!   the three-operand test `crossing` stores its exact four-bit mask in
+//!   the result slot.  Entries
 //!   carry a generation tag: [`BddManager::clear_caches`] invalidates
 //!   every entry in O(1) by bumping the generation, and the cache is
 //!   re-sized (which also clears it) when the arena outgrows it.
@@ -42,6 +44,8 @@
 //!    unique table.
 //! 4. Cache soundness: a hit `(op, f, g) → r` is only returned while `r`'s
 //!    interning is still live, which is always, since nodes are never freed.
+//!    `Op::Crossing` results are masks, not nodes, and are never read as
+//!    node ids.
 
 use crate::budget::{Budget, BudgetExceeded, CHECK_INTERVAL};
 use crate::hash::{fx_combine, FxHashMap, FxHashSet};
@@ -105,6 +109,12 @@ enum Op {
     /// Whether `f ∧ ¬g` is satisfiable (the complement of `f → g`) — keyed
     /// `(f, g, -)`, answered as a terminal.
     IntersectsNot = 11,
+    /// Which of `s ∧ (a | ¬a) ∧ (b | ¬b)` are satisfiable — keyed
+    /// `(s, a, b)`, answered as the four-bit mask of
+    /// [`BddManager::crossing`] in place of a node id.  The recursion stops
+    /// early only once all four bits are set, so a stored mask is always
+    /// exact, whichever question the caller asked.
+    Crossing = 12,
 }
 
 /// Sentinel for an empty unique-table slot (no node can have this id: the
@@ -403,14 +413,14 @@ impl BddManager {
     /// From now on node allocations and apply steps are charged to the
     /// budget in batches of [`CHECK_INTERVAL`] steps.  A step is one `mk`
     /// call or one uncached recursion of [`Self::restrict_cube`],
-    /// [`Self::intersects`] or [`Self::implies`] — the kernels that may
-    /// answer without allocating — so the deadline and cancel flag are
-    /// sampled at the same rate whether an analysis builds BDDs or only
-    /// tests them.  When a ceiling trips, every in-flight recursion unwinds
-    /// by returning the `false` terminal (without storing cache entries),
-    /// and the typed report waits in [`Self::take_budget_trip`].  Results
-    /// produced after a trip are meaningless and must be discarded by the
-    /// caller.
+    /// [`Self::intersects`], [`Self::implies`] or [`Self::crossing`] — the
+    /// kernels that may answer without allocating — so the deadline and
+    /// cancel flag are sampled at the same rate whether an analysis builds
+    /// BDDs or only tests them.  When a ceiling trips, every in-flight
+    /// recursion unwinds by returning the `false` terminal (without storing
+    /// cache entries), and the typed report waits in
+    /// [`Self::take_budget_trip`].  Results produced after a trip are
+    /// meaningless and must be discarded by the caller.
     pub fn set_budget(&mut self, budget: Budget) {
         self.steps_since_check = 0;
         self.nodes_at_last_check = self.nodes.len() as u64;
@@ -1283,6 +1293,83 @@ impl BddManager {
         r
     }
 
+    /// [`Self::crossing`] bit: `srcs ∧ a ∧ b` is satisfiable (a firing from
+    /// inside `a` whose target `b` is inside too: it *stays in*).
+    pub const STAYS_IN: u8 = 0b0001;
+    /// [`Self::crossing`] bit: `srcs ∧ a ∧ ¬b` is satisfiable (*leaves*).
+    pub const LEAVES: u8 = 0b0010;
+    /// [`Self::crossing`] bit: `srcs ∧ ¬a ∧ b` is satisfiable (*enters*).
+    pub const ENTERS: u8 = 0b0100;
+    /// [`Self::crossing`] bit: `srcs ∧ ¬a ∧ ¬b` is satisfiable (*stays out*).
+    pub const STAYS_OUT: u8 = 0b1000;
+
+    /// Which of the four sets `srcs ∧ (a | ¬a) ∧ (b | ¬b)` are non-empty, as
+    /// a mask of [`Self::STAYS_IN`], [`Self::LEAVES`], [`Self::ENTERS`] and
+    /// [`Self::STAYS_OUT`].
+    ///
+    /// With `srcs` the sources of a transition, `a` a region and `b` the
+    /// region evaluated at the transition's target (`a` cofactored at its
+    /// post-values, [`Self::restrict_cube`]), the mask says whether some
+    /// firing stays in, leaves, enters or stays out of the region.  One
+    /// walk over the three operands answers all four questions; it builds
+    /// no node (in particular no copy of `¬a`), memoises its masks in the
+    /// operation cache, and stops early only once every bit is set, so the
+    /// masks it stores are exact.  A poisoned manager answers `0`.
+    ///
+    /// ```
+    /// use bdd::BddManager;
+    ///
+    /// let mut m = BddManager::new(2);
+    /// let (x, y) = (m.var(0), m.var(1));
+    /// // Sources x, region y, target region ¬y (the firing toggles y):
+    /// // firings from y leave, firings from ¬y enter.
+    /// let ny = m.not(y);
+    /// let mask = m.crossing(x, y, ny);
+    /// assert_eq!(mask, BddManager::LEAVES | BddManager::ENTERS);
+    /// ```
+    pub fn crossing(&mut self, srcs: Bdd, a: Bdd, b: Bdd) -> u8 {
+        self.crossing_rec(srcs.0, a.0, b.0)
+    }
+
+    fn crossing_rec(&mut self, s: NodeId, a: NodeId, b: NodeId) -> u8 {
+        const ALL: u8 = 0b1111;
+        if s == NodeId::FALSE {
+            return 0;
+        }
+        // With one region constant only two bits are possible, and each is
+        // a two-operand emptiness test.
+        if a.is_terminal() || b.is_terminal() {
+            let (other, on_bit, off_bit) = match (a, b) {
+                (NodeId::TRUE, _) => (b, Self::STAYS_IN, Self::LEAVES),
+                (NodeId::FALSE, _) => (b, Self::ENTERS, Self::STAYS_OUT),
+                (_, NodeId::TRUE) => (a, Self::STAYS_IN, Self::ENTERS),
+                _ => (a, Self::LEAVES, Self::STAYS_OUT),
+            };
+            let on = if self.meets(s, other, false) { on_bit } else { 0 };
+            let off = if self.meets(s, other, true) { off_bit } else { 0 };
+            return on | off;
+        }
+        if self.tripped {
+            return 0;
+        }
+        if let Some(r) = self.cache.lookup3(Op::Crossing, s, a, b) {
+            return r.0 as u8;
+        }
+        self.charge_step();
+        let v = self.var_of(s).min(self.var_of(a)).min(self.var_of(b));
+        let (s_low, s_high) = self.cofactor_pair(s, v);
+        let (a_low, a_high) = self.cofactor_pair(a, v);
+        let (b_low, b_high) = self.cofactor_pair(b, v);
+        let mut mask = self.crossing_rec(s_low, a_low, b_low);
+        if mask != ALL {
+            mask |= self.crossing_rec(s_high, a_high, b_high);
+        }
+        if !self.tripped {
+            self.cache.store3(Op::Crossing, s, a, b, NodeId(u32::from(mask)));
+        }
+        mask
+    }
+
     /// Evaluates `f` under a complete assignment (indexed by variable).
     ///
     /// # Panics
@@ -1838,6 +1925,73 @@ mod tests {
             }
             assert_eq!(m.num_nodes(), nodes, "seed {seed}: a yes/no test allocated nodes");
         }
+    }
+
+    #[test]
+    fn crossing_masks_match_truth_table_enumeration() {
+        for seed in 400..520u64 {
+            let mut rng = Rng(seed);
+            let nv = 1 + (rng.next() % 8) as u32;
+            let mut m = BddManager::new(nv as usize);
+            let operand = |m: &mut BddManager, rng: &mut Rng| match rng.next() % 8 {
+                0 => m.top(),
+                1 => m.bottom(),
+                _ => {
+                    let cubes = 1 + (rng.next() % 5) as usize;
+                    random_cube_set(m, rng, nv, cubes)
+                }
+            };
+            let s = operand(&mut m, &mut rng);
+            let a = operand(&mut m, &mut rng);
+            // The solver's shape: `b` is `a` at a transition's target.
+            let b = if rng.next() % 2 == 0 {
+                let (cube, _) = random_cube(&mut m, &mut rng, nv);
+                m.restrict_cube(a, cube)
+            } else {
+                operand(&mut m, &mut rng)
+            };
+            let mut oracle = 0u8;
+            for bits in 0..1u32 << nv {
+                let assignment: Vec<bool> = (0..nv).map(|v| bits >> v & 1 == 1).collect();
+                if m.eval(s, &assignment) {
+                    oracle |= match (m.eval(a, &assignment), m.eval(b, &assignment)) {
+                        (true, true) => BddManager::STAYS_IN,
+                        (true, false) => BddManager::LEAVES,
+                        (false, true) => BddManager::ENTERS,
+                        (false, false) => BddManager::STAYS_OUT,
+                    };
+                }
+            }
+            let nodes = m.num_nodes();
+            assert_eq!(m.crossing(s, a, b), oracle, "seed {seed}");
+            // A second call answers from the cache with the same exact mask.
+            assert_eq!(m.crossing(s, a, b), oracle, "seed {seed}: cached");
+            assert_eq!(m.num_nodes(), nodes, "seed {seed}: crossing allocated nodes");
+        }
+    }
+
+    #[test]
+    fn crossing_on_a_tripped_manager_returns_without_panicking() {
+        use crate::budget::Budget;
+        let nv = 12;
+        let mut m = BddManager::new(nv as usize);
+        let mut rng = Rng(11);
+        let fs: Vec<Bdd> = (0..3).map(|_| random_cube_set(&mut m, &mut rng, nv, 6)).collect();
+        m.set_budget(Budget::new(Some(1), None, None));
+        let mut acc = m.bottom();
+        for v in 0..nv {
+            let x = m.var(v);
+            acc = m.xor(acc, x);
+        }
+        assert!(m.check_budget().is_err() && m.budget_tripped(), "the budget never tripped");
+        // Poisoned: no panic, and the placeholder answer.
+        assert_eq!(m.crossing(fs[0], fs[1], fs[2]), 0);
+        assert_eq!(m.crossing(fs[0], acc, fs[2]), 0);
+        // Once the trip is taken the kernel answers exactly again.
+        m.take_budget_trip().expect("trip report present");
+        assert!(!fs[1].is_true() && !fs[1].is_false());
+        let top = m.top();
+        assert_eq!(m.crossing(top, fs[1], fs[1]), BddManager::STAYS_IN | BddManager::STAYS_OUT);
     }
 
     #[test]

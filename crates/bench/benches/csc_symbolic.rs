@@ -9,17 +9,20 @@
 //! The `csc_symbolic/solver` group times [`csc::solve_stg_symbolic`] on
 //! conflicted models the explicit solver also handles, attaching the
 //! inserted-signal counts of *both* solvers so the baseline documents the
-//! quality parity (symbolic never inserts more on these rows).  `counter4`
-//! and `pipe4_4` are the two designs that carry most of the `controllers`
-//! workload of the end-to-end benchmark: `counter4` evaluates the most
-//! candidates of any Table 2 design, `pipe4_4` has the largest spaces.  The
+//! quality parity (symbolic never inserts more on these rows), and the
+//! explicit solver's time on the same model (`explicit_ms`, the median of
+//! up to three timed solves).  `counter4` and `pipe4_4` are the two designs
+//! that carry most of the `controllers` workload of the end-to-end
+//! benchmark: `counter4` evaluates the most candidates of any Table 2
+//! design, `pipe4_4` has the largest spaces.  `pipe4_5` is the next
+//! pipeline size up.  The
 //! `csc_symbolic/wide` group times the `wide_conflict` family — a CSC
 //! conflict embedded in a wide product of handshakes — whose ≥64-signal
 //! row cannot be attempted by the explicit pipeline at all.
 
 use bench::harness::{black_box, Criterion};
 use csc::{solve_stg, solve_stg_symbolic, SolverConfig};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use stg::benchmarks;
 
 fn solver_families(c: &mut Criterion) {
@@ -34,19 +37,36 @@ fn solver_families(c: &mut Criterion) {
         ("pulser_bank2", benchmarks::pulser_bank(2)),
         ("counter4", benchmarks::counter(4)),
         ("pipe4_4", benchmarks::pipeline_4ph(4)),
+        ("pipe4_5", benchmarks::pipeline_4ph(5)),
     ];
     let config = SolverConfig::default();
     for (name, model) in models {
+        // The timed closure keeps its last solution for the quality columns.
+        let last = std::cell::RefCell::new(None);
         group.bench_function(name, |b| {
             b.iter(|| {
-                black_box(solve_stg_symbolic(&model, &config).unwrap().inserted_signals.len())
+                let solution = solve_stg_symbolic(&model, &config).unwrap();
+                let inserted = solution.inserted_signals.len();
+                *last.borrow_mut() = Some(solution);
+                black_box(inserted)
             })
         });
-        // One untimed pass of each solver records the quality columns next
-        // to the timing row; the symbolic count must never exceed the
-        // explicit one on these tracked models.
-        let symbolic = solve_stg_symbolic(&model, &config).unwrap();
-        let explicit = solve_stg(&model, &config).unwrap();
+        let symbolic = last.borrow_mut().take().expect("the bench ran at least once");
+        // The explicit solver's median time (up to three solves, within the
+        // group's 3 s) and signal count go next to the row; the symbolic
+        // count must never exceed the explicit one on these tracked models.
+        let budget = Instant::now();
+        let mut times = Vec::new();
+        let explicit = loop {
+            let start = Instant::now();
+            let explicit = solve_stg(&model, &config).unwrap();
+            times.push(start.elapsed().as_secs_f64() * 1e3);
+            if times.len() == 3 || budget.elapsed() >= Duration::from_secs(3) {
+                break explicit;
+            }
+        };
+        times.sort_by(f64::total_cmp);
+        let explicit_ms = times[times.len() / 2];
         assert!(
             symbolic.inserted_signals.len() <= explicit.inserted_signals.len(),
             "{name}: symbolic {} > explicit {}",
@@ -58,6 +78,7 @@ fn solver_families(c: &mut Criterion) {
             ("signals_explicit", explicit.inserted_signals.len() as f64),
             ("final_states", symbolic.stats.final_states as f64),
             ("candidates_evaluated", symbolic.stats.stage.candidates_evaluated as f64),
+            ("explicit_ms", explicit_ms),
         ]);
     }
     group.finish();

@@ -268,8 +268,9 @@ pub struct FlowReport {
     pub literals: Option<usize>,
     /// Product terms of the minimized covers (`None` when not requested).
     pub cubes: Option<usize>,
-    /// Peak BDD node count of the logic derivation (`None` when the
-    /// explicit engine ran or no area was requested).
+    /// BDD nodes the logic derivation allocated, not counting the shared
+    /// space's fixpoint (`None` when the explicit engine ran or no area was
+    /// requested).
     pub logic_bdd_nodes: Option<usize>,
     /// The engine that derived the logic.
     pub logic_strategy: LogicStrategy,

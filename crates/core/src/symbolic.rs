@@ -728,9 +728,20 @@ impl Iteration {
         if without.is_false() {
             return 0.0;
         }
-        let primed = m.prime(without);
-        let pairs = m.and(with, primed);
-        let related = m.and(pairs, self.code_eq);
+        self.code_tied_pairs(with, without)
+    }
+
+    /// `|{(s, s′) ∈ a × b : code(s) = code(s′)}|`, counted on
+    /// `a ∧ (prime(b) ∧ code_eq)`.  Tying the primed side to the code first
+    /// keeps the product as small as the code-equal pairs themselves; the
+    /// product `a ∧ prime(b)` of every pair under any two codes is never
+    /// built (it made `pipe4_4`'s final arena 1,178,010 nodes instead of
+    /// 77,437, although that space has no conflict pair left at all).
+    fn code_tied_pairs(&mut self, a: Bdd, b: Bdd) -> f64 {
+        let m = self.space.manager_mut();
+        let primed = m.prime(b);
+        let tied = m.and(primed, self.code_eq);
+        let related = m.and(a, tied);
         m.sat_count_f64(related)
     }
 
@@ -765,11 +776,7 @@ impl Iteration {
         if a.is_false() || b.is_false() {
             return 0.0;
         }
-        let m = self.space.manager_mut();
-        let primed = m.prime(b);
-        let pairs = m.and(a, primed);
-        let related = m.and(pairs, self.code_eq);
-        m.sat_count_f64(related)
+        self.code_tied_pairs(a, b)
     }
 
     /// Detects CSC conflicts per non-input signal and returns the
@@ -871,6 +878,17 @@ impl Iteration {
     /// skipped.  The result's hint absorbs the variables of every branch
     /// that contributed, keeping the invariant.
     fn image_zone(&mut self, z: &Zone) -> Zone {
+        self.image_chain_step(z, z.set, &[])
+    }
+
+    /// One step of an image-growth chain: [`Self::image_zone`] of the
+    /// chain's set `z`, except that a branch which already imaged the
+    /// chain's previous set (its changed variables overlap `imaged`, the
+    /// previous set's hint) images only `fresh`, the states added since.
+    /// Images are linear and the previous step's image is part of `z`, so
+    /// `z ∪ result` and the hint are exactly those of `image_zone`: a branch
+    /// that moved the previous set already put its variables in `z.sup`.
+    fn image_chain_step(&mut self, z: &Zone, fresh: Bdd, imaged: &[VarId]) -> Zone {
         let m = self.space.manager_mut();
         let mut img = m.bottom();
         let mut sup = z.sup.clone();
@@ -878,7 +896,8 @@ impl Iteration {
             if !overlaps(&b.changed, &z.sup) {
                 continue;
             }
-            let step = Self::branch_image(m, b, z.set);
+            let from = if overlaps(&b.changed, imaged) { fresh } else { z.set };
+            let step = Self::branch_image(m, b, from);
             if !step.is_false() {
                 img = m.or(img, step);
                 sup.extend_from_slice(&b.vars);
@@ -978,19 +997,16 @@ impl Iteration {
 
     /// Whether a branch's reachable firings (`srcs`) cross `set`
     /// non-uniformly: some cross while others stay (inside or outside), or
-    /// some enter while others leave.  Each of the four "does some firing
-    /// stay in / leave / enter / stay out" questions is a non-building
-    /// emptiness test on the target predicate.
+    /// some enter while others leave.  The four "does some firing stay in /
+    /// leave / enter / stay out" answers come from one non-building
+    /// [`BddManager::crossing`] walk over the sources, the set and the set
+    /// at the branch's target.
     fn crossing_is_mixed(m: &mut BddManager, b: &BranchOps, srcs: Bdd, set: Bdd) -> bool {
         let tgt_in = m.restrict_cube(set, b.pinned_cube);
-        let src_in = m.and(srcs, set);
-        let src_out = m.and_not(srcs, set);
-        let stays_in = m.intersects(src_in, tgt_in);
-        let leaves = !m.implies(src_in, tgt_in);
-        let enters = m.intersects(src_out, tgt_in);
-        let stays_out = !m.implies(src_out, tgt_in);
-        let crossing = leaves || enters;
-        (crossing && (stays_in || stays_out)) || (leaves && enters)
+        let mask = m.crossing(srcs, set, tgt_in);
+        let crossing = mask & (BddManager::LEAVES | BddManager::ENTERS);
+        let staying = mask & (BddManager::STAYS_IN | BddManager::STAYS_OUT);
+        (crossing != 0 && staying != 0) || crossing == BddManager::LEAVES | BddManager::ENTERS
     }
 
     /// The candidate bricks: per-place marked predicates, per-branch
@@ -1087,8 +1103,12 @@ impl Iteration {
             }
             for seed in chain_seeds {
                 let mut cur = seed;
+                // The states the last step added, and the hint the branches
+                // that imaged the chain before them were chosen by.
+                let mut fresh = cur.set;
+                let mut imaged: Vec<VarId> = Vec::new();
                 for _ in 0..self.place_vars.len().clamp(8, 32) {
-                    let img = self.image_zone(&cur);
+                    let img = self.image_chain_step(&cur, fresh, &imaged);
                     let next = {
                         let m = self.space.manager_mut();
                         m.or(cur.set, img.set)
@@ -1096,7 +1116,11 @@ impl Iteration {
                     if next == cur.set || next == self.reach {
                         break;
                     }
-                    cur = Zone { set: next, sup: img.sup };
+                    fresh = {
+                        let m = self.space.manager_mut();
+                        m.and_not(img.set, cur.set)
+                    };
+                    imaged = std::mem::replace(&mut cur, Zone { set: next, sup: img.sup }).sup;
                     if !seen.insert(cur.set.node_id()) {
                         stats.stage.candidates_pruned += 1;
                         continue;
@@ -1393,18 +1417,22 @@ impl Iteration {
     }
 
     /// Forward closure of a zone inside `within`: successors that stay in
-    /// `within` are absorbed until a fixpoint.
+    /// `within` are absorbed until a fixpoint.  Like the growth chains,
+    /// each step images only what the previous step added
+    /// ([`Self::image_chain_step`]).
     fn close_forward(&mut self, mut z: Zone, within: &Zone) -> Zone {
+        let mut fresh = z.set;
+        let mut imaged: Vec<VarId> = Vec::new();
         loop {
-            let img = self.image_zone(&z);
+            let img = self.image_chain_step(&z, fresh, &imaged);
             let m = self.space.manager_mut();
             let inside = m.and(img.set, within.set);
-            let fresh = m.and_not(inside, z.set);
+            fresh = m.and_not(inside, z.set);
             if fresh.is_false() {
                 return z;
             }
             z.set = m.or(z.set, fresh);
-            z.sup = merge_sup(&img.sup, &within.sup);
+            imaged = std::mem::replace(&mut z.sup, merge_sup(&img.sup, &within.sup));
         }
     }
 
@@ -1477,22 +1505,23 @@ impl Iteration {
             if srcs.is_false() {
                 continue;
             }
+            // Each question is one bit of a non-building crossing walk.
             let tgt_in_block = m.restrict_cube(block.set, b.pinned_cube);
-            let src_in = m.and(srcs, block.set);
-            let src_out = m.and_not(srcs, block.set);
-            arcs[t].consume_a1 |= m.intersects(src_out, tgt_in_block);
-            arcs[t].consume_a0 |= !m.implies(src_in, tgt_in_block);
+            let block_mask = m.crossing(srcs, block.set, tgt_in_block);
+            arcs[t].consume_a1 |= block_mask & BddManager::ENTERS != 0;
+            arcs[t].consume_a0 |= block_mask & BddManager::LEAVES != 0;
             let tgt_er_rise = m.restrict_cube(er_rise.set, b.pinned_cube);
-            let src_not_erp = m.and_not(srcs, er_rise.set);
-            arcs[t].produce_r1 |= m.intersects(src_not_erp, tgt_er_rise);
+            let rise_mask = m.crossing(srcs, er_rise.set, tgt_er_rise);
+            arcs[t].produce_r1 |= rise_mask & BddManager::ENTERS != 0;
             let tgt_er_fall = m.restrict_cube(er_fall.set, b.pinned_cube);
-            let src_not_erm = m.and_not(srcs, er_fall.set);
-            arcs[t].produce_r0 |= m.intersects(src_not_erm, tgt_er_fall);
+            let fall_mask = m.crossing(srcs, er_fall.set, tgt_er_fall);
+            arcs[t].produce_r0 |= fall_mask & BddManager::ENTERS != 0;
             // Direct jumps between the two excitation regions: the new
             // signal would have to fall right after rising (or vice versa).
-            let src_erp = m.and(srcs, er_rise.set);
-            let src_erm = m.and(srcs, er_fall.set);
-            if m.intersects(src_erp, tgt_er_fall) || m.intersects(src_erm, tgt_er_rise) {
+            let jumps = |m: &mut BddManager, from: Bdd, to: Bdd| {
+                m.crossing(srcs, from, to) & BddManager::STAYS_IN != 0
+            };
+            if jumps(m, er_rise.set, tgt_er_fall) || jumps(m, er_fall.set, tgt_er_rise) {
                 short_circuits += 1;
             }
         }
@@ -1819,6 +1848,73 @@ mod tests {
                 let symbolic = m.sat_count_f64(without) / 2f64.powi(next_copies);
                 let name = model.net().transition_name(t);
                 assert_eq!(symbolic, explicit, "{}: without {name}", model.name());
+            }
+        }
+    }
+
+    #[test]
+    fn code_tied_pair_counts_match_the_explicit_state_graph() {
+        let mut models: Vec<Stg> =
+            benchmarks::table2_suite().into_iter().map(|(_, model, _)| model).collect();
+        models.push(benchmarks::pipeline_4ph(3));
+        for model in models {
+            let sg = model.state_graph(100_000).unwrap();
+            let space =
+                model.try_symbolic_encoded_state_space(0, &ReachabilityConfig::default()).unwrap();
+            let mut it = Iteration::build(&model, space, None).unwrap();
+            let mut total = 0.0;
+            for i in 0..it.non_inputs.len() {
+                let signal = it.non_inputs[i].0;
+                let bit = 1u64 << signal.index();
+                // Per code: how many states enable the signal, how many not.
+                let mut buckets: FxHashMap<u64, (f64, f64)> = FxHashMap::default();
+                for state in (0..sg.num_states()).map(ts::StateId::from) {
+                    let bucket = buckets.entry(sg.code(state)).or_default();
+                    if sg.enabled_signal_mask(state) & bit != 0 {
+                        bucket.0 += 1.0;
+                    } else {
+                        bucket.1 += 1.0;
+                    }
+                }
+                let explicit: f64 = buckets.values().map(|&(with, without)| with * without).sum();
+                let symbolic = it.signal_conflict_pairs(signal);
+                let name = &it.signal_names[signal.index()];
+                assert_eq!(symbolic, explicit, "{}: {name}", model.name());
+                total += explicit;
+            }
+            assert_eq!(it.total_conflict_pairs(), total, "{}", model.name());
+        }
+    }
+
+    #[test]
+    fn frontier_imaged_chains_match_whole_set_images() {
+        for model in [
+            benchmarks::vme_read(),
+            benchmarks::counter(2),
+            benchmarks::pipeline_4ph(3),
+            benchmarks::pulser_bank(3),
+            benchmarks::wide_conflict(4),
+        ] {
+            let space =
+                model.try_symbolic_encoded_state_space(0, &ReachabilityConfig::default()).unwrap();
+            let mut it = Iteration::build(&model, space, None).unwrap();
+            for seed in it.bricks() {
+                // Reference: every step images the whole chain.
+                let (mut whole, mut chain) = (seed.clone(), seed);
+                let mut fresh = chain.set;
+                let mut imaged = Vec::new();
+                for step in 0..12 {
+                    let img = it.image_zone(&whole);
+                    whole.set = it.space.manager_mut().or(whole.set, img.set);
+                    whole.sup = img.sup;
+                    let img = it.image_chain_step(&chain, fresh, &imaged);
+                    let m = it.space.manager_mut();
+                    fresh = m.and_not(img.set, chain.set);
+                    let next = Zone { set: m.or(chain.set, img.set), sup: img.sup };
+                    imaged = std::mem::replace(&mut chain, next).sup;
+                    assert!(whole.set == chain.set, "{}: step {step}", model.name());
+                    assert_eq!(whole.sup, chain.sup, "{}: step {step}", model.name());
+                }
             }
         }
     }

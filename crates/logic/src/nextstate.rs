@@ -167,7 +167,9 @@ pub struct NextStateFunctions {
     pub num_variables: usize,
     /// The engine that produced the covers.
     pub strategy: LogicStrategy,
-    /// Peak BDD node count of the derivation (0 for the explicit engine).
+    /// BDD nodes the derivation allocated: the growth of the manager's
+    /// arena across it, so a shared space's fixpoint is not counted (0 for
+    /// the explicit engine).
     pub bdd_nodes: usize,
 }
 

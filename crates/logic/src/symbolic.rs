@@ -52,6 +52,7 @@ pub(crate) fn derive_from_graph(graph: &EncodedGraph) -> Result<NextStateFunctio
         return Err(LogicError::TooManySignals { count: num_signals });
     }
     let mut m = BddManager::with_capacity(num_signals.max(1), 1 << 12);
+    let nodes_before = m.num_nodes();
 
     // Bucket every state's code cube into ON/OFF per non-input signal.
     let non_inputs: Vec<usize> =
@@ -92,7 +93,7 @@ pub(crate) fn derive_from_graph(graph: &EncodedGraph) -> Result<NextStateFunctio
         functions,
         num_variables: num_signals,
         strategy: LogicStrategy::Symbolic,
-        bdd_nodes: m.num_nodes(),
+        bdd_nodes: m.num_nodes() - nodes_before,
     })
 }
 
@@ -193,6 +194,9 @@ pub fn analyze_space(
     stg: &Stg,
     space: &mut SymbolicStateSpace,
 ) -> Result<SymbolicLogicReport, LogicError> {
+    // The space's manager already holds the fixpoint (and, in a flow, the
+    // solver's work): report only what this derivation adds to the arena.
+    let nodes_before = space.manager().num_nodes();
     space.check_seed(stg).map_err(reachability_error)?;
     let markings = space.state_count_f64();
     let num_places = space.num_places();
@@ -253,7 +257,7 @@ pub fn analyze_space(
     }
     let diagnostics = persistency_diagnostics(stg, m, reachable, &place_vars, &signal_vars);
     m.check_budget()?;
-    let bdd_nodes = space.manager().num_nodes();
+    let bdd_nodes = space.manager().num_nodes() - nodes_before;
     Ok(SymbolicLogicReport {
         functions: NextStateFunctions {
             functions,
@@ -701,6 +705,20 @@ mod tests {
         }
         assert_eq!(funcs.total_literals(), 40);
         assert!(funcs.bdd_nodes > 0);
+    }
+
+    #[test]
+    fn derivation_nodes_exclude_the_prebuilt_space() {
+        // par_hs8's fixpoint fills the arena before the derivation starts;
+        // the report counts only the nodes the derivation adds.
+        let model = benchmarks::parallel_handshakes(8);
+        let mut space =
+            model.try_symbolic_encoded_state_space(0, &ReachabilityConfig::default()).unwrap();
+        let before = space.manager().num_nodes();
+        let funcs = analyze_space(&model, &mut space).unwrap().functions;
+        let after = space.manager().num_nodes();
+        assert_eq!(funcs.bdd_nodes, after - before);
+        assert!(funcs.bdd_nodes > 0 && funcs.bdd_nodes < after, "{} of {after}", funcs.bdd_nodes);
     }
 
     #[test]

@@ -88,6 +88,26 @@ fn symbolic_solver_matches_or_beats_explicit_on_the_table2_suite() {
     }
 }
 
+/// The same (evaluated, pruned, verified) pins for the four-phase pipeline
+/// controllers, the designs whose block search costs the most: every
+/// branch touches every candidate's support, so no support hint prunes.
+const PIPELINE_SEARCH_COUNTERS: &[(usize, (usize, usize, usize))] =
+    &[(3, (702, 332, 2)), (4, (1677, 483, 3))];
+
+#[test]
+fn pipeline_search_counters_are_pinned() {
+    let config = SolverConfig::default();
+    for &(stages, pinned) in PIPELINE_SEARCH_COUNTERS {
+        let solution = solve_stg_symbolic(&benchmarks::pipeline_4ph(stages), &config)
+            .unwrap_or_else(|e| panic!("pipe4_{stages}: {e}"));
+        let stage = &solution.stats.stage;
+        let counters =
+            (stage.candidates_evaluated, stage.candidates_pruned, stage.candidates_verified);
+        assert_eq!(counters, pinned, "pipe4_{stages}: (evaluated, pruned, verified)");
+        assert!(!solution.stg.symbolic_csc_violation(0), "pipe4_{stages}: CSC must hold");
+    }
+}
+
 /// SplitMix64 — the same tiny deterministic generator the property suite
 /// uses, so failures are reproducible from the printed seed.
 struct Rng(u64);
