@@ -1,37 +1,17 @@
-//! CSC solver pipeline bench: per-family solve times plus the parallel
-//! candidate-evaluation scaling of the staged `SolverContext`.
+//! Explicit CSC solver bench: per-family solve times of the staged
+//! `SolverContext`.
 //!
 //! Run with `cargo bench -p bench --bench csc`; set `BENCH_OUT=BENCH_csc.json`
 //! to record the machine-readable baseline tracked at the repository root.
 //!
 //! The `csc/solver` group times `solve_state_graph` (re-synthesis disabled,
 //! state graph pre-built) over the sequencer / counter / parallel-handshake
-//! families.  The `csc/jobs` group re-times the largest model at several
-//! `SolverConfig::jobs` values; the harness asserts the solutions are
-//! byte-identical across thread counts before recording, and attaches the
-//! host's available parallelism so single-core baselines (where `jobs > 1`
-//! can only add scheduling overhead) are interpretable.
+//! families.
 
-use bench::harness::{black_box, warn_if_single_core_jobs, Criterion};
-use csc::{solve_state_graph, CscSolution, SolverConfig};
+use bench::harness::{black_box, Criterion};
+use csc::{solve_state_graph, SolverConfig};
 use std::time::Duration;
 use stg::benchmarks;
-
-fn solve_config(jobs: usize) -> SolverConfig {
-    // Re-synthesis and area estimation are separate pipelines with their own
-    // benches; this harness isolates the solver.
-    SolverConfig { resynthesize: false, jobs, ..SolverConfig::default() }
-}
-
-fn assert_identical(name: &str, a: &CscSolution, b: &CscSolution) {
-    assert_eq!(a.inserted_signals, b.inserted_signals, "{name}: inserted signals differ");
-    assert_eq!(a.graph.codes, b.graph.codes, "{name}: state codes differ");
-    assert_eq!(
-        a.graph.ts.transitions(),
-        b.graph.ts.transitions(),
-        "{name}: transition systems differ"
-    );
-}
 
 fn solver_families(c: &mut Criterion) {
     let mut group = c.benchmark_group("csc/solver");
@@ -44,7 +24,9 @@ fn solver_families(c: &mut Criterion) {
         ("par_hs4", benchmarks::parallel_handshakes(4)),
         ("par_hs6", benchmarks::parallel_handshakes(6)),
     ];
-    let config = solve_config(1);
+    // Re-synthesis and area estimation are separate pipelines with their own
+    // benches; this harness isolates the solver.
+    let config = SolverConfig { resynthesize: false, ..SolverConfig::default() };
     for (name, model) in models {
         let sg = model.state_graph(2_000_000).unwrap();
         group.bench_function(name, |b| {
@@ -65,38 +47,8 @@ fn solver_families(c: &mut Criterion) {
     group.finish();
 }
 
-fn parallel_scaling(c: &mut Criterion) {
-    let mut group = c.benchmark_group("csc/jobs");
-    group.sample_size(10).measurement_time(Duration::from_secs(3));
-    // The largest solver workload of the suite: the search stage dominates
-    // (thousands of candidate evaluations per insertion).
-    let model = benchmarks::sequencer(16);
-    let sg = model.state_graph(2_000_000).unwrap();
-    let reference = solve_state_graph(&sg, &solve_config(1)).unwrap();
-    let hardware = std::thread::available_parallelism().map(usize::from).unwrap_or(1);
-    for jobs in [1usize, 2, 4] {
-        let config = solve_config(jobs);
-        // Single-core hosts (like the recorded-baseline container) cannot
-        // show a speedup on these rows; flag them loudly.
-        warn_if_single_core_jobs(jobs);
-        // Parallel evaluation must not change the answer: proven here on the
-        // bench model itself, every time the baseline is recorded.
-        assert_identical("seq16", &reference, &solve_state_graph(&sg, &config).unwrap());
-        group.bench_function(format!("seq16/jobs{jobs}"), |b| {
-            b.iter(|| black_box(solve_state_graph(&sg, &config).unwrap().inserted_signals.len()))
-        });
-        group.attach_metrics(&[
-            ("jobs", jobs as f64),
-            ("hardware_threads", hardware as f64),
-            ("signals_inserted", reference.inserted_signals.len() as f64),
-        ]);
-    }
-    group.finish();
-}
-
 fn main() {
     let mut c = Criterion::new();
     solver_families(&mut c);
-    parallel_scaling(&mut c);
     c.finish();
 }

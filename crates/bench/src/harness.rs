@@ -19,12 +19,14 @@
 //! The host these baselines are recorded on is shared and its throughput
 //! drifts by tens of percent between runs, so every timed sample is
 //! bracketed by a fixed reference kernel (the idea of the end-to-end
-//! benchmark's host-speed reference): each row records how much slower
-//! than nominal the kernel ran around its samples (`host_slowdown`) and the
-//! median of the samples each divided by that factor (`scaled_median_ns`).
-//! A slower host moves a row's median and its kernel together, so the
-//! scaled median of identical code moves much less than the raw one.  Each
-//! benchmark also runs one untimed warm-up pass before its samples.
+//! benchmark's host-speed reference), run three times at each bracket point
+//! so that one spike cannot set a sample's factor: each row records how
+//! much slower than nominal the kernel ran around its samples
+//! (`host_slowdown`) and the median of the samples each divided by that
+//! factor (`scaled_median_ns`).  A slower host moves a row's median and its
+//! kernel together, so the scaled median of identical code moves much less
+//! than the raw one.  Each benchmark also runs one untimed warm-up pass
+//! before its samples.
 
 use std::time::{Duration, Instant};
 
@@ -33,26 +35,13 @@ pub fn black_box<T>(x: T) -> T {
     std::hint::black_box(x)
 }
 
-/// Prints a one-line warning (and returns `true`) when a `jobs > 1`
-/// benchmark row is about to be recorded on a host with a single hardware
-/// thread: there the row measures thread-scheduling overhead, not parallel
-/// speedup, and must be read together with its `hardware_threads` column.
-pub fn warn_if_single_core_jobs(jobs: usize) -> bool {
-    let hardware = std::thread::available_parallelism().map(usize::from).unwrap_or(1);
-    if jobs > 1 && hardware == 1 {
-        eprintln!(
-            "warning: jobs={jobs} row recorded on a single-hardware-thread host — \
-             the timing measures scheduling overhead, not parallel speedup"
-        );
-        true
-    } else {
-        false
-    }
-}
-
 /// The reference kernel's typical time on a 2.1 GHz Xeon, so that scaled
 /// times read roughly as times on that host.
 pub const NOMINAL_KERNEL_S: f64 = 0.021;
+
+/// Kernel runs at each bracket point of a sample; their median stands for
+/// the point.
+const KERNEL_RUNS: usize = 3;
 
 /// `u64` words of the table that misses L2 (8 MiB), and the dependent reads
 /// per kernel call from it.
@@ -364,6 +353,14 @@ fn sorted_median(values: &mut [f64]) -> f64 {
     }
 }
 
+/// A sample's host slowdown from the kernel times at its two bracket
+/// points: the mean of the two points' medians over nominal, so a spike in
+/// any one of the six times moves it at most within the spread of the two
+/// other times at that point.
+fn sample_slowdown(mut before: [f64; KERNEL_RUNS], mut after: [f64; KERNEL_RUNS]) -> f64 {
+    (sorted_median(&mut before) + sorted_median(&mut after)) / 2.0 / NOMINAL_KERNEL_S
+}
+
 /// One timed iteration and the host slowdown measured around it.
 struct Sample {
     elapsed: Duration,
@@ -374,9 +371,9 @@ struct Sample {
 pub struct Bencher<'a> {
     samples: Vec<Sample>,
     reference: &'a mut Reference,
-    /// The kernel time taken right after the previous sample, which also
-    /// serves as the next sample's "before" time.
-    kernel_s: Option<f64>,
+    /// The kernel times taken right after the previous sample, which also
+    /// serve as the next sample's "before" times.
+    kernel_s: Option<[f64; KERNEL_RUNS]>,
     /// Wall time spent in the kernel so far.
     kernel_total: Duration,
     /// The untimed warm-up pass: run the routine, record nothing.
@@ -385,28 +382,31 @@ pub struct Bencher<'a> {
 
 impl Bencher<'_> {
     /// Runs `f` once, timed; the routine records one sample per call.  The
-    /// reference kernel runs before (shared with the previous sample) and
-    /// after it, and the sample carries the mean of the two over nominal.
+    /// reference kernel runs three times before (shared with the previous
+    /// sample) and three times after it, and the sample carries the mean of
+    /// the two medians over nominal.
     pub fn iter<O>(&mut self, mut f: impl FnMut() -> O) {
         if self.warm_up {
             black_box(f());
             return;
         }
-        let mut kernel = || {
-            let seconds = self.reference.time();
-            self.kernel_total += Duration::from_secs_f64(seconds);
-            seconds
+        let mut bracket = || -> [f64; KERNEL_RUNS] {
+            std::array::from_fn(|_| {
+                let seconds = self.reference.time();
+                self.kernel_total += Duration::from_secs_f64(seconds);
+                seconds
+            })
         };
         let before = match self.kernel_s {
             Some(seconds) => seconds,
-            None => kernel(),
+            None => bracket(),
         };
         let start = Instant::now();
         black_box(f());
         let elapsed = start.elapsed();
-        let after = kernel();
+        let after = bracket();
         self.kernel_s = Some(after);
-        self.samples.push(Sample { elapsed, slowdown: (before + after) / 2.0 / NOMINAL_KERNEL_S });
+        self.samples.push(Sample { elapsed, slowdown: sample_slowdown(before, after) });
     }
 }
 
@@ -465,13 +465,19 @@ mod tests {
     }
 
     #[test]
-    fn single_core_warning_only_fires_for_parallel_rows() {
-        // jobs=1 rows are always fine, whatever the host.
-        assert!(!warn_if_single_core_jobs(1));
-        assert!(!warn_if_single_core_jobs(0));
-        // jobs>1 warns exactly on single-hardware-thread hosts.
-        let hardware = std::thread::available_parallelism().map(usize::from).unwrap_or(1);
-        assert_eq!(warn_if_single_core_jobs(4), hardware == 1);
+    fn one_kernel_spike_leaves_the_slowdown_unchanged() {
+        let (before, after) = ([0.021; KERNEL_RUNS], [0.042; KERNEL_RUNS]);
+        let clean = sample_slowdown(before, after);
+        assert!((clean - 1.5).abs() < 1e-12, "{clean}");
+        for spike in 0..2 * KERNEL_RUNS {
+            let (mut spiked_before, mut spiked_after) = (before, after);
+            let time = match spike.checked_sub(KERNEL_RUNS) {
+                None => &mut spiked_before[spike],
+                Some(i) => &mut spiked_after[i],
+            };
+            *time *= 10.0;
+            assert_eq!(sample_slowdown(spiked_before, spiked_after), clean, "kernel time {spike}");
+        }
     }
 
     #[test]

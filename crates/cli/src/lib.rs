@@ -8,14 +8,16 @@
 //! [`run_flow`]; the repository's examples and integration tests use the
 //! same entry points.
 //!
-//! Logic derivation is strategy-selectable ([`logic::LogicStrategy`]).
-//! Under the default *symbolic* strategy the flow first tries to stay fully
-//! symbolic: if the input STG already satisfies CSC, the next-state
-//! functions are derived straight from the symbolic reachability engine and
-//! the explicit state graph is never built — which is what lets designs
-//! with more than 64 signals (or state spaces beyond explicit reach)
-//! synthesize end to end.  Only when state signals must be inserted does
-//! the flow fall back to the explicit solver pipeline.
+//! The flow stays symbolic end to end: it builds one encoded state space
+//! for the input STG, derives the next-state functions from it, and when a
+//! CSC conflict needs state signals, the symbolic solver inserts them on
+//! BDDs and hands back the encoded STG's space for the final analysis and
+//! the netlist check.  No explicit state graph is built, which is what lets
+//! designs with more than 64 signals (or state spaces beyond explicit
+//! reach) synthesize end to end.  The explicit state-graph pipeline runs
+//! only when a conflicted design selects it ([`FlowOptions::strategy`]),
+//! when the symbolic seed or solver fails, or as the second rung of a
+//! governed run.
 //!
 //! # Example
 //!
@@ -36,10 +38,7 @@ use csc::{
     conflict_pairs, solve_space, CscError, CscSolution, EncodedGraph, SolverConfig, SolverStrategy,
     StageStats, SymbolicSolution,
 };
-use logic::{
-    analyze_space, area_of_functions, LogicDiagnostic, LogicError, LogicStrategy,
-    SymbolicLogicReport,
-};
+use logic::{analyze_space, area_of_functions, LogicDiagnostic, LogicError, SymbolicLogicReport};
 use netlist::{NetlistError, NetlistVerification};
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -54,10 +53,6 @@ pub struct FlowOptions {
     pub estimate_area: bool,
     /// Upper bound on explicit state-graph size.
     pub max_states: usize,
-    /// Which engine derives the next-state logic.  [`LogicStrategy::Symbolic`]
-    /// (the default) also enables the symbolic-first pipeline that skips the
-    /// explicit state graph entirely when CSC already holds.
-    pub logic: LogicStrategy,
     /// Signal values in the initial state (bit `i` = signal `i`), used to
     /// seed the symbolic engines.  The benchmark suite (and `.g` models,
     /// whose codes are anchored at 0 during propagation) start at 0.
@@ -68,12 +63,6 @@ pub struct FlowOptions {
     /// beyond 64 signals; the explicit state-graph pipeline remains
     /// selectable and is the automatic fallback when the symbolic solver
     /// reports a typed failure.
-    ///
-    /// The symbolic solver rides on the symbolic analysis, so it only
-    /// takes effect under [`LogicStrategy::Symbolic`] (the default):
-    /// selecting the explicit logic engine selects the explicit pipeline
-    /// end to end, and the `rsynth` CLI rejects the contradictory
-    /// `--logic explicit --solver symbolic` combination outright.
     pub strategy: SolverStrategy,
     /// Ceiling on BDD nodes the whole flow may allocate (`None` = no
     /// ceiling).  Any limit arms the shared [`Budget`] and with it the
@@ -100,7 +89,6 @@ impl Default for FlowOptions {
             solver: SolverConfig::default(),
             estimate_area: true,
             max_states: 1_000_000,
-            logic: LogicStrategy::default(),
             initial_code: 0,
             strategy: SolverStrategy::default(),
             node_budget: None,
@@ -244,43 +232,34 @@ pub struct FlowReport {
     pub transitions: usize,
     /// Signals of the input STG.
     pub signals: usize,
-    /// Reachable states of the input state graph (saturating at
-    /// `usize::MAX`; see [`FlowReport::states_f64`] for wide designs).
-    pub states: usize,
-    /// Reachable state count as a float — exact for explicit runs, the
-    /// symbolic engine's count when the explicit graph was never built.
+    /// Reachable states of the input STG — exact for explicit runs, the
+    /// symbolic engine's count when the explicit graph was never built, and
+    /// 0 on a partial report, which prints it as unknown.
     pub states_f64: f64,
-    /// CSC conflict pairs before solving (0 when the symbolic-first path
-    /// established that CSC already holds).
-    pub initial_conflicts: usize,
-    /// Whether CSC holds on the final state graph.
+    /// CSC conflict pairs before solving (0 when the symbolic analysis
+    /// established that CSC already holds, `None` on a partial report).
+    pub initial_conflicts: Option<usize>,
+    /// Whether CSC holds on the final state graph.  `false` on a partial
+    /// report means "not established", and the report prints it so.
     pub csc_satisfied: bool,
     /// Number of inserted state signals.
     pub inserted_signals: usize,
-    /// States of the final state graph (saturating at `usize::MAX`; see
-    /// [`FlowReport::final_states_f64`] for wide designs).
-    pub final_states: usize,
-    /// State count of the final state graph as a float — the encoded STG's
-    /// own count, which differs from [`FlowReport::states_f64`] once state
-    /// signals are inserted.
+    /// State count of the final state graph — the encoded STG's own count,
+    /// which differs from [`FlowReport::states_f64`] once state signals are
+    /// inserted (0 on a partial report, as for `states_f64`).
     pub final_states_f64: f64,
     /// Estimated area in literals (`None` when not requested).
     pub literals: Option<usize>,
     /// Product terms of the minimized covers (`None` when not requested).
     pub cubes: Option<usize>,
     /// BDD nodes the logic derivation allocated, not counting the shared
-    /// space's fixpoint (`None` when the explicit engine ran or no area was
-    /// requested).
+    /// space's fixpoint (`None` when no area was requested).
     pub logic_bdd_nodes: Option<usize>,
-    /// The engine that derived the logic.
-    pub logic_strategy: LogicStrategy,
     /// The CSC solver that resolved the conflicts (meaningful when
     /// [`FlowReport::inserted_signals`] is non-zero).
     pub solver_strategy: SolverStrategy,
     /// Typed implementability diagnostics (output persistency, CSC).
     pub logic_diagnostics: Vec<LogicDiagnostic>,
-    /// Whether the flow ran fully symbolically (no explicit state graph).
-    pub fully_symbolic: bool,
     /// The encoded STG the report describes: the symbolic solver's output,
     /// the input itself when CSC already held, or the STG the explicit
     /// engine re-synthesized.  `None` when the explicit engine's encoded
@@ -290,9 +269,9 @@ pub struct FlowReport {
     pub cpu_seconds: f64,
     /// Per-stage solver timings and candidate counters.
     pub stage: StageStats,
-    /// Evaluation threads the solver used.
-    pub jobs: usize,
-    /// The fallback-ladder rung the flow completed on.
+    /// The fallback-ladder rung the flow completed on;
+    /// [`FlowRung::Symbolic`] means the whole flow ran on BDDs, with no
+    /// explicit state graph.
     pub rung: FlowRung,
     /// Every ladder descent the run took, in order (empty for ungoverned
     /// runs that never degraded).
@@ -311,6 +290,7 @@ pub struct FlowReport {
 
 impl fmt::Display for FlowReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let partial = self.is_partial();
         writeln!(f, "model       : {}", self.name)?;
         writeln!(
             f,
@@ -318,25 +298,19 @@ impl fmt::Display for FlowReport {
             self.places,
             self.transitions,
             self.signals,
-            render_state_count(self.states, self.states_f64)
+            self.render_states(self.states_f64)
         )?;
-        writeln!(
-            f,
-            "conflicts   : {}",
-            if self.initial_conflicts == usize::MAX {
-                // Wide designs can have more conflicting codes than a usize
-                // holds (every independent-component configuration aliases).
-                "> 1.8e19 (saturated)".to_owned()
-            } else {
-                self.initial_conflicts.to_string()
-            }
-        )?;
+        writeln!(f, "conflicts   : {}", render_conflicts(self.initial_conflicts))?;
         writeln!(
             f,
             "encoding    : {} state signal(s) inserted, {} states, CSC {}",
             self.inserted_signals,
-            render_state_count(self.final_states, self.final_states_f64),
-            if self.csc_satisfied { "satisfied" } else { "NOT satisfied" }
+            self.render_states(self.final_states_f64),
+            match (self.csc_satisfied, partial) {
+                (true, _) => "satisfied",
+                (false, true) => "not established",
+                (false, false) => "NOT satisfied",
+            }
         )?;
         if let Some(literals) = self.literals {
             write!(f, "area        : {literals} literals")?;
@@ -348,15 +322,13 @@ impl fmt::Display for FlowReport {
         if self.inserted_signals > 0 {
             writeln!(f, "csc solver  : {} engine", self.solver_strategy)?;
         }
-        writeln!(
-            f,
-            "logic       : {} engine{}",
-            self.logic_strategy,
+        if !partial {
+            write!(f, "logic       : symbolic engine")?;
             match self.logic_bdd_nodes {
-                Some(nodes) => format!(", {nodes} bdd nodes"),
-                None => String::new(),
+                Some(nodes) => writeln!(f, ", {nodes} bdd nodes")?,
+                None => writeln!(f)?,
             }
-        )?;
+        }
         for diagnostic in &self.logic_diagnostics {
             writeln!(f, "  !! {diagnostic}")?;
         }
@@ -396,18 +368,40 @@ impl fmt::Display for FlowReport {
         for event in &self.degradations {
             writeln!(f, "  ~~ degraded {event}")?;
         }
-        writeln!(f, "solver      : {} (jobs={})", self.stage, self.jobs)?;
+        writeln!(f, "solver      : {}", self.stage)?;
         write!(f, "cpu         : {:.3} s", self.cpu_seconds)
     }
 }
 
-/// Renders a state count, falling back to scientific notation when the
-/// explicit counter saturated.
-fn render_state_count(count: usize, count_f64: f64) -> String {
-    if count == usize::MAX {
-        format!("{count_f64:.3e}")
-    } else {
-        count.to_string()
+impl FlowReport {
+    /// Whether the run ended on the diagnosis-only rung, which establishes
+    /// neither the state counts nor the CSC verdict.
+    fn is_partial(&self) -> bool {
+        self.rung == FlowRung::PartialReport
+    }
+
+    /// Renders one of the report's state counts: unknown on a partial
+    /// report, otherwise an integer, or scientific notation past
+    /// `usize::MAX` (wide designs reach 10²⁰ states and more).
+    fn render_states(&self, count: f64) -> String {
+        if self.is_partial() {
+            "unknown".to_owned()
+        } else if count >= usize::MAX as f64 {
+            format!("{count:.3e}")
+        } else {
+            format!("{count:.0}")
+        }
+    }
+}
+
+/// Renders the initial conflict count: unknown on a partial report, and
+/// saturated when wide designs have more conflicting codes than a usize
+/// holds (every independent-component configuration aliases).
+fn render_conflicts(conflicts: Option<usize>) -> String {
+    match conflicts {
+        None => "unknown".to_owned(),
+        Some(usize::MAX) => "> 1.8e19 (saturated)".to_owned(),
+        Some(n) => n.to_string(),
     }
 }
 
@@ -430,9 +424,7 @@ pub fn render_stage_table(report: &FlowReport) -> String {
     out.push_str(&format!("{:<22} {:>12}\n", "candidates pruned", stage.candidates_pruned));
     out.push_str(&format!("{:<22} {:>12}\n", "candidates verified", stage.candidates_verified));
     out.push_str(&format!("{:<22} {:>12}\n", "reachability fixpoints", report.fixpoints));
-    out.push_str(&format!("{:<22} {:>12}\n", "evaluation jobs", report.jobs));
     out.push_str(&format!("{:<22} {:>12}\n", "solver engine", report.solver_strategy.to_string()));
-    out.push_str(&format!("{:<22} {:>12}\n", "logic engine", report.logic_strategy.to_string()));
     out.push_str(&format!("{:<22} {:>12}\n", "flow rung", report.rung.to_string()));
     out.push_str(&format!("{:<22} {:>12}\n", "degradations", report.degradations.len()));
     if let Some(literals) = report.literals {
@@ -459,12 +451,12 @@ pub fn render_stage_table(report: &FlowReport) -> String {
 /// Runs the full flow (state graph → CSC resolution → logic derivation) on
 /// one STG.
 ///
-/// Under [`LogicStrategy::Symbolic`] the flow first attempts the fully
-/// symbolic pipeline (reachability, CSC check and cover extraction on BDDs,
-/// no explicit state graph); it falls back to the explicit solver exactly
-/// when that pipeline reports a CSC conflict that needs state signals — or
-/// cannot converge — so wide conflict-free designs never pay for explicit
-/// enumeration.
+/// The flow first runs the symbolic pipeline (reachability, CSC analysis,
+/// state-signal insertion and cover extraction on BDDs, no explicit state
+/// graph).  It routes to the explicit pipeline when the seed does not label
+/// the reachable markings consistently, when the symbolic solver reports a
+/// typed failure, or when [`SolverStrategy::Explicit`] is selected and a
+/// conflict needs state signals.
 ///
 /// # Resource governance
 ///
@@ -504,36 +496,33 @@ fn run_ladder(model: &Stg, options: &FlowOptions) -> Result<FlowReport, CscError
     let start = Instant::now();
     let (_, _, signals) = model.stats();
     let budget = options.budget();
-    // The last rung engages only for governed symbolic runs: ungoverned
-    // flows (and flows pinned to the explicit engine) keep their typed
-    // errors instead of degrading into a partial report.
-    let guarded = options.logic == LogicStrategy::Symbolic && budget.is_some();
+    // The last rung engages only for governed runs: ungoverned flows keep
+    // their typed errors instead of degrading into a partial report.
+    let guarded = budget.is_some();
     let mut degradations: Vec<DegradationEvent> = Vec::new();
     // CSC diagnosis captured on the way down, reported when the ladder ends
     // in a partial report.
     let mut diagnosis: Vec<LogicDiagnostic> = Vec::new();
 
-    if options.logic == LogicStrategy::Symbolic {
-        let reach = ReachabilityConfig { budget: budget.clone(), ..ReachabilityConfig::default() };
-        match symbolic_rung(model, options, &reach, start, &mut diagnosis) {
-            RungAttempt::Done(report) => return Ok(*report),
-            RungAttempt::Degrade(failure) => {
-                if options.no_fallback {
-                    return Err(failure.error);
-                }
-                degradations.push(degradation_event(
-                    &failure.stage,
-                    &failure.trigger,
-                    budget.as_ref(),
-                    start,
-                    FlowRung::Symbolic,
-                    FlowRung::Explicit,
-                ));
+    let reach = ReachabilityConfig { budget: budget.clone(), ..ReachabilityConfig::default() };
+    match symbolic_rung(model, options, &reach, start, &mut diagnosis) {
+        RungAttempt::Done(report) => return Ok(*report),
+        RungAttempt::Degrade(failure) => {
+            if options.no_fallback {
+                return Err(failure.error);
             }
-            // By-design routing (explicit solver selected, wrong seed, typed
-            // solver failure): not a degradation.
-            RungAttempt::Route => {}
+            degradations.push(degradation_event(
+                &failure.stage,
+                &failure.trigger,
+                budget.as_ref(),
+                start,
+                FlowRung::Symbolic,
+                FlowRung::Explicit,
+            ));
         }
+        // By-design routing (explicit solver selected, wrong seed, typed
+        // solver failure): not a degradation.
+        RungAttempt::Route => {}
     }
 
     // The explicit rung.  A governed run skips it — descending straight to
@@ -751,14 +740,9 @@ fn symbolic_report(
 ) -> FlowReport {
     let (places, transitions, signals) = model.stats();
     let area = area_of_functions(&analysis.functions);
-    let final_states = saturating_usize(analysis.markings);
-    let (states, states_f64, initial_conflicts) = match solution {
-        Some(solution) => (
-            solution.stats.initial_states,
-            solution.initial_states_f64,
-            solution.stats.initial_conflicts,
-        ),
-        None => (final_states, analysis.markings, 0),
+    let (states_f64, initial_conflicts) = match solution {
+        Some(solution) => (solution.initial_states_f64, solution.stats.initial_conflicts),
+        None => (analysis.markings, 0),
     };
     let encoded: &Stg = solution.map_or(model, |s| &s.stg);
     let mut netlist = if options.estimate_area {
@@ -774,30 +758,25 @@ fn symbolic_report(
         places,
         transitions,
         signals,
-        states,
         states_f64,
-        initial_conflicts,
+        initial_conflicts: Some(initial_conflicts),
         csc_satisfied: true,
         inserted_signals: solution.map_or(0, |s| s.inserted_signals.len()),
-        final_states,
         final_states_f64: analysis.markings,
         literals: options.estimate_area.then_some(area.total_literals),
         cubes: options.estimate_area.then_some(area.total_cubes),
         logic_bdd_nodes: options.estimate_area.then_some(area.bdd_nodes),
-        logic_strategy: LogicStrategy::Symbolic,
         solver_strategy: if solution.is_some() {
             SolverStrategy::Symbolic
         } else {
             options.strategy
         },
         logic_diagnostics: analysis.diagnostics.clone(),
-        fully_symbolic: true,
         // The solver's output (or the input itself) *is* an STG — the
         // hand-back the paper asks for.
         encoded: Some(encoded.clone()),
         cpu_seconds: start.elapsed().as_secs_f64(),
         stage: solution.map_or_else(StageStats::default, |s| s.stats.stage),
-        jobs: solution.map_or_else(|| options.solver.effective_jobs(), |s| s.stats.jobs),
         rung: FlowRung::Symbolic,
         degradations: Vec::new(),
         netlist,
@@ -806,8 +785,8 @@ fn symbolic_report(
 }
 
 /// The explicit pipeline: state graph, conflict detection, region-based
-/// solving and logic estimation — rung 3 of the ladder and the pinned path
-/// under [`LogicStrategy::Explicit`].
+/// solving and logic estimation — the second rung of the ladder and the
+/// route for the cases [`run_flow`] lists.
 fn explicit_pipeline(
     model: &Stg,
     options: &FlowOptions,
@@ -830,7 +809,7 @@ fn explicit_pipeline(
     let mut logic_diagnostics = logic::output_persistency_violations(&solution.graph);
     let mut netlist = None;
     let (literals, cubes, logic_bdd_nodes) = if options.estimate_area {
-        match logic::derive_next_state_functions_with(&solution.graph, options.logic) {
+        match logic::derive_next_state_functions(&solution.graph) {
             Ok(functions) => {
                 let area = area_of_functions(&functions);
                 let signals: Vec<(String, bool)> = solution
@@ -859,11 +838,7 @@ fn explicit_pipeline(
                         }
                     }
                 }
-                (
-                    Some(area.total_literals),
-                    Some(area.total_cubes),
-                    (options.logic == LogicStrategy::Symbolic).then_some(area.bdd_nodes),
-                )
+                (Some(area.total_literals), Some(area.total_cubes), Some(area.bdd_nodes))
             }
             Err(error) => {
                 logic_diagnostics.push(LogicDiagnostic::from(&error));
@@ -879,24 +854,19 @@ fn explicit_pipeline(
         places,
         transitions,
         signals,
-        states: sg.num_states(),
         states_f64: sg.num_states() as f64,
-        initial_conflicts,
+        initial_conflicts: Some(initial_conflicts),
         csc_satisfied: solution.graph.complete_state_coding_holds(),
         inserted_signals: solution.inserted_signals.len(),
-        final_states: solution.graph.num_states(),
         final_states_f64: solution.graph.num_states() as f64,
         literals,
         cubes,
         logic_bdd_nodes,
-        logic_strategy: options.logic,
         solver_strategy: SolverStrategy::Explicit,
         logic_diagnostics,
-        fully_symbolic: false,
         encoded: solution.stg,
         cpu_seconds: start.elapsed().as_secs_f64(),
         stage: solution.stats.stage,
-        jobs: solution.stats.jobs,
         rung: FlowRung::Explicit,
         degradations: Vec::new(),
         netlist,
@@ -918,24 +888,19 @@ fn partial_report(
         places,
         transitions,
         signals,
-        states: 0,
         states_f64: 0.0,
-        initial_conflicts: 0,
+        initial_conflicts: None,
         csc_satisfied: false,
         inserted_signals: 0,
-        final_states: 0,
         final_states_f64: 0.0,
         literals: None,
         cubes: None,
         logic_bdd_nodes: None,
-        logic_strategy: options.logic,
         solver_strategy: options.strategy,
         logic_diagnostics: diagnosis,
-        fully_symbolic: false,
         encoded: None,
         cpu_seconds: start.elapsed().as_secs_f64(),
         stage: StageStats::default(),
-        jobs: options.solver.effective_jobs(),
         rung: FlowRung::PartialReport,
         degradations,
         netlist: None,
@@ -970,14 +935,6 @@ fn deadline_passed(budget: Option<&Budget>) -> bool {
     })
 }
 
-fn saturating_usize(count: f64) -> usize {
-    if count >= usize::MAX as f64 {
-        usize::MAX
-    } else {
-        count.round() as usize
-    }
-}
-
 /// Renders a collection of reports as an aligned text table (one row per
 /// model), in the spirit of Table 2 of the paper.
 pub fn render_table(reports: &[FlowReport]) -> String {
@@ -990,13 +947,17 @@ pub fn render_table(reports: &[FlowReport]) -> String {
         out.push_str(&format!(
             "{:<18} {:>10} {:>10} {:>8} {:>8} {:>7} {:>9.3} {:>8}\n",
             r.name,
-            render_state_count(r.states, r.states_f64),
-            r.initial_conflicts,
+            r.render_states(r.states_f64),
+            render_conflicts(r.initial_conflicts),
             r.inserted_signals,
             r.literals.map_or_else(|| "-".to_owned(), |l| l.to_string()),
             r.cubes.map_or_else(|| "-".to_owned(), |c| c.to_string()),
             r.cpu_seconds,
-            if r.csc_satisfied { "yes" } else { "no" }
+            match (r.csc_satisfied, r.is_partial()) {
+                (true, _) => "yes",
+                (false, true) => "unknown",
+                (false, false) => "no",
+            }
         ));
     }
     out
@@ -1014,8 +975,9 @@ mod tests {
         assert!(report.literals.unwrap() > 0);
         assert!(report.cubes.unwrap() > 0);
         assert_eq!(report.signals, 5);
-        assert!(
-            report.fully_symbolic,
+        assert_eq!(
+            report.rung,
+            FlowRung::Symbolic,
             "vme_read's conflict is now resolved by the symbolic solver: no explicit graph"
         );
         assert_eq!(report.solver_strategy, csc::SolverStrategy::Symbolic);
@@ -1033,7 +995,7 @@ mod tests {
             FlowOptions { strategy: csc::SolverStrategy::Explicit, ..FlowOptions::default() };
         let report = run_flow(&stg::benchmarks::vme_read(), &options).unwrap();
         assert!(report.csc_satisfied);
-        assert!(!report.fully_symbolic, "the explicit strategy builds the state graph");
+        assert_eq!(report.rung, FlowRung::Explicit, "the explicit strategy builds the state graph");
         assert_eq!(report.solver_strategy, csc::SolverStrategy::Explicit);
         assert!(report.inserted_signals >= 1);
     }
@@ -1042,18 +1004,11 @@ mod tests {
     fn conflict_free_models_stay_fully_symbolic() {
         let report =
             run_flow(&stg::benchmarks::parallel_handshakes(3), &FlowOptions::default()).unwrap();
-        assert!(report.fully_symbolic);
+        assert_eq!(report.rung, FlowRung::Symbolic);
         assert!(report.csc_satisfied);
         assert_eq!(report.inserted_signals, 0);
-        assert_eq!(report.states, 64, "4^3 states");
+        assert_eq!(report.states_f64, 64.0, "4^3 states");
         assert_eq!(report.literals.unwrap(), 3, "each ack follows its req");
-        let explicit = run_flow(
-            &stg::benchmarks::parallel_handshakes(3),
-            &FlowOptions { logic: LogicStrategy::Explicit, ..FlowOptions::default() },
-        )
-        .unwrap();
-        assert!(!explicit.fully_symbolic);
-        assert_eq!(explicit.literals.unwrap(), report.literals.unwrap());
     }
 
     #[test]
@@ -1062,7 +1017,7 @@ mod tests {
         // for the symbolic one.
         let report =
             run_flow(&stg::benchmarks::parallel_handshakes(35), &FlowOptions::default()).unwrap();
-        assert!(report.fully_symbolic);
+        assert_eq!(report.rung, FlowRung::Symbolic);
         assert!(report.csc_satisfied);
         assert_eq!(report.signals, 70);
         assert_eq!(report.literals.unwrap(), 35);
@@ -1103,7 +1058,7 @@ mod tests {
         let model = bld.build().unwrap();
 
         let report = run_flow(&model, &FlowOptions::default()).unwrap();
-        assert!(report.fully_symbolic);
+        assert_eq!(report.rung, FlowRung::Symbolic);
         assert!(report.csc_satisfied);
         assert_eq!(report.logic_diagnostics.len(), 2, "{:?}", report.logic_diagnostics);
         assert!(report
@@ -1124,15 +1079,13 @@ mod tests {
             csc::solve_stg(&stg::benchmarks::pulser(), &csc::SolverConfig::default()).unwrap();
         let encoded = solution.stg.expect("pulser re-synthesizes");
         let report = run_flow(&encoded, &FlowOptions::default()).unwrap();
-        assert!(!report.fully_symbolic, "a bad seed must not stay fully symbolic");
-        let explicit = run_flow(
-            &encoded,
-            &FlowOptions { logic: LogicStrategy::Explicit, ..FlowOptions::default() },
-        )
-        .unwrap();
-        assert_eq!(report.literals, explicit.literals);
-        assert_eq!(report.cubes, explicit.cubes);
-        assert_eq!(report.states, explicit.states);
+        assert_eq!(report.rung, FlowRung::Explicit, "a bad seed must not stay symbolic");
+        // The report describes the encoded STG's whole explicit state graph.
+        let sg = encoded.state_graph(10_000).unwrap();
+        let area = logic::estimate_area(&EncodedGraph::from_state_graph(&sg)).unwrap();
+        assert_eq!(report.literals, Some(area.total_literals));
+        assert_eq!(report.cubes, Some(area.total_cubes));
+        assert_eq!(report.states_f64, sg.num_states() as f64);
     }
 
     #[test]
@@ -1150,12 +1103,10 @@ mod tests {
     #[test]
     fn saturated_reports_print_each_stg_its_own_state_count() {
         // wide_conflict32's counts (6·4^32 input states, 8·4^32 once one
-        // state signal is inserted) saturate the usize fields; each line
-        // must fall back to its own float count.
+        // state signal is inserted) are past usize::MAX; each line must
+        // render its own count in scientific notation.
         let mut report = run_flow(&stg::benchmarks::pulser(), &FlowOptions::default()).unwrap();
-        report.states = usize::MAX;
         report.states_f64 = 6.0 * 4f64.powi(32);
-        report.final_states = usize::MAX;
         report.final_states_f64 = 8.0 * 4f64.powi(32);
         let text = report.to_string();
         assert!(text.contains("signals, 1.107e20 states"), "{text}");
@@ -1170,26 +1121,23 @@ mod tests {
 
     #[test]
     fn reports_carry_solver_stage_stats() {
-        let mut options = FlowOptions::default();
-        options.solver.jobs = 2;
-        options.strategy = csc::SolverStrategy::Explicit;
+        let options =
+            FlowOptions { strategy: csc::SolverStrategy::Explicit, ..FlowOptions::default() };
         let report = run_flow(&stg::benchmarks::pulser(), &options).unwrap();
-        assert_eq!(report.jobs, 2);
         assert!(report.stage.candidates_evaluated > 0);
         let text = report.to_string();
-        assert!(text.contains("solver      :") && text.contains("jobs=2"));
+        assert!(text.contains("solver      : conflict"), "{text}");
         let table = render_stage_table(&report);
         assert!(table.contains("block search"));
         assert!(table.contains("candidates evaluated"));
         assert!(table.contains("solver engine"));
-        assert!(table.contains("logic engine"));
         assert!(table.contains("logic literals"));
         assert!(table.contains("logic bdd nodes"));
         assert!(table.lines().count() >= 10);
 
         // The symbolic solver fills the same stage counters.
         let symbolic = run_flow(&stg::benchmarks::pulser(), &FlowOptions::default()).unwrap();
-        assert!(symbolic.fully_symbolic);
+        assert_eq!(symbolic.rung, FlowRung::Symbolic);
         assert!(symbolic.stage.candidates_evaluated > 0);
         assert!(render_stage_table(&symbolic).contains("solver engine"));
     }
@@ -1208,7 +1156,6 @@ mod tests {
         assert_eq!(report.rung, FlowRung::Explicit);
         assert!(report.csc_satisfied);
         assert!(report.inserted_signals >= 1);
-        assert!(!report.fully_symbolic);
         assert_eq!(trail(&report), vec![(FlowRung::Symbolic, FlowRung::Explicit)]);
         assert_eq!(report.degradations[0].stage, "reachability");
         assert!(
@@ -1248,6 +1195,15 @@ mod tests {
             assert!(window[0].to <= window[1].from);
         }
         assert!(render_stage_table(&report).contains("partial-report"));
+        // The report states only what the run established: no state count,
+        // no conflict count, no CSC verdict and no logic.
+        assert_eq!(report.initial_conflicts, None);
+        let text = report.to_string();
+        assert!(text.contains("unknown states, CSC not established"), "{text}");
+        assert!(text.contains("conflicts   : unknown"), "{text}");
+        for wrong in ["0 states", "conflicts   : 0", "NOT satisfied", "logic       :"] {
+            assert!(!text.contains(wrong), "{wrong:?} in {text}");
+        }
     }
 
     #[test]

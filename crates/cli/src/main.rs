@@ -4,9 +4,7 @@
 //! rsynth --benchmark vme_read              # run a built-in benchmark
 //! rsynth path/to/model.g                   # read an STG in .g format
 //! rsynth --benchmark seq8 --baseline       # excitation-region baseline
-//! rsynth --benchmark counter4 --jobs 4     # parallel candidate evaluation
-//! rsynth --benchmark par_hs40 --logic symbolic  # >64 signals, no explicit graph
-//! rsynth --benchmark seq8 --logic explicit # force the per-state logic engine
+//! rsynth --benchmark par_hs40              # >64 signals, no explicit graph
 //! rsynth --benchmark wide_conflict32 --solver symbolic  # conflicted, 66 signals
 //! rsynth --benchmark vme_read --solver explicit  # force the state-graph solver
 //! rsynth --benchmark wide_conflict32 --node-budget 200000 --timeout-ms 5000
@@ -34,16 +32,9 @@ solver:
   --baseline                excitation-region candidates only (the
                             ASSASSIN-style Table 2 baseline, explicit)
   --fw <n>                  frontier width of the block search (default 4)
-  --jobs <n>                candidate-evaluation threads for the explicit
-                            solver (0 = auto, 1 = sequential; the result is
-                            identical for every value)
   --enlarge                 greedily enlarge inserted-signal concurrency
 
 logic:
-  --logic symbolic|explicit next-state function derivation: interval-ISOP
-                            on BDDs (default) or the per-state engine
-                            (explicit implies the explicit pipeline end to
-                            end and cannot combine with --solver symbolic)
   --no-area                 skip the logic derivation / area estimate
 
 resources:
@@ -120,8 +111,6 @@ fn main() -> ExitCode {
     let mut options = FlowOptions::default();
     let mut write_g: Option<String> = None;
     let mut emit: Option<EmitFormat> = None;
-    let mut explicit_logic = false;
-    let mut symbolic_solver = false;
     let mut index = 0;
     while index < args.len() {
         match args[index].as_str() {
@@ -157,37 +146,10 @@ fn main() -> ExitCode {
                     }
                 }
             }
-            "--jobs" => {
-                index += 1;
-                match args.get(index).and_then(|v| v.parse().ok()) {
-                    Some(jobs) => options.solver.jobs = jobs,
-                    None => {
-                        eprintln!("--jobs needs an integer (0 = auto, 1 = sequential)");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--logic" => {
-                index += 1;
-                match args.get(index).map(String::as_str) {
-                    Some("symbolic") => options.logic = logic::LogicStrategy::Symbolic,
-                    Some("explicit") => {
-                        options.logic = logic::LogicStrategy::Explicit;
-                        explicit_logic = true;
-                    }
-                    _ => {
-                        eprintln!("--logic needs 'symbolic' or 'explicit'");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
             "--solver" => {
                 index += 1;
                 match args.get(index).map(String::as_str) {
-                    Some("symbolic") => {
-                        options.strategy = csc::SolverStrategy::Symbolic;
-                        symbolic_solver = true;
-                    }
+                    Some("symbolic") => options.strategy = csc::SolverStrategy::Symbolic,
                     Some("explicit") => options.strategy = csc::SolverStrategy::Explicit,
                     _ => {
                         eprintln!("--solver needs 'symbolic' or 'explicit'");
@@ -244,14 +206,6 @@ fn main() -> ExitCode {
             }
         }
         index += 1;
-    }
-
-    if explicit_logic && symbolic_solver {
-        eprintln!(
-            "--solver symbolic rides on the symbolic analysis and cannot be combined with \
-             --logic explicit (the explicit logic engine implies the explicit pipeline)"
-        );
-        return ExitCode::FAILURE;
     }
 
     let model = match (&input_path, &benchmark) {

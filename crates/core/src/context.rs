@@ -9,7 +9,7 @@
 //!             ┌────────────────────────────────────────────────────┐
 //!             │                  SolverContext                     │
 //!  StateGraph │ conflicts ─► search ─► partition ─► insert ──┐     │ CscSolution
-//!  ─────────► │     ▲        (jobs‖)                         │     │ ──────────►
+//!  ─────────► │     ▲                                        │     │ ──────────►
 //!             │     └──────────── incremental refresh ◄──────┘     │
 //!             └────────────────────────────────────────────────────┘
 //! ```
@@ -20,10 +20,8 @@
 //!   (or that the insertion split) are re-bucketed — see
 //!   [`crate::conflicts::refresh_conflicts_after_insertion`] for the
 //!   invariant that makes this exact.
-//! * **search** — brick generation plus the Fig. 4 frontier search;
-//!   candidate blocks are scored on [`SolverConfig::jobs`] scoped threads
-//!   with a deterministic gather/evaluate/reduce split, so the chosen block
-//!   is identical for every thread count.
+//! * **search** — brick generation plus the Fig. 4 frontier search, which
+//!   scores each grown block as it is gathered.
 //! * **partition** — I-partition extraction and optional concurrency
 //!   enlargement.
 //! * **insert** — state-signal insertion with ancestry tracing
@@ -102,7 +100,6 @@ impl SolverContext {
         let mut stats = SolveStats {
             initial_states: graph.num_states(),
             initial_conflicts: conflicts.len(),
-            jobs: config.effective_jobs(),
             ..SolveStats::default()
         };
         stats.stage.conflict_ms += ms_since(conflict_start);
@@ -175,8 +172,6 @@ impl SolverContext {
                 remaining_conflicts: self.conflicts.len(),
             });
         }
-        let jobs = self.stats.jobs;
-
         // Stage: search (brick generation + Fig. 4 frontier search).
         let stage_start = Instant::now();
         let brick_set = match self.config.candidate_source {
@@ -196,7 +191,6 @@ impl SolverContext {
             &self.conflicts,
             &brick_set,
             self.config.frontier_width,
-            jobs,
             &mut search_stats,
         )
         .ok_or(CscError::NoCandidate { remaining_conflicts: self.conflicts.len() })?;
@@ -374,27 +368,5 @@ mod tests {
         assert_eq!(context.stats().iterations, 0);
         let solution = context.finish();
         assert!(solution.inserted_signals.is_empty());
-    }
-
-    #[test]
-    fn parallel_steps_produce_identical_graphs() {
-        for model in [benchmarks::pulser(), benchmarks::sequencer(4), benchmarks::counter(2)] {
-            let sg = model.state_graph(200_000).unwrap();
-            let sequential =
-                crate::solve_state_graph(&sg, &SolverConfig { jobs: 1, ..SolverConfig::default() })
-                    .unwrap();
-            let parallel =
-                crate::solve_state_graph(&sg, &SolverConfig { jobs: 4, ..SolverConfig::default() })
-                    .unwrap();
-            assert_eq!(sequential.inserted_signals, parallel.inserted_signals, "{}", model.name());
-            assert_eq!(sequential.graph.codes, parallel.graph.codes, "{}", model.name());
-            assert_eq!(
-                sequential.graph.ts.transitions(),
-                parallel.graph.ts.transitions(),
-                "{}",
-                model.name()
-            );
-            assert_eq!(parallel.stats.jobs, 4, "{}", model.name());
-        }
     }
 }

@@ -32,11 +32,9 @@
 //! as the code → states index), maintains the conflict list *incrementally*
 //! after each insertion — only states descending from shared or split codes
 //! are re-bucketed, never the whole graph; see
-//! [`conflicts::refresh_conflicts_after_insertion`] for the invariant — and
-//! evaluates candidate blocks on [`SolverConfig::jobs`] threads with a
-//! deterministic reduction, so the solution is byte-identical for every
-//! thread count.  Per-stage wall-clock times and candidate counters are
-//! reported in [`SolveStats::stage`].
+//! [`conflicts::refresh_conflicts_after_insertion`] for the invariant.
+//! Per-stage wall-clock times and candidate counters are reported in
+//! [`SolveStats::stage`].
 //!
 //! An excitation-region-only baseline in the style of ASSASSIN
 //! ([`SolverConfig::candidate_source`]) is provided for the Table 2

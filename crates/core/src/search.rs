@@ -13,13 +13,9 @@
 //!    signal's excitation regions) is minimised,
 //! 4. ties are broken towards balanced partitions.
 //!
-//! Candidate evaluation is embarrassingly parallel: each round first
-//! *gathers* the deduplicated candidate sets (sequentially, so the dedup
-//! order is fixed), then scores them on `jobs` scoped threads in input
-//! order, then *reduces* sequentially.  Because the scored vector preserves
-//! input order and every sort is stable, the chosen block is byte-identical
-//! to the one the sequential path picks — the property-test suite asserts
-//! this across the benchmark suite and randomized STGs.
+//! Each growth round scores every grown block as it is gathered, in
+//! frontier × adjacent-brick order, and every sort is stable, so the chosen
+//! block is a deterministic function of the graph and the brick list.
 
 use crate::conflicts::CscConflict;
 use crate::partition::IPartition;
@@ -307,38 +303,6 @@ pub struct SearchStats {
     pub pruned: usize,
 }
 
-/// Scores `blocks` in input order, fanning the work out over `jobs` scoped
-/// threads when it is worth it.
-///
-/// The output vector is index-aligned with the input regardless of `jobs`,
-/// so every downstream (stable) sort and reduction sees the exact sequence
-/// the sequential path produces — parallelism never changes the selected
-/// block.
-fn evaluate_blocks(
-    graph: &EncodedGraph,
-    conflicts: &[CscConflict],
-    blocks: &[&StateSet],
-    jobs: usize,
-) -> Vec<BlockCandidate> {
-    // Below this many candidates the spawn overhead dominates any win.
-    const MIN_PARALLEL: usize = 16;
-    if jobs <= 1 || blocks.len() < MIN_PARALLEL.max(2 * jobs) {
-        return blocks.iter().map(|b| evaluate_block(graph, conflicts, b)).collect();
-    }
-    let mut results: Vec<Option<BlockCandidate>> = (0..blocks.len()).map(|_| None).collect();
-    let chunk = blocks.len().div_ceil(jobs);
-    std::thread::scope(|scope| {
-        for (block_chunk, result_chunk) in blocks.chunks(chunk).zip(results.chunks_mut(chunk)) {
-            scope.spawn(move || {
-                for (block, slot) in block_chunk.iter().zip(result_chunk.iter_mut()) {
-                    *slot = Some(evaluate_block(graph, conflicts, block));
-                }
-            });
-        }
-    });
-    results.into_iter().map(|c| c.expect("every chunk was evaluated")).collect()
-}
-
 /// Runs the frontier search of Fig. 4 and returns the best block found, or
 /// `None` if no candidate solves at least one conflict with a valid,
 /// speed-independence-preserving insertion.
@@ -350,22 +314,15 @@ pub fn find_best_block(
     bricks: &[Brick],
     frontier_width: usize,
 ) -> Option<BlockCandidate> {
-    find_best_block_with(graph, conflicts, bricks, frontier_width, 1, &mut SearchStats::default())
+    find_best_block_with(graph, conflicts, bricks, frontier_width, &mut SearchStats::default())
 }
 
-/// Runs the frontier search of Fig. 4 with `jobs` evaluation threads,
-/// accumulating candidate counters into `stats`.
-///
-/// Every round gathers its deduplicated candidate sets sequentially,
-/// evaluates them in input order (fanning out over `jobs` scoped threads),
-/// and reduces sequentially, so the returned block is identical for every
-/// `jobs` value.
+/// [`find_best_block`], accumulating candidate counters into `stats`.
 pub fn find_best_block_with(
     graph: &EncodedGraph,
     conflicts: &[CscConflict],
     bricks: &[Brick],
     frontier_width: usize,
-    jobs: usize,
     stats: &mut SearchStats,
 ) -> Option<BlockCandidate> {
     if conflicts.is_empty() || bricks.is_empty() {
@@ -384,7 +341,8 @@ pub fn find_best_block_with(
         .map(|b| &b.states)
         .collect();
     stats.evaluated += seeds.len();
-    let mut scored = evaluate_blocks(graph, conflicts, &seeds, jobs);
+    let mut scored: Vec<BlockCandidate> =
+        seeds.iter().map(|b| evaluate_block(graph, conflicts, b)).collect();
     scored.sort_by_key(|a| a.cost);
 
     let mut good_blocks: Vec<BlockCandidate> = scored.clone();
@@ -397,47 +355,16 @@ pub fn find_best_block_with(
     // larger blocks, so termination is guaranteed anyway.
     for _ in 0..graph.num_states() {
         let mut new_frontier: Vec<BlockCandidate> = Vec::new();
-        if jobs <= 1 {
-            // Sequential path: evaluate each grown block as it is gathered,
-            // never materialising the round's candidate sets.
-            for bl in &frontier {
-                for br in adjacent_bricks(&graph.ts, &bl.states, bricks) {
-                    let grown = bl.states.union(&br.states);
-                    if grown.len() == graph.num_states() || !seen.insert(&grown) {
-                        stats.pruned += 1;
-                        continue;
-                    }
-                    stats.evaluated += 1;
-                    let candidate = evaluate_block(graph, conflicts, &grown);
-                    if candidate.cost < bl.cost {
-                        good_blocks.push(candidate.clone());
-                        new_frontier.push(candidate);
-                    }
+        for bl in &frontier {
+            for br in adjacent_bricks(&graph.ts, &bl.states, bricks) {
+                let grown = bl.states.union(&br.states);
+                if grown.len() == graph.num_states() || !seen.insert(&grown) {
+                    stats.pruned += 1;
+                    continue;
                 }
-            }
-        } else {
-            // Gather phase: deduplicate the grown blocks of this round in
-            // the same frontier × adjacent-brick order the sequential path
-            // visits, so the dedup decisions are identical.
-            let mut grown_blocks: Vec<(usize, StateSet)> = Vec::new();
-            for (parent, bl) in frontier.iter().enumerate() {
-                for br in adjacent_bricks(&graph.ts, &bl.states, bricks) {
-                    let grown = bl.states.union(&br.states);
-                    if grown.len() == graph.num_states() || !seen.insert(&grown) {
-                        stats.pruned += 1;
-                        continue;
-                    }
-                    grown_blocks.push((parent, grown));
-                }
-            }
-            // Evaluate phase: parallel, order-preserving.
-            let (parents, sets): (Vec<usize>, Vec<StateSet>) = grown_blocks.into_iter().unzip();
-            let set_refs: Vec<&StateSet> = sets.iter().collect();
-            stats.evaluated += set_refs.len();
-            let evaluated = evaluate_blocks(graph, conflicts, &set_refs, jobs);
-            // Reduce phase: sequential, same accept test as the scalar loop.
-            for (parent, candidate) in parents.into_iter().zip(evaluated) {
-                if candidate.cost < frontier[parent].cost {
+                stats.evaluated += 1;
+                let candidate = evaluate_block(graph, conflicts, &grown);
+                if candidate.cost < bl.cost {
                     good_blocks.push(candidate.clone());
                     new_frontier.push(candidate);
                 }
@@ -452,8 +379,7 @@ pub fn find_best_block_with(
     }
 
     // Greedy merging of good (possibly disconnected) blocks, guided by the
-    // cost function.  This is a short dependent chain (each merge feeds the
-    // next), so it stays sequential for every `jobs` value.
+    // cost function.
     good_blocks.sort_by_key(|a| a.cost);
     let mut best = good_blocks.first()?.clone();
     for other in good_blocks.iter().skip(1).take(32) {

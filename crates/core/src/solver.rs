@@ -13,9 +13,8 @@
 //! The iteration itself lives in [`crate::SolverContext`] (see
 //! [`crate::context`]): a staged pipeline that owns the conflict scratch
 //! and candidate arenas across iterations, maintains the conflict list
-//! incrementally after each insertion, and evaluates candidate blocks on
-//! [`SolverConfig::jobs`] threads.  [`solve_state_graph`] is a thin loop
-//! over that context.
+//! incrementally after each insertion, and scores candidate blocks one
+//! after another.  [`solve_state_graph`] is a thin loop over that context.
 
 use crate::context::SolverContext;
 use crate::graph::EncodedGraph;
@@ -52,11 +51,6 @@ pub struct SolverConfig {
     pub resynthesize: bool,
     /// Name prefix of inserted signals (`csc` gives `csc0`, `csc1`, …).
     pub signal_prefix: String,
-    /// Worker threads for candidate-block evaluation: `1` is fully
-    /// sequential, `0` uses the machine's available parallelism.  The
-    /// selected block — and therefore the whole solution — is identical for
-    /// every value (deterministic reduction).
-    pub jobs: usize,
     /// Optional resource governor.  The explicit pipeline allocates no BDD
     /// nodes, so only the wall-clock deadline and cooperative cancellation
     /// are honoured (checked between solver stages); node and step
@@ -76,7 +70,6 @@ impl Default for SolverConfig {
             region_config: RegionConfig::default(),
             resynthesize: true,
             signal_prefix: "csc".to_owned(),
-            jobs: 1,
             budget: None,
         }
     }
@@ -87,15 +80,6 @@ impl SolverConfig {
     /// restricted to excitation-/switching-region candidates.
     pub fn excitation_region_baseline() -> Self {
         SolverConfig { candidate_source: CandidateSource::ExcitationRegions, ..Self::default() }
-    }
-
-    /// The number of evaluation threads this configuration resolves to
-    /// (`jobs == 0` means the machine's available parallelism).
-    pub fn effective_jobs(&self) -> usize {
-        match self.jobs {
-            0 => std::thread::available_parallelism().map(usize::from).unwrap_or(1),
-            n => n,
-        }
     }
 }
 
@@ -152,8 +136,6 @@ pub struct SolveStats {
     pub elapsed: Duration,
     /// Per-stage timing and candidate counters.
     pub stage: StageStats,
-    /// Evaluation threads the run actually used.
-    pub jobs: usize,
     /// Reachability fixpoints the run computed (0 for the explicit
     /// solver; for the symbolic one, one per candidate net it verified,
     /// plus one for the input's space when it built that itself).
@@ -392,17 +374,8 @@ mod tests {
         assert!(stage.candidates_evaluated > 0, "the search must score candidates");
         assert!(stage.search_ms >= 0.0 && stage.conflict_ms >= 0.0);
         assert!(stage.insert_ms > 0.0, "at least one signal was inserted");
-        assert_eq!(solution.stats.jobs, 1);
         let rendered = stage.to_string();
         assert!(rendered.contains("search") && rendered.contains("candidates evaluated"));
-    }
-
-    #[test]
-    fn effective_jobs_resolves_auto() {
-        let auto = SolverConfig { jobs: 0, ..SolverConfig::default() };
-        assert!(auto.effective_jobs() >= 1);
-        let four = SolverConfig { jobs: 4, ..SolverConfig::default() };
-        assert_eq!(four.effective_jobs(), 4);
     }
 
     #[test]

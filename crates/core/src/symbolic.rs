@@ -222,7 +222,7 @@ pub fn solve_space(
     let mut current = model.clone();
     let mut inserted: Vec<String> = Vec::new();
     let mut cores: Vec<ConflictCore> = Vec::new();
-    let mut stats = SolveStats { jobs: 1, ..SolveStats::default() };
+    let mut stats = SolveStats::default();
     let mut initial_states_f64 = 0.0;
     // The verified iteration of the accepted plan is carried into the next
     // round, so each insertion pays for exactly one encoded-reachability

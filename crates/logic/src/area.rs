@@ -1,9 +1,8 @@
 //! Area estimation and speed-independence (output persistency) checks,
 //! reported through typed diagnostics.
 
-use crate::nextstate::{
-    derive_next_state_functions_with, LogicError, LogicStrategy, NextStateFunctions,
-};
+use crate::nextstate::{LogicError, NextStateFunctions};
+use crate::symbolic::derive_next_state_functions;
 use csc::EncodedGraph;
 use std::fmt;
 use stg::SignalKind;
@@ -30,11 +29,8 @@ pub struct AreaReport {
     pub total_literals: usize,
     /// Sum of all product-term counts.
     pub total_cubes: usize,
-    /// The derivation engine the estimate came from.
-    pub strategy: LogicStrategy,
     /// BDD nodes the derivation allocated: the growth of the manager's
-    /// arena across it, so a shared space's fixpoint is not counted (0 for
-    /// the explicit engine).
+    /// arena across it, so a shared space's fixpoint is not counted.
     pub bdd_nodes: usize,
 }
 
@@ -97,28 +93,13 @@ impl From<&LogicError> for LogicDiagnostic {
 }
 
 /// Estimates the implementation area of a CSC-satisfying encoded graph as
-/// the total literal count of the minimized next-state functions, using the
-/// default (symbolic) strategy.
+/// the total literal count of the minimized next-state functions.
 ///
 /// # Errors
 ///
 /// Returns [`LogicError::CscViolation`] when the graph does not satisfy CSC.
 pub fn estimate_area(graph: &EncodedGraph) -> Result<AreaReport, LogicError> {
-    estimate_area_with(graph, LogicStrategy::default())
-}
-
-/// [`estimate_area`] with an explicit engine choice.
-///
-/// # Errors
-///
-/// Same as [`estimate_area`], plus [`LogicError::TooManySignals`] under
-/// [`LogicStrategy::Explicit`].
-pub fn estimate_area_with(
-    graph: &EncodedGraph,
-    strategy: LogicStrategy,
-) -> Result<AreaReport, LogicError> {
-    let functions = derive_next_state_functions_with(graph, strategy)?;
-    Ok(area_of_functions(&functions))
+    Ok(area_of_functions(&derive_next_state_functions(graph)?))
 }
 
 /// Folds derived functions into an [`AreaReport`] (shared by the graph- and
@@ -131,13 +112,7 @@ pub fn area_of_functions(functions: &NextStateFunctions) -> AreaReport {
         .collect();
     let total_literals = signals.iter().map(|s| s.literals).sum();
     let total_cubes = signals.iter().map(|s| s.cubes).sum();
-    AreaReport {
-        signals,
-        total_literals,
-        total_cubes,
-        strategy: functions.strategy,
-        bdd_nodes: functions.bdd_nodes,
-    }
+    AreaReport { signals, total_literals, total_cubes, bdd_nodes: functions.bdd_nodes }
 }
 
 /// Returns one typed diagnostic per non-input signal that is not persistent
@@ -167,11 +142,11 @@ pub fn output_persistency_violations(graph: &EncodedGraph) -> Vec<LogicDiagnosti
 }
 
 /// All implementability diagnostics of an encoded graph: persistency
-/// violations plus the derivation outcome under `strategy`.  An empty
-/// result means the graph has hazard-free, well-defined logic.
-pub fn logic_diagnostics(graph: &EncodedGraph, strategy: LogicStrategy) -> Vec<LogicDiagnostic> {
+/// violations plus the derivation outcome.  An empty result means the graph
+/// has hazard-free, well-defined logic.
+pub fn logic_diagnostics(graph: &EncodedGraph) -> Vec<LogicDiagnostic> {
     let mut diagnostics = output_persistency_violations(graph);
-    if let Err(error) = derive_next_state_functions_with(graph, strategy) {
+    if let Err(error) = derive_next_state_functions(graph) {
         diagnostics.push(LogicDiagnostic::from(&error));
     }
     diagnostics
@@ -187,15 +162,12 @@ mod tests {
     fn handshake_area_is_minimal() {
         let graph =
             EncodedGraph::from_state_graph(&benchmarks::handshake().state_graph(100).unwrap());
-        for strategy in [LogicStrategy::Explicit, LogicStrategy::Symbolic] {
-            let report = estimate_area_with(&graph, strategy).unwrap();
-            assert_eq!(report.total_literals, 1);
-            assert_eq!(report.signals.len(), 1);
-            assert_eq!(report.signals[0].name, "ack");
-            assert_eq!(report.strategy, strategy);
-        }
+        let report = estimate_area(&graph).unwrap();
+        assert_eq!(report.total_literals, 1);
+        assert_eq!(report.signals.len(), 1);
+        assert_eq!(report.signals[0].name, "ack");
         assert!(output_persistency_violations(&graph).is_empty());
-        assert!(logic_diagnostics(&graph, LogicStrategy::default()).is_empty());
+        assert!(logic_diagnostics(&graph).is_empty());
     }
 
     #[test]
@@ -216,7 +188,7 @@ mod tests {
             EncodedGraph::from_state_graph(&benchmarks::vme_read().state_graph(10_000).unwrap());
         assert!(estimate_area(&graph).is_err());
         // The failure surfaces as a typed NotImplementable diagnostic.
-        let diagnostics = logic_diagnostics(&graph, LogicStrategy::default());
+        let diagnostics = logic_diagnostics(&graph);
         assert!(
             diagnostics.iter().any(|d| matches!(d, LogicDiagnostic::NotImplementable { .. })),
             "{diagnostics:?}"

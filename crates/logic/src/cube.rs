@@ -5,9 +5,8 @@
 //! words.  Covers with at most [`Cube::INLINE_VARS`] variables keep both
 //! planes inline (no heap allocation per cube); wider spaces spill to a
 //! boxed slice, so the representation has no upper limit on the variable
-//! count.  All the relational queries (`covers`, `intersects`,
-//! `contains_minterm`) are word-parallel bit operations rather than
-//! per-literal scans.
+//! count.  Minterm membership (`contains_minterm`) is a word-parallel bit
+//! operation rather than a per-literal scan.
 
 use std::fmt;
 
@@ -173,55 +172,6 @@ impl Cube {
             .all(|(w, (&care, &value))| (value ^ bits.get(w).copied().unwrap_or(0)) & care == 0)
     }
 
-    /// Returns `true` if every minterm of `other` is contained in `self`.
-    pub fn covers(&self, other: &Cube) -> bool {
-        debug_assert_eq!(self.num_vars, other.num_vars);
-        self.care
-            .words()
-            .iter()
-            .zip(self.value.words())
-            .zip(other.care.words().iter().zip(other.value.words()))
-            .all(|((&ac, &av), (&bc, &bv))| {
-                // Every variable `self` fixes must be fixed to the same
-                // phase in `other`.
-                ac & !bc == 0 && (av ^ bv) & ac == 0
-            })
-    }
-
-    /// Returns `true` if the two cubes share at least one minterm.
-    pub fn intersects(&self, other: &Cube) -> bool {
-        debug_assert_eq!(self.num_vars, other.num_vars);
-        self.care
-            .words()
-            .iter()
-            .zip(self.value.words())
-            .zip(other.care.words().iter().zip(other.value.words()))
-            .all(|((&ac, &av), (&bc, &bv))| ac & bc & (av ^ bv) == 0)
-    }
-
-    /// The variables on which the two cubes fix opposite phases — the
-    /// witnesses of their disjointness.  Used by the minimizer's conflict
-    /// index.
-    pub fn conflict_vars(&self, other: &Cube) -> Vec<usize> {
-        let mut vars = Vec::new();
-        for (w, ((&ac, &av), (&bc, &bv))) in self
-            .care
-            .words()
-            .iter()
-            .zip(self.value.words())
-            .zip(other.care.words().iter().zip(other.value.words()))
-            .enumerate()
-        {
-            let mut clash = ac & bc & (av ^ bv);
-            while clash != 0 {
-                let bit = clash.trailing_zeros() as usize;
-                vars.push(w * 64 + bit);
-                clash &= clash - 1;
-            }
-        }
-        vars
-    }
-
     /// Renders the cube in the usual `10-1` positional notation.
     pub fn to_pattern(&self) -> String {
         (0..self.num_vars())
@@ -308,11 +258,6 @@ impl Cover {
     pub fn contains_minterm_words(&self, bits: &[u64]) -> bool {
         self.cubes.iter().any(|c| c.contains_minterm_words(bits))
     }
-
-    /// Returns `true` if some cube of the cover intersects `cube`.
-    pub fn intersects_cube(&self, cube: &Cube) -> bool {
-        self.cubes.iter().any(|c| c.intersects(cube))
-    }
 }
 
 impl fmt::Debug for Cover {
@@ -343,28 +288,12 @@ mod tests {
     }
 
     #[test]
-    fn covering_and_intersection() {
-        let mut broad = Cube::universe(3);
-        broad.set_literal(0, Literal::One);
-        let narrow = Cube::minterm(3, 0b101);
-        assert!(broad.covers(&narrow));
-        assert!(!narrow.covers(&broad));
-        assert!(broad.intersects(&narrow));
-        let disjoint = Cube::minterm(3, 0b010);
-        assert!(!broad.intersects(&disjoint));
-        assert!(!broad.covers(&disjoint));
-        assert_eq!(broad.conflict_vars(&disjoint), vec![0]);
-        assert!(broad.conflict_vars(&narrow).is_empty());
-    }
-
-    #[test]
     fn cover_queries() {
         let cover: Cover = [Cube::minterm(3, 0b001), Cube::minterm(3, 0b110)].into_iter().collect();
         assert_eq!(cover.len(), 2);
         assert_eq!(cover.literal_count(), 6);
         assert!(cover.contains_minterm(0b001));
         assert!(!cover.contains_minterm(0b111));
-        assert!(cover.intersects_cube(&Cube::universe(3)));
         assert!(Cover::empty().is_empty());
         assert_eq!(Cover::empty().literal_count(), 0);
     }
@@ -415,17 +344,6 @@ mod tests {
         assert_eq!(m.literal(65), Literal::Zero);
         assert!(m.contains_minterm_words(&bits));
         assert!(!m.contains_minterm_words(&[u64::MAX, 0b11, 0]));
-
-        // Covering and intersection across the word boundary.
-        assert!(c.intersects(&m) == (c.conflict_vars(&m).is_empty()));
-        let mut relaxed = m.clone();
-        for var in 0..n {
-            if ![0, 63, 64, 127, 128, 199, 70].contains(&var) {
-                relaxed.set_literal(var, Literal::DontCare);
-            }
-        }
-        assert!(relaxed.covers(&m));
-        assert!(!m.covers(&relaxed));
     }
 
     #[test]

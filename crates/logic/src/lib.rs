@@ -3,30 +3,24 @@
 //! Once Complete State Coding holds, every non-input signal `a` has a
 //! well-defined *next-state function* over the signal values: in each
 //! reachable state the implementation must drive `a` to 1 exactly when `a`
-//! is rising or stably high.  This crate derives those functions from an
-//! encoded state graph, minimizes them with a compact two-level minimizer,
-//! and reports literal counts — the "area" metric used to compare the
-//! region-based CSC solver with the ASSASSIN-style baseline in Table 2 of
-//! the paper.
+//! is rising or stably high.  This crate derives those functions on BDDs,
+//! extracts minimized covers by interval ISOP, and reports literal counts —
+//! the "area" metric used to compare the region-based CSC solver with the
+//! ASSASSIN-style baseline in Table 2 of the paper.
 //!
 //! Contents:
 //!
 //! * [`Cube`] / [`Cover`] — word-array two-level representation with no
 //!   limit on the variable count (inline storage up to
 //!   [`Cube::INLINE_VARS`] variables),
-//! * [`minimize_cover`] — expand + irredundant minimization against an
-//!   OFF-set, driven by shared conflict/containment indexes,
-//! * [`NextStateFunctions`] — ON/OFF/don't-care extraction per non-input
-//!   signal ([`derive_next_state_functions`]), with the engine selectable
-//!   through [`LogicStrategy`]: the default *symbolic* engine builds ON/OFF
-//!   sets as BDDs and extracts covers by interval ISOP, the *explicit*
-//!   engine enumerates one minterm per state,
-//! * [`analyze_space`] — the fully symbolic pipeline on an STG's encoded
-//!   state space: seed guard, ON/OFF construction, cover extraction and the
+//! * [`NextStateFunctions`] — ON/OFF sets and minimized covers per
+//!   non-input signal, derived from an explicit encoded graph
+//!   ([`derive_next_state_functions`], the explicit solver's hand-off),
+//! * [`analyze_space`] — the same derivation on an STG's encoded state
+//!   space: seed guard, ON/OFF construction, cover extraction and the
 //!   persistency check all on BDDs, with no explicit state enumeration and
 //!   no 64-signal cap ([`analyze_stg_with`] builds the space first),
-//! * [`AreaReport`] — literal-count area estimates ([`estimate_area`] /
-//!   [`estimate_area_with`]),
+//! * [`AreaReport`] — literal-count area estimates ([`estimate_area`]),
 //! * typed implementability diagnostics ([`LogicDiagnostic`],
 //!   [`output_persistency_violations`], [`logic_diagnostics`]).
 //!
@@ -48,18 +42,15 @@
 
 mod area;
 mod cube;
-mod minimize;
 mod nextstate;
 mod symbolic;
 
 pub use area::{
-    area_of_functions, estimate_area, estimate_area_with, logic_diagnostics,
-    output_persistency_violations, AreaReport, LogicDiagnostic, SignalArea,
+    area_of_functions, estimate_area, logic_diagnostics, output_persistency_violations, AreaReport,
+    LogicDiagnostic, SignalArea,
 };
 pub use cube::{Cover, Cube, Literal};
-pub use minimize::minimize_cover;
-pub use nextstate::{
-    derive_next_state_functions, derive_next_state_functions_with, LogicError, LogicStrategy,
-    NextStateFunctions, SignalFunction,
+pub use nextstate::{LogicError, NextStateFunctions, SignalFunction};
+pub use symbolic::{
+    analyze_space, analyze_stg_with, derive_next_state_functions, SymbolicLogicReport,
 };
-pub use symbolic::{analyze_space, analyze_stg_with, SymbolicLogicReport};

@@ -6,11 +6,10 @@
 //! don't-care space — in particular every unreachable code — is absorbed
 //! without being represented:
 //!
-//! * [`derive_from_graph`] starts from an explicit [`EncodedGraph`] (the
-//!   object the CSC solver produces): each state contributes its code cube
-//!   to the buckets, and all minimization happens on the BDDs.  Compared to
-//!   the explicit engine this replaces the O(cubes² · vars) cover passes
-//!   with ISOP.
+//! * [`derive_next_state_functions`] starts from an explicit
+//!   [`EncodedGraph`] (the object the explicit CSC solver produces): each
+//!   state contributes its code cube to the buckets, and all minimization
+//!   happens on the BDDs.
 //! * [`analyze_space`] never enumerates states at all: the reachable set is
 //!   the encoded [`SymbolicStateSpace`] of the `stg` symbolic engine, the
 //!   per-signal excitation predicates are preset-marked cubes, and the
@@ -21,14 +20,11 @@
 //!
 //! An ISOP cover is irredundant but its cubes are not necessarily prime, so
 //! a cheap BDD-exact polish pass expands every cube against the OFF-set and
-//! drops cubes whose ON contribution is covered by the rest; this is what
-//! keeps the symbolic literal counts at or below the explicit engine's.
+//! drops cubes whose ON contribution is covered by the rest.
 
 use crate::area::LogicDiagnostic;
 use crate::cube::{Cover, Cube};
-use crate::nextstate::{
-    code_pattern, next_value_masks, LogicError, LogicStrategy, NextStateFunctions, SignalFunction,
-};
+use crate::nextstate::{code_pattern, LogicError, NextStateFunctions, SignalFunction};
 use bdd::{Bdd, BddManager, VarId};
 use csc::EncodedGraph;
 use stg::{
@@ -36,17 +32,21 @@ use stg::{
 };
 use ts::StateId;
 
-/// Derives the next-state functions of an encoded state graph on BDDs.
+/// Derives and minimizes the next-state function of every non-input signal
+/// of an encoded state graph.
 ///
-/// Semantically identical to the explicit engine; see the module docs for
-/// the differences in mechanism.
+/// The *next value* of signal `a` in state `s` is 1 exactly when `a` is
+/// rising in `s` or stable at 1 (i.e. not falling); the function maps the
+/// state's *code* to that value, which is well-defined precisely when CSC
+/// holds.
 ///
 /// # Errors
 ///
-/// [`LogicError::CscViolation`] when CSC does not hold.  (Codes of an
-/// [`EncodedGraph`] are 64-bit words, so the explicit 64-signal cap applies
-/// to this entry point by construction; [`analyze_space`] has no cap.)
-pub(crate) fn derive_from_graph(graph: &EncodedGraph) -> Result<NextStateFunctions, LogicError> {
+/// [`LogicError::CscViolation`] when two states with equal codes need
+/// different next values, and [`LogicError::TooManySignals`] past 64
+/// signals: codes of an [`EncodedGraph`] are 64-bit words
+/// ([`analyze_space`] has no cap).
+pub fn derive_next_state_functions(graph: &EncodedGraph) -> Result<NextStateFunctions, LogicError> {
     let num_signals = graph.num_signals();
     if num_signals > 64 {
         return Err(LogicError::TooManySignals { count: num_signals });
@@ -92,9 +92,35 @@ pub(crate) fn derive_from_graph(graph: &EncodedGraph) -> Result<NextStateFunctio
     Ok(NextStateFunctions {
         functions,
         num_variables: num_signals,
-        strategy: LogicStrategy::Symbolic,
         bdd_nodes: m.num_nodes() - nodes_before,
     })
+}
+
+/// The required next value of every signal in `state`, as (known-mask,
+/// value-mask) over the signal bits: a known bit means some enabled edge of
+/// that signal dictates the value, otherwise the signal holds its current
+/// value.
+fn next_value_masks(graph: &EncodedGraph, state: StateId) -> (u64, u64) {
+    let code = graph.codes[state.index()];
+    let mut known = 0u64;
+    let mut value = 0u64;
+    for &(event, _) in graph.ts.successors(state) {
+        if let Some((signal, polarity)) = graph.event_edges[event.index()] {
+            let bit = 1u64 << signal.index();
+            let next = match polarity {
+                Polarity::Rise => true,
+                Polarity::Fall => false,
+                Polarity::Toggle => code & bit == 0,
+            };
+            known |= bit;
+            if next {
+                value |= bit;
+            } else {
+                value &= !bit;
+            }
+        }
+    }
+    (known, value)
 }
 
 /// Everything the fully symbolic pipeline learns about an STG in one pass:
@@ -114,7 +140,7 @@ pub struct SymbolicLogicReport {
 }
 
 /// [`analyze_space`] on a freshly built encoded state space: reachability
-/// under `reach` (its budget, iteration cap and strategy), then the seed
+/// under `reach` (its budget and iteration cap), then the seed
 /// guard, the next-state functions and the output-persistency check.
 ///
 /// `initial_code` seeds the signal values of the initial marking (bit `i` =
@@ -259,12 +285,7 @@ pub fn analyze_space(
     m.check_budget()?;
     let bdd_nodes = space.manager().num_nodes() - nodes_before;
     Ok(SymbolicLogicReport {
-        functions: NextStateFunctions {
-            functions,
-            num_variables: num_signals,
-            strategy: LogicStrategy::Symbolic,
-            bdd_nodes,
-        },
+        functions: NextStateFunctions { functions, num_variables: num_signals, bdd_nodes },
         diagnostics,
         markings,
     })
@@ -505,7 +526,6 @@ fn cubes_to_cover(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::derive_next_state_functions_with;
     use stg::benchmarks;
 
     /// The functions of the symbolic STG pipeline, seeded with
@@ -530,7 +550,7 @@ mod tests {
     }
 
     #[test]
-    fn stg_engine_matches_graph_engines_on_csc_holding_models() {
+    fn stg_engine_matches_the_graph_derivation_on_csc_holding_models() {
         for model in [
             benchmarks::handshake(),
             benchmarks::parallel_handshakes(3),
@@ -538,31 +558,14 @@ mod tests {
         ] {
             let graph = graph_of(&model);
             let initial_code = graph.code(graph.ts.initial());
-            let explicit =
-                derive_next_state_functions_with(&graph, LogicStrategy::Explicit).unwrap();
-            let symbolic =
-                derive_next_state_functions_with(&graph, LogicStrategy::Symbolic).unwrap();
+            let from_graph = derive_next_state_functions(&graph).unwrap();
             let from_stg = functions_of(&model, initial_code).unwrap();
-            for (e, (s, g)) in explicit
-                .functions
-                .iter()
-                .zip(symbolic.functions.iter().zip(from_stg.functions.iter()))
-            {
-                assert_eq!(e.name, s.name, "{}", model.name());
-                assert_eq!(e.name, g.name, "{}", model.name());
-                let n = explicit.num_variables;
-                assert!(same_semantics(&e.on_set, &s.on_set, n), "{} {}", model.name(), e.name);
-                assert!(same_semantics(&e.off_set, &s.off_set, n), "{} {}", model.name(), e.name);
-                assert!(same_semantics(&e.on_set, &g.on_set, n), "{} {}", model.name(), e.name);
-                assert!(same_semantics(&e.off_set, &g.off_set, n), "{} {}", model.name(), e.name);
-                assert!(
-                    s.literals() <= e.literals(),
-                    "{} {}: symbolic {} > explicit {}",
-                    model.name(),
-                    e.name,
-                    s.literals(),
-                    e.literals()
-                );
+            let n = from_graph.num_variables;
+            for (g, s) in from_graph.functions.iter().zip(&from_stg.functions) {
+                assert_eq!(g.name, s.name, "{}", model.name());
+                assert!(same_semantics(&g.on_set, &s.on_set, n), "{} {}", model.name(), g.name);
+                assert!(same_semantics(&g.off_set, &s.off_set, n), "{} {}", model.name(), g.name);
+                assert_eq!(g.literals(), s.literals(), "{} {}", model.name(), g.name);
             }
         }
     }
@@ -674,13 +677,12 @@ mod tests {
             panic!("a dummy cannot be blocked by a code");
         };
         assert_ne!((true_code >> signal.index()) & 1, 0, "{blocked}: its signal is seeded right");
-        // With the correct seed the derivation agrees with the explicit
-        // engine.
+        // With the correct seed the derivation agrees with the one on the
+        // explicit graph.
         let funcs = functions_of(&encoded, true_code).unwrap();
-        let graph = EncodedGraph::from_state_graph(&sg);
-        let explicit = derive_next_state_functions_with(&graph, LogicStrategy::Explicit).unwrap();
-        assert_eq!(funcs.total_literals(), explicit.total_literals());
-        assert_eq!(funcs.total_cubes(), explicit.total_cubes());
+        let from_graph = derive_next_state_functions(&EncodedGraph::from_state_graph(&sg)).unwrap();
+        assert_eq!(funcs.total_literals(), from_graph.total_literals());
+        assert_eq!(funcs.total_cubes(), from_graph.total_cubes());
     }
 
     #[test]
@@ -725,28 +727,18 @@ mod tests {
     fn minimized_covers_respect_dont_cares() {
         // The counter's code space is mostly unreachable; the minimized
         // covers must still separate ON from OFF exactly on the reachable
-        // codes.
-        let model = benchmarks::counter(2);
-        // counter(2) violates CSC before solving, so use the solved graph.
-        let solution = csc::solve_stg(&model, &csc::SolverConfig::default()).unwrap();
-        let graph = solution.graph;
-        let explicit = derive_next_state_functions_with(&graph, LogicStrategy::Explicit).unwrap();
-        let symbolic = derive_next_state_functions_with(&graph, LogicStrategy::Symbolic).unwrap();
-        let n = explicit.num_variables;
-        for (e, s) in explicit.functions.iter().zip(&symbolic.functions) {
-            for cube in e.on_set.cubes() {
-                let bits = (0..n)
-                    .filter(|&i| cube.literal(i) == crate::cube::Literal::One)
-                    .fold(0u64, |acc, i| acc | (1 << i));
-                assert!(s.minimized.contains_minterm(bits), "{}: ON code lost", e.name);
+        // codes.  counter(2) violates CSC before solving, so use the solved
+        // graph.
+        let solution = csc::solve_stg(&benchmarks::counter(2), &csc::SolverConfig::default());
+        let graph = solution.unwrap().graph;
+        let funcs = derive_next_state_functions(&graph).unwrap();
+        for f in &funcs.functions {
+            for s in 0..graph.num_states() {
+                let code = graph.code(StateId::from(s));
+                let on = f.on_set.contains_minterm(code);
+                assert_ne!(on, f.off_set.contains_minterm(code), "{}: code {code:b}", f.name);
+                assert_eq!(f.minimized.contains_minterm(code), on, "{}: code {code:b}", f.name);
             }
-            for cube in e.off_set.cubes() {
-                let bits = (0..n)
-                    .filter(|&i| cube.literal(i) == crate::cube::Literal::One)
-                    .fold(0u64, |acc, i| acc | (1 << i));
-                assert!(!s.minimized.contains_minterm(bits), "{}: OFF code covered", e.name);
-            }
-            assert!(s.literals() <= e.literals(), "{}", e.name);
         }
     }
 }

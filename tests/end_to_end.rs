@@ -1,12 +1,13 @@
 //! End-to-end integration tests: STG → state graph → CSC resolution →
 //! verification → logic derivation, across the whole benchmark suite.
 
+mod truth_table;
+
 use csc::{solve_stg, verify_solution, CandidateSource, SolverConfig, VerifyDiagnostic};
 use logic::{
-    derive_next_state_functions_with, estimate_area, output_persistency_violations, Cover, Literal,
-    LogicStrategy,
+    analyze_stg_with, area_of_functions, derive_next_state_functions, output_persistency_violations,
 };
-use synthkit::{run_flow, FlowOptions};
+use synthkit::{run_flow, FlowOptions, FlowRung};
 
 #[test]
 fn every_table2_benchmark_is_solved_and_verified() {
@@ -49,11 +50,33 @@ fn verification_diagnostics_are_typed_categories() {
 
 #[test]
 fn solved_benchmarks_have_implementable_logic() {
+    // The literal totals pin the quality of the covers: 400 over the suite.
+    let literals = [
+        ("handshake", 1),
+        ("pulser", 8),
+        ("vme_read", 17),
+        ("master_read_like", 17),
+        ("seq2", 15),
+        ("seq4", 37),
+        ("seq8", 81),
+        ("counter2", 58),
+        ("counter4", 132),
+        ("par4", 16),
+        ("par_hs2", 2),
+        ("pulser_bank2", 16),
+    ];
     let config = SolverConfig::default();
-    for (name, model, _) in stg::benchmarks::table2_suite() {
+    let suite = stg::benchmarks::table2_suite();
+    assert_eq!(suite.len(), literals.len());
+    for ((name, model, _), (pinned, expected)) in suite.into_iter().zip(literals) {
+        assert_eq!(name, pinned);
         let solution = solve_stg(&model, &config).unwrap_or_else(|e| panic!("{name}: {e}"));
-        let area = estimate_area(&solution.graph).unwrap_or_else(|e| panic!("{name}: {e}"));
-        assert!(area.total_literals > 0, "{name} must have some logic");
+        // The derived functions implement the truth tables of the solved
+        // graph: exact ON/OFF sets, and covers that separate them.
+        let functions = derive_next_state_functions(&solution.graph);
+        truth_table::check(name, &solution.graph, &functions);
+        let area = area_of_functions(&functions.unwrap_or_else(|e| panic!("{name}: {e}")));
+        assert_eq!(area.total_literals, expected, "{name}");
         assert!(
             output_persistency_violations(&solution.graph).is_empty(),
             "{name} lost output persistency"
@@ -61,67 +84,49 @@ fn solved_benchmarks_have_implementable_logic() {
     }
 }
 
-/// The BDD of a cover over `n` variables — the exact-comparison vehicle for
-/// the strategy-equivalence tests.
-fn cover_bdd(m: &mut bdd::BddManager, cover: &Cover, n: usize) -> bdd::Bdd {
-    let mut acc = m.bottom();
-    for cube in cover.cubes() {
-        let lits: Vec<(bdd::VarId, bool)> = (0..n)
-            .filter_map(|i| match cube.literal(i) {
-                Literal::One => Some((i as bdd::VarId, true)),
-                Literal::Zero => Some((i as bdd::VarId, false)),
-                Literal::DontCare => None,
-            })
-            .collect();
-        let c = m.cube_of(&lits);
-        acc = m.or(acc, c);
-    }
-    acc
-}
-
 #[test]
 fn logic_strategies_are_equivalent_on_the_table2_suite() {
-    // The acceptance bar of the symbolic back-end: identical ON/OFF-set
-    // semantics per signal and never more literals than the explicit engine,
-    // across the whole Table 2 suite (on the solved graphs, where the
-    // functions are well-defined).
+    // The two derivations — from the solved encoded graph, and from the
+    // re-synthesized STG's encoded state space — implement the same truth
+    // tables on every Table 2 benchmark.  Their covers come from ISOP under
+    // different variable orders, so the literal totals of the STG path are
+    // pinned on their own: equal to the graph path's everywhere but seq8
+    // (84 against 81).
+    let stg_literals = [
+        ("handshake", 1),
+        ("pulser", 8),
+        ("vme_read", 17),
+        ("master_read_like", 17),
+        ("seq2", 15),
+        ("seq4", 37),
+        ("seq8", 84),
+        ("counter2", 58),
+        ("counter4", 132),
+        ("par4", 16),
+        ("par_hs2", 2),
+        ("pulser_bank2", 16),
+    ];
     let config = SolverConfig::default();
-    for (name, model, _) in stg::benchmarks::table2_suite() {
+    let suite = stg::benchmarks::table2_suite();
+    assert_eq!(suite.len(), stg_literals.len());
+    for ((name, model, _), (pinned, expected)) in suite.into_iter().zip(stg_literals) {
+        assert_eq!(name, pinned);
         let solution = solve_stg(&model, &config).unwrap_or_else(|e| panic!("{name}: {e}"));
-        let explicit =
-            derive_next_state_functions_with(&solution.graph, LogicStrategy::Explicit).unwrap();
-        let symbolic =
-            derive_next_state_functions_with(&solution.graph, LogicStrategy::Symbolic).unwrap();
-        assert_eq!(explicit.functions.len(), symbolic.functions.len(), "{name}");
-        let n = explicit.num_variables;
-        assert_eq!(n, symbolic.num_variables, "{name}");
-        let mut m = bdd::BddManager::new(n);
-        for (e, s) in explicit.functions.iter().zip(&symbolic.functions) {
-            assert_eq!(e.signal, s.signal, "{name}");
-            // Exact set equality of the ON/OFF semantics, via canonical BDDs.
-            let e_on = cover_bdd(&mut m, &e.on_set, n);
-            let s_on = cover_bdd(&mut m, &s.on_set, n);
-            assert_eq!(e_on, s_on, "{name}/{}: ON sets differ", e.name);
-            let e_off = cover_bdd(&mut m, &e.off_set, n);
-            let s_off = cover_bdd(&mut m, &s.off_set, n);
-            assert_eq!(e_off, s_off, "{name}/{}: OFF sets differ", e.name);
-            // Both minimized covers implement the incompletely specified
-            // function: they contain the ON-set and avoid the OFF-set.
-            for (label, min) in [("explicit", &e.minimized), ("symbolic", &s.minimized)] {
-                let min_bdd = cover_bdd(&mut m, min, n);
-                assert!(m.implies(e_on, min_bdd), "{name}/{}: {label} cover lost ON", e.name);
-                let overlap = m.and(min_bdd, e_off);
-                assert!(overlap.is_false(), "{name}/{}: {label} cover hits OFF", e.name);
-            }
-            assert!(
-                s.literals() <= e.literals(),
-                "{name}/{}: symbolic needs {} literals, explicit {}",
-                e.name,
-                s.literals(),
-                e.literals()
-            );
-        }
-        assert!(symbolic.total_literals() <= explicit.total_literals(), "{name}");
+        let graph = &solution.graph;
+        let resynthesized =
+            solution.stg.as_ref().unwrap_or_else(|| panic!("{name}: no re-synthesized STG"));
+        let from_graph = derive_next_state_functions(graph);
+        truth_table::check(name, graph, &from_graph);
+        let initial_code = graph.code(graph.ts.initial());
+        let from_stg =
+            analyze_stg_with(resynthesized, initial_code, &stg::ReachabilityConfig::default())
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(from_stg.markings, graph.num_states() as f64, "{name}");
+        assert!(from_stg.diagnostics.is_empty(), "{name}: {:?}", from_stg.diagnostics);
+        let from_stg = from_stg.functions;
+        assert_eq!(from_stg.num_variables, graph.num_signals(), "{name}");
+        truth_table::check(name, graph, &Ok(from_stg.clone()));
+        assert_eq!(from_stg.total_literals(), expected, "{name}");
     }
 }
 
@@ -131,17 +136,13 @@ fn wide_designs_synthesize_end_to_end_through_the_symbolic_path() {
     // the codes; the default flow must synthesize it fully symbolically.
     let model = stg::benchmarks::parallel_handshakes(40);
     let report = run_flow(&model, &FlowOptions::default()).unwrap();
-    assert!(report.fully_symbolic);
+    assert_eq!(report.rung, FlowRung::Symbolic);
     assert!(report.csc_satisfied);
     assert_eq!(report.signals, 80);
     assert_eq!(report.inserted_signals, 0);
     assert_eq!(report.literals.unwrap(), 40, "each ack is a single req literal");
     assert_eq!(report.cubes.unwrap(), 40);
     assert!(report.states_f64 > 1e24, "4^40 markings");
-    // The explicit strategy must refuse the same model rather than lie.
-    let explicit =
-        run_flow(&model, &FlowOptions { logic: LogicStrategy::Explicit, ..FlowOptions::default() });
-    assert!(explicit.is_err(), "explicit path cannot encode 80 signals");
 }
 
 #[test]
@@ -165,7 +166,7 @@ fn flow_reports_are_consistent_with_the_solver() {
     let report = run_flow(&stg::benchmarks::vme_read(), &FlowOptions::default()).unwrap();
     assert!(report.csc_satisfied);
     assert_eq!(report.signals, 5);
-    assert!(report.final_states >= report.states);
+    assert!(report.final_states_f64 >= report.states_f64);
     assert!(report.literals.unwrap() > 0);
     assert!(report.cpu_seconds >= 0.0);
 }

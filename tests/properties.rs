@@ -7,7 +7,9 @@
 //!   agree between the explicit and the symbolic engine (every explicit
 //!   marking and (marking, code) state is in the chained fixpoint's set),
 //! * the CSC solver, when it succeeds, always produces a conflict-free,
-//!   deterministic, trace-equivalent encoding.
+//!   deterministic, trace-equivalent encoding,
+//! * both logic derivations reproduce the truth tables of the explicit
+//!   state graph (the oracle in `truth_table/mod.rs`).
 //!
 //! (The randomized `and_exists ≡ exists_many ∘ and` relational-product
 //! property lives next to the engine, in the `bdd` crate's unit tests.)
@@ -15,6 +17,8 @@
 //! The cases are generated by a small deterministic in-repo generator (the
 //! container cannot fetch `proptest`); every run explores the same seeds, so
 //! failures are reproducible from the seed printed in the assertion message.
+
+mod truth_table;
 
 use csc::{solve_stg, SolverConfig};
 use regions::{is_region, is_sip_set, minimal_regions, RegionConfig};
@@ -197,62 +201,11 @@ fn random_stgs_are_consistent_and_engines_agree() {
     }
 }
 
-/// Asserts two solver outcomes are byte-identical: same inserted signals,
-/// same state codes, same transition structure — or the same error.
-fn assert_identical_outcomes(
-    label: &str,
-    a: &Result<csc::CscSolution, csc::CscError>,
-    b: &Result<csc::CscSolution, csc::CscError>,
-) {
-    match (a, b) {
-        (Ok(a), Ok(b)) => {
-            assert_eq!(a.inserted_signals, b.inserted_signals, "{label}: inserted signals");
-            assert_eq!(a.graph.codes, b.graph.codes, "{label}: state codes");
-            assert_eq!(a.graph.ts.transitions(), b.graph.ts.transitions(), "{label}: transitions");
-            assert_eq!(a.graph.ts.state_names(), b.graph.ts.state_names(), "{label}: state names");
-            assert_eq!(
-                a.graph.signals.iter().map(|s| &s.name).collect::<Vec<_>>(),
-                b.graph.signals.iter().map(|s| &s.name).collect::<Vec<_>>(),
-                "{label}: signal tables"
-            );
-        }
-        (Err(a), Err(b)) => assert_eq!(a, b, "{label}: errors differ"),
-        (a, b) => panic!("{label}: one path solved, the other failed: {a:?} vs {b:?}"),
-    }
-}
-
 #[test]
-fn parallel_block_evaluation_is_deterministic() {
-    // The parallel candidate evaluation (SolverConfig::jobs) must be
-    // invisible in the output: byte-identical solutions for every thread
-    // count, across the whole benchmark suite…
-    let sequential = SolverConfig { jobs: 1, resynthesize: false, ..SolverConfig::default() };
-    let parallel = SolverConfig { jobs: 4, resynthesize: false, ..SolverConfig::default() };
-    for (name, model, _) in stg::benchmarks::table2_suite() {
-        let one = solve_stg(&model, &sequential);
-        let four = solve_stg(&model, &parallel);
-        assert_identical_outcomes(name, &one, &four);
-    }
-    // …and across randomized STGs, including models the solver fails on
-    // (both paths must fail identically).
-    for seed in 0..CASES {
-        let mut rng = Rng::new(seed);
-        let num_pairs = rng.range(1, 4);
-        let couplings: Vec<(usize, usize)> =
-            (0..rng.range(0, 3)).map(|_| (rng.range(0, 4), rng.range(0, 4))).collect();
-        let model = random_stg(num_pairs, &couplings);
-        if model.state_graph(200_000).is_err() {
-            continue; // deadlocked generator output; nothing to solve
-        }
-        let one = solve_stg(&model, &sequential);
-        let four = solve_stg(&model, &parallel);
-        assert_identical_outcomes(&format!("random seed {seed}"), &one, &four);
-    }
-}
-
-#[test]
-fn logic_strategies_agree_on_random_stgs() {
-    use logic::{derive_next_state_functions_with, LogicError, LogicStrategy};
+fn derived_logic_matches_the_truth_tables_on_random_stgs() {
+    // Both derivations — on the explicit graph and on the STG's encoded
+    // space — against the truth tables of the explicit state graph, over
+    // every code of the (small) signal space.
     for seed in 0..CASES {
         let mut rng = Rng::new(seed);
         let num_pairs = rng.range(1, 4);
@@ -261,69 +214,12 @@ fn logic_strategies_agree_on_random_stgs() {
         let model = random_stg(num_pairs, &couplings);
         let Ok(sg) = model.state_graph(200_000) else { continue };
         let graph = csc::EncodedGraph::from_state_graph(&sg);
-        let n = graph.num_signals();
-        assert!(n <= 8, "generator stays small");
-        let explicit = derive_next_state_functions_with(&graph, LogicStrategy::Explicit);
-        let symbolic = derive_next_state_functions_with(&graph, LogicStrategy::Symbolic);
-        match (explicit, symbolic) {
-            (Ok(e), Ok(s)) => {
-                assert_eq!(e.functions.len(), s.functions.len(), "seed {seed}");
-                for (ef, sf) in e.functions.iter().zip(&s.functions) {
-                    assert_eq!(ef.signal, sf.signal, "seed {seed}");
-                    // Exhaustive indicator equality over the (small) space.
-                    for code in 0..(1u64 << n) {
-                        assert_eq!(
-                            ef.on_set.contains_minterm(code),
-                            sf.on_set.contains_minterm(code),
-                            "seed {seed}, signal {}, code {code:b}: ON sets differ",
-                            ef.name
-                        );
-                        assert_eq!(
-                            ef.off_set.contains_minterm(code),
-                            sf.off_set.contains_minterm(code),
-                            "seed {seed}, signal {}, code {code:b}: OFF sets differ",
-                            ef.name
-                        );
-                        if ef.on_set.contains_minterm(code) {
-                            assert!(sf.minimized.contains_minterm(code), "seed {seed}: ON lost");
-                        }
-                        if ef.off_set.contains_minterm(code) {
-                            assert!(!sf.minimized.contains_minterm(code), "seed {seed}: OFF hit");
-                        }
-                    }
-                    assert!(sf.literals() <= ef.literals(), "seed {seed}, signal {}", ef.name);
-                }
-                // On conflict-free consistent models the STG-driven engine
-                // must agree with the graph-driven ones as well.
-                let initial_code = sg.code(sg.ts.initial());
-                let reach = stg::ReachabilityConfig::default();
-                let from_stg =
-                    logic::analyze_stg_with(&model, initial_code, &reach).unwrap().functions;
-                for (ef, gf) in e.functions.iter().zip(&from_stg.functions) {
-                    assert_eq!(ef.signal, gf.signal, "seed {seed}");
-                    for code in 0..(1u64 << n) {
-                        assert_eq!(
-                            ef.on_set.contains_minterm(code),
-                            gf.on_set.contains_minterm(code),
-                            "seed {seed}, signal {}: STG-engine ON sets differ",
-                            ef.name
-                        );
-                    }
-                }
-            }
-            (Err(e), Err(s)) => {
-                // Both engines must classify the failure identically (same
-                // signal, both CSC violations).
-                match (&e, &s) {
-                    (
-                        LogicError::CscViolation { signal: es, .. },
-                        LogicError::CscViolation { signal: ss, .. },
-                    ) => assert_eq!(es, ss, "seed {seed}"),
-                    other => panic!("seed {seed}: non-CSC failures {other:?}"),
-                }
-            }
-            (a, b) => panic!("seed {seed}: engines disagree on failure: {a:?} vs {b:?}"),
-        }
+        assert!(graph.num_signals() <= 8, "generator stays small");
+        let label = format!("seed {seed}");
+        truth_table::check(&label, &graph, &logic::derive_next_state_functions(&graph));
+        let reach = stg::ReachabilityConfig::default();
+        let from_stg = logic::analyze_stg_with(&model, sg.code(sg.ts.initial()), &reach);
+        truth_table::check(&format!("{label} (STG)"), &graph, &from_stg.map(|r| r.functions));
     }
 }
 

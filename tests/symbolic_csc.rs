@@ -16,7 +16,7 @@
 
 use csc::{solve_stg, solve_stg_symbolic, SolverConfig, SolverStrategy};
 use stg::{benchmarks, Polarity, SignalKind, StgBuilder};
-use synthkit::{run_flow, FlowOptions};
+use synthkit::{run_flow, FlowOptions, FlowRung};
 use ts::traces::projected_trace_equivalent;
 
 /// The symbolic block search's decisions on the conflicted Table 2
@@ -233,7 +233,7 @@ fn wide_conflicted_designs_are_solved_beyond_the_explicit_limit() {
     assert!(model.symbolic_csc_violation(0), "the pulser component conflicts");
 
     let report = run_flow(&model, &FlowOptions::default()).unwrap();
-    assert!(report.fully_symbolic, "no explicit state graph anywhere");
+    assert_eq!(report.rung, FlowRung::Symbolic, "no explicit state graph anywhere");
     assert!(report.csc_satisfied);
     assert_eq!(report.solver_strategy, SolverStrategy::Symbolic);
     assert!(report.inserted_signals >= 1);
