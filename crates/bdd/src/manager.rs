@@ -21,12 +21,12 @@
 //!   `(Op, NodeId, NodeId, NodeId)`: binary connectives use two operands
 //!   (negation uses `Op::Not` with both operands equal), while the
 //!   quantifier recursions key the third slot with the variable cube and
-//!   the fused relational product `and_exists` uses all three.  The
-//!   cube cofactor is keyed `(f, cube)`, the non-building tests
-//!   `intersects`/`implies` store their yes/no answer as a terminal, and
-//!   the three-operand test `crossing` stores its exact four-bit mask in
-//!   the result slot.  Entries
-//!   carry a generation tag: [`BddManager::clear_caches`] invalidates
+//!   the fused relational product `and_exists` and the branch image
+//!   `image_cube` use all three.  The cube cofactor is keyed `(f, cube)`,
+//!   the non-building tests `intersects`/`implies` store their yes/no
+//!   answer as a terminal, and the three-operand test `crossing` stores
+//!   its exact four-bit mask in the result slot.  Entries carry a
+//!   generation tag: [`BddManager::clear_caches`] invalidates
 //!   every entry in O(1) by bumping the generation, and the cache is
 //!   re-sized (which also clears it) when the arena outgrows it.
 //!   Collisions simply overwrite — stale results are only ever *missed*,
@@ -115,6 +115,11 @@ enum Op {
     /// early only once all four bits are set, so a stored mask is always
     /// exact, whichever question the caller asked.
     Crossing = 12,
+    /// `f ∧ ¬g` without building `¬g` — keyed `(f, g, -)`.
+    AndNot = 13,
+    /// The branch image `pinned ∧ ∃vars(pinned). f ∧ enabled` — keyed
+    /// `(f, enabled, pinned)`.
+    Image = 14,
 }
 
 /// Sentinel for an empty unique-table slot (no node can have this id: the
@@ -413,14 +418,14 @@ impl BddManager {
     /// From now on node allocations and apply steps are charged to the
     /// budget in batches of [`CHECK_INTERVAL`] steps.  A step is one `mk`
     /// call or one uncached recursion of [`Self::restrict_cube`],
-    /// [`Self::intersects`], [`Self::implies`] or [`Self::crossing`] — the
-    /// kernels that may answer without allocating — so the deadline and
-    /// cancel flag are sampled at the same rate whether an analysis builds
-    /// BDDs or only tests them.  When a ceiling trips, every in-flight
-    /// recursion unwinds by returning the `false` terminal (without storing
-    /// cache entries), and the typed report waits in
-    /// [`Self::take_budget_trip`].  Results produced after a trip are
-    /// meaningless and must be discarded by the caller.
+    /// [`Self::image_cube`], [`Self::intersects`], [`Self::implies`] or
+    /// [`Self::crossing`] — the kernels that may answer without
+    /// allocating — so the deadline and cancel flag are sampled at the
+    /// same rate whether an analysis builds BDDs or only tests them.  When
+    /// a ceiling trips, every in-flight recursion unwinds by returning the
+    /// `false` terminal (without storing cache entries), and the typed
+    /// report waits in [`Self::take_budget_trip`].  Results produced after
+    /// a trip are meaningless and must be discarded by the caller.
     pub fn set_budget(&mut self, budget: Budget) {
         self.steps_since_check = 0;
         self.nodes_at_last_check = self.nodes.len() as u64;
@@ -678,10 +683,43 @@ impl BddManager {
         Bdd(self.apply(Op::Xor, f.0, g.0))
     }
 
-    /// `f ∧ ¬g`.
+    /// `f ∧ ¬g`, in one pass that complements `g` on the fly: no copy of
+    /// `¬g` is interned, so the arena grows by at most the result's size.
+    /// A poisoned manager answers `false`.
     pub fn and_not(&mut self, f: Bdd, g: Bdd) -> Bdd {
-        let ng = self.not(g);
-        self.and(f, ng)
+        if self.tripped {
+            return Bdd(NodeId::FALSE);
+        }
+        Bdd(self.and_not_rec(f.0, g.0))
+    }
+
+    fn and_not_rec(&mut self, f: NodeId, g: NodeId) -> NodeId {
+        if f == NodeId::FALSE || g == NodeId::TRUE || f == g {
+            return NodeId::FALSE;
+        }
+        if g == NodeId::FALSE {
+            return f;
+        }
+        if f == NodeId::TRUE {
+            // The result is `¬g` itself.
+            return self.not_rec(g);
+        }
+        if self.tripped {
+            return NodeId::FALSE;
+        }
+        if let Some(r) = self.cache.lookup(Op::AndNot, f, g) {
+            return r;
+        }
+        let v = self.var_of(f).min(self.var_of(g));
+        let (f_low, f_high) = self.cofactor_pair(f, v);
+        let (g_low, g_high) = self.cofactor_pair(g, v);
+        let low = self.and_not_rec(f_low, g_low);
+        let high = self.and_not_rec(f_high, g_high);
+        let r = self.mk(v, low, high);
+        if !self.tripped {
+            self.cache.store(Op::AndNot, f, g, r);
+        }
+        r
     }
 
     /// Exclusive nor (equivalence).
@@ -854,6 +892,100 @@ impl BddManager {
         };
         if !self.tripped {
             self.cache.store(Op::RestrictCube, f, cube, r);
+        }
+        r
+    }
+
+    /// The image of `f` under one transition branch: `pinned ∧
+    /// ∃vars(pinned). f ∧ enabled`, where `enabled` (the firing condition)
+    /// and `pinned` (the changed variables' post-values) are cubes
+    /// ([`Self::cube_of`]).  A variable of `enabled` outside `pinned` is a
+    /// read arc and keeps its value; a variable of `pinned` outside
+    /// `enabled` is set whatever its value was.
+    ///
+    /// One memoised recursion replaces the three building passes `and`,
+    /// `exists_cube`, `and`: levels of `enabled` select a cofactor of `f`,
+    /// levels of `pinned` quantify and re-pin, and neither `f ∧ enabled`
+    /// nor the quantified set is ever interned.  Each uncached recursion
+    /// charges one budget step; a poisoned manager answers `false`.
+    ///
+    /// ```
+    /// use bdd::BddManager;
+    ///
+    /// let mut m = BddManager::new(3);
+    /// // A branch that consumes the token on 0 and marks 1, reading 2.
+    /// let enabled = m.cube_of(&[(0, true), (2, true)]);
+    /// let pinned = m.cube_of(&[(0, false), (1, true)]);
+    /// let x0 = m.var(0);
+    /// let x2 = m.var(2);
+    /// let f = m.and(x0, x2);
+    /// let image = m.image_cube(f, enabled, pinned);
+    /// assert_eq!(image, m.cube_of(&[(0, false), (1, true), (2, true)]));
+    /// ```
+    pub fn image_cube(&mut self, f: Bdd, enabled: Bdd, pinned: Bdd) -> Bdd {
+        // A tripped manager may have collapsed a cube to FALSE while it was
+        // being built; poison the result instead of asserting.
+        if self.tripped {
+            return Bdd(NodeId::FALSE);
+        }
+        debug_assert!(self.is_cube(enabled), "enabling condition must be a cube");
+        debug_assert!(self.is_cube(pinned), "post-values must be a cube");
+        Bdd(self.image_rec(f.0, enabled.0, pinned.0))
+    }
+
+    fn image_rec(&mut self, f: NodeId, enabled: NodeId, pinned: NodeId) -> NodeId {
+        if f == NodeId::FALSE || (enabled == NodeId::TRUE && pinned == NodeId::TRUE) {
+            return f;
+        }
+        if self.tripped {
+            return NodeId::FALSE;
+        }
+        if let Some(r) = self.cache.lookup3(Op::Image, f, enabled, pinned) {
+            return r;
+        }
+        self.charge_step();
+        let (ve, vp) = (self.var_of(enabled), self.var_of(pinned));
+        let v = self.var_of(f).min(ve).min(vp);
+        let (f_low, f_high) = self.cofactor_pair(f, v);
+        // A cube's level is a positive literal when its low child is false.
+        let positive = |m: &Self, cube: NodeId| m.node(cube).low == NodeId::FALSE;
+        let r = if v == vp {
+            let rest = self.cube_tail(pinned);
+            let moved = if v == ve {
+                let cofactor = if positive(self, enabled) { f_high } else { f_low };
+                let tail = self.cube_tail(enabled);
+                self.image_rec(cofactor, tail, rest)
+            } else {
+                let low = self.image_rec(f_low, enabled, rest);
+                if low == NodeId::TRUE {
+                    NodeId::TRUE
+                } else {
+                    let high = self.image_rec(f_high, enabled, rest);
+                    self.apply(Op::Or, low, high)
+                }
+            };
+            if positive(self, pinned) {
+                self.mk(v, NodeId::FALSE, moved)
+            } else {
+                self.mk(v, moved, NodeId::FALSE)
+            }
+        } else if v == ve {
+            let kept = positive(self, enabled);
+            let tail = self.cube_tail(enabled);
+            let cofactor = if kept { f_high } else { f_low };
+            let moved = self.image_rec(cofactor, tail, pinned);
+            if kept {
+                self.mk(v, NodeId::FALSE, moved)
+            } else {
+                self.mk(v, moved, NodeId::FALSE)
+            }
+        } else {
+            let low = self.image_rec(f_low, enabled, pinned);
+            let high = self.image_rec(f_high, enabled, pinned);
+            self.mk(v, low, high)
+        };
+        if !self.tripped {
+            self.cache.store3(Op::Image, f, enabled, pinned, r);
         }
         r
     }
@@ -1992,6 +2124,114 @@ mod tests {
         assert!(!fs[1].is_true() && !fs[1].is_false());
         let top = m.top();
         assert_eq!(m.crossing(top, fs[1], fs[1]), BddManager::STAYS_IN | BddManager::STAYS_OUT);
+    }
+
+    /// Trips `m`'s budget with a one-node ceiling, leaving it poisoned.
+    fn poison(m: &mut BddManager, nv: u32) {
+        m.set_budget(crate::budget::Budget::new(Some(1), None, None));
+        let mut acc = m.bottom();
+        for v in 0..nv {
+            let x = m.var(v);
+            acc = m.xor(acc, x);
+        }
+        assert!(m.check_budget().is_err() && m.budget_tripped(), "the budget never tripped");
+    }
+
+    #[test]
+    fn and_not_matches_the_complemented_conjunction_without_interning_the_complement() {
+        for seed in 600..680u64 {
+            let mut rng = Rng(seed);
+            let nv = 1 + (rng.next() % 9) as u32;
+            let mut m = BddManager::new(nv as usize);
+            let operand = |m: &mut BddManager, rng: &mut Rng| match rng.next() % 6 {
+                0 => m.top(),
+                1 => m.bottom(),
+                _ => {
+                    let cubes = 1 + (rng.next() % 6) as usize;
+                    random_cube_set(m, rng, nv, cubes)
+                }
+            };
+            let f = operand(&mut m, &mut rng);
+            let g = operand(&mut m, &mut rng);
+            for (a, b) in [(f, g), (g, f), (f, f)] {
+                let nodes = m.num_nodes();
+                let fused = m.and_not(a, b);
+                let grown = m.num_nodes() - nodes;
+                assert!(grown <= m.size(fused), "seed {seed}: interned more than the result");
+                let nb = m.not(b);
+                assert_eq!(fused, m.and(a, nb), "seed {seed}");
+                assert_eq!(m.and_not(a, b), fused, "seed {seed}: cached");
+            }
+        }
+        let mut m = BddManager::new(12);
+        let mut rng = Rng(5);
+        let (f, g) =
+            (random_cube_set(&mut m, &mut rng, 12, 6), random_cube_set(&mut m, &mut rng, 12, 6));
+        poison(&mut m, 12);
+        assert!(m.and_not(f, g).is_false(), "a poisoned manager answers false");
+    }
+
+    /// A random transition branch over `0..nv` as an (enabled, pinned) cube
+    /// pair: per variable, untouched, a read arc (enabled only), a set
+    /// place (pinned only), a cleared place or a toggle (enabled at one
+    /// value, pinned at the other), or pinned at the value it is enabled at.
+    fn random_branch(m: &mut BddManager, rng: &mut Rng, nv: u32) -> (Bdd, Bdd, Vec<VarId>) {
+        let (mut enabled, mut pinned) = (Vec::new(), Vec::new());
+        for v in 0..nv {
+            let value = rng.next() % 2 == 0;
+            match rng.next() % 5 {
+                0 => {}
+                1 => enabled.push((v, value)),
+                2 => pinned.push((v, value)),
+                3 => {
+                    enabled.push((v, value));
+                    pinned.push((v, !value));
+                }
+                _ => {
+                    enabled.push((v, value));
+                    pinned.push((v, value));
+                }
+            }
+        }
+        let changed = pinned.iter().map(|&(v, _)| v).collect();
+        (m.cube_of(&enabled), m.cube_of(&pinned), changed)
+    }
+
+    #[test]
+    fn image_cube_matches_the_three_pass_image_on_random_branches() {
+        for seed in 700..860u64 {
+            let mut rng = Rng(seed);
+            let nv = 1 + (rng.next() % 9) as u32;
+            let mut m = BddManager::new(nv as usize);
+            let f = match rng.next() % 8 {
+                0 => m.top(),
+                1 => m.bottom(),
+                _ => {
+                    let cubes = 1 + (rng.next() % 6) as usize;
+                    random_cube_set(&mut m, &mut rng, nv, cubes)
+                }
+            };
+            let (enabled, pinned, changed) = match rng.next() % 8 {
+                0 => (m.top(), m.top(), Vec::new()),
+                1 => {
+                    let (enabled, _, _) = random_branch(&mut m, &mut rng, nv);
+                    (enabled, m.top(), Vec::new())
+                }
+                _ => random_branch(&mut m, &mut rng, nv),
+            };
+            let fired = m.and(f, enabled);
+            let quant = m.quant_cube(&changed);
+            let moved = m.exists_cube(fired, quant);
+            let oracle = m.and(moved, pinned);
+            assert_eq!(m.image_cube(f, enabled, pinned), oracle, "seed {seed}");
+            assert_eq!(m.image_cube(f, enabled, pinned), oracle, "seed {seed}: cached");
+        }
+        let mut m = BddManager::new(12);
+        let mut rng = Rng(9);
+        let f = random_cube_set(&mut m, &mut rng, 12, 6);
+        let (enabled, pinned, _) = random_branch(&mut m, &mut rng, 12);
+        poison(&mut m, 12);
+        assert!(m.image_cube(f, enabled, pinned).is_false(), "a poisoned manager answers false");
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //! inserted-signal counts of *both* solvers so the baseline documents the
 //! quality parity (symbolic never inserts more on these rows), and the
 //! explicit solver's time on the same model (`explicit_ms`, the median of
-//! up to three timed solves).  `counter4` and `pipe4_4` are the two designs
+//! up to three timed solves), and the crossing-uniformity tests the block
+//! search ran (`crossing_tests`, its deterministic work counter).
+//! `counter4` and `pipe4_4` are the two designs
 //! that carry most of the `controllers` workload of the end-to-end
 //! benchmark: `counter4` evaluates the most candidates of any Table 2
 //! design, `pipe4_4` has the largest spaces.  `pipe4_5` is the next
@@ -78,6 +80,7 @@ fn solver_families(c: &mut Criterion) {
             ("signals_explicit", explicit.inserted_signals.len() as f64),
             ("final_states", symbolic.stats.final_states as f64),
             ("candidates_evaluated", symbolic.stats.stage.candidates_evaluated as f64),
+            ("crossing_tests", symbolic.stats.stage.crossing_tests as f64),
             ("explicit_ms", explicit_ms),
         ]);
     }

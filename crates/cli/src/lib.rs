@@ -233,8 +233,9 @@ pub struct FlowReport {
     /// Signals of the input STG.
     pub signals: usize,
     /// Reachable states of the input STG — exact for explicit runs, the
-    /// symbolic engine's count when the explicit graph was never built, and
-    /// 0 on a partial report, which prints it as unknown.
+    /// symbolic engine's count when the explicit graph was never built.  A
+    /// partial report carries the count its symbolic rung established, or
+    /// 0 when it established none, which prints as unknown.
     pub states_f64: f64,
     /// CSC conflict pairs before solving (0 when the symbolic analysis
     /// established that CSC already holds, `None` on a partial report).
@@ -380,11 +381,12 @@ impl FlowReport {
         self.rung == FlowRung::PartialReport
     }
 
-    /// Renders one of the report's state counts: unknown on a partial
-    /// report, otherwise an integer, or scientific notation past
-    /// `usize::MAX` (wide designs reach 10²⁰ states and more).
+    /// Renders one of the report's state counts: unknown when a partial
+    /// report did not establish it (0), otherwise an integer, or
+    /// scientific notation past `usize::MAX` (wide designs reach 10²⁰
+    /// states and more).
     fn render_states(&self, count: f64) -> String {
-        if self.is_partial() {
+        if self.is_partial() && count <= 0.0 {
             "unknown".to_owned()
         } else if count >= usize::MAX as f64 {
             format!("{count:.3e}")
@@ -423,6 +425,7 @@ pub fn render_stage_table(report: &FlowReport) -> String {
     out.push_str(&format!("{:<22} {:>12}\n", "candidates evaluated", stage.candidates_evaluated));
     out.push_str(&format!("{:<22} {:>12}\n", "candidates pruned", stage.candidates_pruned));
     out.push_str(&format!("{:<22} {:>12}\n", "candidates verified", stage.candidates_verified));
+    out.push_str(&format!("{:<22} {:>12}\n", "crossing tests", stage.crossing_tests));
     out.push_str(&format!("{:<22} {:>12}\n", "reachability fixpoints", report.fixpoints));
     out.push_str(&format!("{:<22} {:>12}\n", "solver engine", report.solver_strategy.to_string()));
     out.push_str(&format!("{:<22} {:>12}\n", "flow rung", report.rung.to_string()));
@@ -500,12 +503,12 @@ fn run_ladder(model: &Stg, options: &FlowOptions) -> Result<FlowReport, CscError
     // their typed errors instead of degrading into a partial report.
     let guarded = budget.is_some();
     let mut degradations: Vec<DegradationEvent> = Vec::new();
-    // CSC diagnosis captured on the way down, reported when the ladder ends
-    // in a partial report.
-    let mut diagnosis: Vec<LogicDiagnostic> = Vec::new();
+    // What the symbolic rung established on the way down, reported when the
+    // ladder ends in a partial report.
+    let mut established = Established::default();
 
     let reach = ReachabilityConfig { budget: budget.clone(), ..ReachabilityConfig::default() };
-    match symbolic_rung(model, options, &reach, start, &mut diagnosis) {
+    match symbolic_rung(model, options, &reach, start, &mut established) {
         RungAttempt::Done(report) => return Ok(*report),
         RungAttempt::Degrade(failure) => {
             if options.no_fallback {
@@ -545,7 +548,7 @@ fn run_ladder(model: &Stg, options: &FlowOptions) -> Result<FlowReport, CscError
                 FlowRung::Explicit,
                 FlowRung::PartialReport,
             ));
-            return Ok(partial_report(model, options, start, degradations, diagnosis));
+            return Ok(partial_report(model, options, start, degradations, established));
         }
     }
 
@@ -563,10 +566,21 @@ fn run_ladder(model: &Stg, options: &FlowOptions) -> Result<FlowReport, CscError
                 FlowRung::Explicit,
                 FlowRung::PartialReport,
             ));
-            Ok(partial_report(model, options, start, degradations, diagnosis))
+            Ok(partial_report(model, options, start, degradations, established))
         }
         Err(error) => Err(error),
     }
+}
+
+/// What an abandoned symbolic rung established about the input
+/// (ladder-internal): a partial report prints it, and nothing else.
+#[derive(Default)]
+struct Established {
+    /// The CSC diagnosis of the input's analysis.
+    diagnosis: Vec<LogicDiagnostic>,
+    /// The input's reachable state count, once its space passed the seed
+    /// guard.
+    states_f64: Option<f64>,
 }
 
 /// Why a symbolic rung was abandoned (ladder-internal).
@@ -616,7 +630,7 @@ fn symbolic_rung(
     options: &FlowOptions,
     reach: &ReachabilityConfig,
     start: Instant,
-    diagnosis: &mut Vec<LogicDiagnostic>,
+    established: &mut Established,
 ) -> RungAttempt {
     let mut space = match model.try_symbolic_encoded_state_space(options.initial_code, reach) {
         Ok(space) => space,
@@ -627,12 +641,16 @@ fn symbolic_rung(
         Err(_) => return RungAttempt::Route,
     };
     let mut analysis = analyze_space(model, &mut space);
+    if matches!(analysis, Ok(_) | Err(LogicError::CscViolation { .. })) {
+        // The analysis passed the seed guard: the count is the input's.
+        established.states_f64 = Some(space.state_count_f64());
+    }
     let mut solution = None;
     // A genuine CSC conflict with the symbolic solver selected: resolve it
     // by state-signal insertion on BDDs, then analyze the encoded STG —
     // still no explicit state graph anywhere.
     if let Err(csc_violation @ LogicError::CscViolation { .. }) = &analysis {
-        *diagnosis = vec![LogicDiagnostic::from(csc_violation)];
+        established.diagnosis = vec![LogicDiagnostic::from(csc_violation)];
         if options.strategy != SolverStrategy::Symbolic {
             return RungAttempt::Route;
         }
@@ -655,7 +673,7 @@ fn symbolic_rung(
     }
     match analysis {
         Ok(analysis) => {
-            diagnosis.clear();
+            established.diagnosis.clear();
             let report =
                 symbolic_report(model, options, &analysis, solution.as_ref(), &mut space, start);
             RungAttempt::Done(Box::new(report))
@@ -880,7 +898,7 @@ fn partial_report(
     options: &FlowOptions,
     start: Instant,
     degradations: Vec<DegradationEvent>,
-    diagnosis: Vec<LogicDiagnostic>,
+    established: Established,
 ) -> FlowReport {
     let (places, transitions, signals) = model.stats();
     FlowReport {
@@ -888,7 +906,7 @@ fn partial_report(
         places,
         transitions,
         signals,
-        states_f64: 0.0,
+        states_f64: established.states_f64.unwrap_or(0.0),
         initial_conflicts: None,
         csc_satisfied: false,
         inserted_signals: 0,
@@ -897,7 +915,7 @@ fn partial_report(
         cubes: None,
         logic_bdd_nodes: None,
         solver_strategy: options.strategy,
-        logic_diagnostics: diagnosis,
+        logic_diagnostics: established.diagnosis,
         encoded: None,
         cpu_seconds: start.elapsed().as_secs_f64(),
         stage: StageStats::default(),
@@ -1204,6 +1222,23 @@ mod tests {
         for wrong in ["0 states", "conflicts   : 0", "NOT satisfied", "logic       :"] {
             assert!(!text.contains(wrong), "{wrong:?} in {text}");
         }
+        assert!(text.contains("70 signals, unknown states"), "{text}");
+    }
+
+    #[test]
+    fn a_partial_report_prints_the_state_count_its_symbolic_rung_established() {
+        // The input's reachability and CSC analysis finish; the budget
+        // trips later, in candidate search, and the 66 signals leave no
+        // explicit rung.
+        let options = FlowOptions { node_budget: Some(300_000), ..FlowOptions::default() };
+        let report = run_flow(&stg::benchmarks::wide_conflict(32), &options).unwrap();
+        assert_eq!(report.rung, FlowRung::PartialReport);
+        assert_eq!(report.degradations[0].stage, "candidate-search");
+        assert_eq!(report.states_f64, 6.0 * 4f64.powi(32));
+        let text = report.to_string();
+        assert!(text.contains("66 signals, 1.107e20 states"), "{text}");
+        assert!(text.contains("0 state signal(s) inserted, unknown states, CSC not established"));
+        assert!(text.contains("conflicts   : unknown"), "{text}");
     }
 
     #[test]

@@ -103,6 +103,10 @@ pub struct StageStats {
     /// Candidate nets the symbolic solver rebuilt to verify an insertion,
     /// one reachability fixpoint each (0 for the explicit solver).
     pub candidates_verified: usize,
+    /// Crossing-uniformity tests (one per branch and block) the symbolic
+    /// solver's cheap scoring and uniformity repair ran: its deterministic
+    /// measure of search work (0 for the explicit solver).
+    pub crossing_tests: usize,
 }
 
 impl fmt::Display for StageStats {

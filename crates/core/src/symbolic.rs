@@ -283,10 +283,13 @@ pub fn solve_space(
             it.check_budget()?;
             let core = it.extract_core(signal);
             let t1 = Instant::now();
-            let candidates = it.search_blocks(&core, config, &mut stats);
+            let mut pool = it.search_blocks(&core, config, &mut stats);
+            #[cfg(test)]
+            tests::check_pool(&mut it, &core, &pool);
             stats.stage.search_ms += ms_since(t1);
             let t2 = Instant::now();
-            let plans = it.select_plans(&core, &candidates, config, &mut stats);
+            let plans = it.select_plans(&core, &mut pool, &mut stats);
+            stats.stage.crossing_tests += std::mem::take(&mut it.crossing_tests);
             it.check_budget()?;
             stats.stage.partition_ms += ms_since(t2);
             let core_pairs = it.signal_conflict_pairs(signal);
@@ -459,9 +462,28 @@ struct CheapCost {
     mixed: f64,
     imbalance: f64,
     global_balance: f64,
+    /// `false` for a *deferred* score ([`Iteration::cheap_eval`] stopped
+    /// once the candidate provably ranked after its bound): the fields are
+    /// then a lower bound of the exact cost, strictly worse than that bound.
+    exact: bool,
 }
 
 impl CheapCost {
+    /// A deferred score: the exact `remaining`, at least
+    /// `mixed_transitions` mixed branches, nothing known of the rest.
+    fn deferred(remaining: u8, mixed_transitions: usize) -> Self {
+        CheapCost {
+            remaining,
+            mixed_transitions,
+            mixed: f64::NEG_INFINITY,
+            imbalance: f64::NEG_INFINITY,
+            global_balance: f64::NEG_INFINITY,
+            exact: false,
+        }
+    }
+
+    /// Orders costs (or a deferred score's lower bound) lexicographically;
+    /// exactness plays no part.
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         self.remaining
             .cmp(&other.remaining)
@@ -495,12 +517,92 @@ impl DetailCost {
     }
 }
 
-/// A branch in solver form: enabled cube, changed-variable quantifier cube
-/// and pinned-value cube interned once per iteration.
+/// The scored candidates of one block search, in insertion order (the
+/// tie-break of every ranking).
+///
+/// Only the first `cap` ranks by cost can decide anything: the chain seeds,
+/// the frontier seeds and the merge list take at most `cap` of them, and
+/// [`Iteration::select_plans`] reads past them only while it has found no
+/// plan.  So a brick, chain prefix or merge is scored against the `cap`-th
+/// best exact cost pooled so far ([`Self::bound`]) and deferred as soon as
+/// it provably ranks after it.  The bound only improves as the pool grows,
+/// so a deferred entry never reaches the first `cap` ranks, and [`Self::at`]
+/// rescores the deferred tail exactly the first time a rank past them is
+/// asked for: every rank is the one the exact costs give.
+#[derive(Clone)]
+struct Pool {
+    entries: Vec<(Zone, CheapCost)>,
+    /// The `cap` best exact costs pooled so far, ascending.
+    best: Vec<CheapCost>,
+    cap: usize,
+    /// Entry indices by cost, ties by insertion order, fixed when the
+    /// search is done; past `cap`, by lower bounds until the tail is exact.
+    ranked: Vec<usize>,
+    tail_exact: bool,
+}
+
+impl Pool {
+    fn new(cap: usize) -> Self {
+        Pool { entries: Vec::new(), best: Vec::new(), cap, ranked: Vec::new(), tail_exact: false }
+    }
+
+    /// The cost a new brick, chain prefix or merge must not rank after:
+    /// the `cap`-th best exact cost so far (none until `cap` exact costs
+    /// are pooled).
+    fn bound(&self) -> Option<CheapCost> {
+        self.best.get(self.cap - 1).copied()
+    }
+
+    fn push(&mut self, zone: Zone, cost: CheapCost) {
+        if cost.exact {
+            let at = self.best.partition_point(|c| c.cmp(&cost).is_le());
+            if at < self.cap {
+                self.best.insert(at, cost);
+                self.best.truncate(self.cap);
+            }
+        }
+        self.entries.push((zone, cost));
+    }
+
+    /// Entry indices by cost, ties by insertion order.
+    fn ranking(&self) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..self.entries.len()).collect();
+        order.sort_by(|&a, &b| self.entries[a].1.cmp(&self.entries[b].1));
+        order
+    }
+
+    /// The `n ≤ cap` best entries, all exact.
+    fn leaders(&self, n: usize) -> Vec<(Zone, CheapCost)> {
+        let leaders: Vec<(Zone, CheapCost)> =
+            self.ranking().into_iter().take(n).map(|i| self.entries[i].clone()).collect();
+        debug_assert!(leaders.iter().all(|(_, cost)| cost.exact), "a deferred entry leads");
+        leaders
+    }
+
+    /// The entry at `rank` of the exact ranking; the first rank asked for
+    /// past `cap` rescores the deferred entries exactly and re-sorts the
+    /// tail by (cost, insertion index).
+    fn at(&mut self, rank: usize, it: &mut Iteration, core: &Core) -> Option<&(Zone, CheapCost)> {
+        if rank >= self.cap && !self.tail_exact {
+            self.tail_exact = true;
+            let Pool { entries, ranked, cap, .. } = self;
+            let tail = &mut ranked[(*cap).min(entries.len())..];
+            for &i in tail.iter() {
+                if !entries[i].1.exact {
+                    entries[i].1 = it.cheap_eval(core, &entries[i].0, None);
+                }
+            }
+            tail.sort_by(|&a, &b| entries[a].1.cmp(&entries[b].1).then(a.cmp(&b)));
+        }
+        self.ranked.get(rank).map(|&i| &self.entries[i])
+    }
+}
+
+/// A branch in solver form: enabled cube and pinned-value cube interned
+/// once per iteration.
 struct BranchOps {
     trans: TransId,
     enabled: Bdd,
-    quant: Bdd,
     /// The post-values of the changed variables.  A predicate cofactored
     /// at this cube ([`BddManager::restrict_cube`]) is the predicate
     /// evaluated at the branch's *target*, as a function of the source.
@@ -599,6 +701,9 @@ struct Iteration {
     /// transition's index: plans share triggers, so each trigger's
     /// restricted fixpoint runs once per iteration.
     without_cache: FxHashMap<usize, Bdd>,
+    /// Crossing-uniformity tests run since the solve last collected them
+    /// into [`crate::StageStats::crossing_tests`].
+    crossing_tests: usize,
 }
 
 impl Iteration {
@@ -657,7 +762,6 @@ impl Iteration {
                 BranchOps {
                     trans: b.trans,
                     enabled,
-                    quant: m.quant_cube(&changed),
                     pinned_cube: m.cube_of(&b.pinned),
                     changed,
                     vars,
@@ -708,6 +812,7 @@ impl Iteration {
             conflict_codes: vec![None; num_signals],
             code_eq,
             without_cache: FxHashMap::default(),
+            crossing_tests: 0,
             space,
         })
     }
@@ -807,11 +912,17 @@ impl Iteration {
             let pairs = m.and(codes_with, primed);
             // …collapsed onto its diagonal (equal codes) by one fused pass.
             let clash = m.and_exists(pairs, eq, &next_signal_vars);
-            debug_assert_eq!(
-                clash,
-                m.and(codes_with, codes_without),
-                "the conflict relation's diagonal must equal the code-set intersection"
-            );
+            #[cfg(debug_assertions)]
+            {
+                // Results after a budget trip (which the oracle itself may
+                // cause) are placeholders the caller discards: only
+                // unpoisoned ones must agree.
+                let both = m.and(codes_with, codes_without);
+                assert!(
+                    m.budget_tripped() || clash == both,
+                    "the conflict relation's diagonal must equal the code-set intersection"
+                );
+            }
             if !clash.is_false() {
                 total += m.sat_count_f64(clash) / norm;
                 conflicted.push(signal);
@@ -859,14 +970,10 @@ impl Iteration {
     }
 
     /// Image of `set` under one branch: `(∃ changed. set ∧ enabled) ∧
-    /// pinned`.  All current-variable; the next copies are never touched.
+    /// pinned`, in one pass ([`BddManager::image_cube`]).  All
+    /// current-variable; the next copies are never touched.
     fn branch_image(m: &mut BddManager, b: &BranchOps, set: Bdd) -> Bdd {
-        let enabled = m.and(set, b.enabled);
-        if enabled.is_false() {
-            return enabled;
-        }
-        let moved = m.exists_cube(enabled, b.quant);
-        m.and(moved, b.pinned_cube)
+        m.image_cube(set, b.enabled, b.pinned_cube)
     }
 
     /// Image of a zone under every branch *that can move it*.
@@ -944,14 +1051,34 @@ impl Iteration {
     /// state mass sitting on the wrong side of the best orientation, and
     /// how unevenly the code *bucket* is split (balanced bucket splits
     /// resolve more of the bucket's pairwise conflicts per signal).
-    fn cheap_eval(&mut self, core: &Core, block: &Zone) -> CheapCost {
+    ///
+    /// With a `bound`, the cost is computed only as far as needed to prove
+    /// that the candidate ranks strictly after it: `remaining` from four
+    /// non-building tests, then the mixed branches up to the one that
+    /// exceeds the bound's count, and only then the conjunctions and
+    /// counts.  A candidate proven worse gets a deferred score
+    /// ([`CheapCost::deferred`]); every other score is exact.
+    fn cheap_eval(&mut self, core: &Core, block: &Zone, bound: Option<&CheapCost>) -> CheapCost {
+        let m = self.space.manager_mut();
+        let w_in = m.intersects(core.with, block.set);
+        let w_out = !m.implies(core.with, block.set);
+        let wo_in = m.intersects(core.without, block.set);
+        let wo_out = !m.implies(core.without, block.set);
+        let remaining = u8::from(w_in && wo_in) + u8::from(w_out && wo_out);
+        let stop = match bound {
+            Some(b) if remaining > b.remaining => return CheapCost::deferred(remaining, 0),
+            Some(b) if remaining == b.remaining => Some(b.mixed_transitions + 1),
+            _ => None,
+        };
+        let mixed_transitions = self.count_mixed_transitions(block, stop);
+        if Some(mixed_transitions) == stop {
+            return CheapCost::deferred(remaining, mixed_transitions);
+        }
         let m = self.space.manager_mut();
         let w_in = m.and(core.with, block.set);
         let w_out = m.and_not(core.with, block.set);
         let wo_in = m.and(core.without, block.set);
         let wo_out = m.and_not(core.without, block.set);
-        let remaining = u8::from(!w_in.is_false() && !wo_in.is_false())
-            + u8::from(!w_out.is_false() && !wo_out.is_false());
         let cnt = |m: &mut BddManager, f: Bdd| m.sat_count_f64(f);
         let straight = cnt(m, w_out) + cnt(m, wo_in);
         let flipped = cnt(m, w_in) + cnt(m, wo_out);
@@ -965,7 +1092,7 @@ impl Iteration {
         let total_mass = cnt(m, self.reach);
         CheapCost {
             remaining,
-            mixed_transitions: self.count_mixed_transitions(block),
+            mixed_transitions,
             mixed,
             imbalance: (2.0 * bucket_in - bucket_total).abs(),
             // Whole-space balance breaks the remaining ties: a block that
@@ -973,23 +1100,25 @@ impl Iteration {
             // secondary conflicts per inserted signal (the staircase
             // effect), and such blocks are strictly more balanced.
             global_balance: (2.0 * block_mass - total_mass).abs(),
+            exact: true,
         }
     }
 
     /// Number of branches whose reachable firings are *not*
     /// crossing-uniform with respect to `block` — the distance-to-validity
     /// gradient of the frontier search (0 means the block needs no
-    /// uniformity repair).
-    fn count_mixed_transitions(&mut self, block: &Zone) -> usize {
+    /// uniformity repair) — counted up to `stop` at most.
+    fn count_mixed_transitions(&mut self, block: &Zone, stop: Option<usize>) -> usize {
         let mut count = 0;
         for bi in self.branches_touching(&block.sup) {
-            let srcs = self.srcs[bi];
-            if srcs.is_false() {
+            if self.srcs[bi].is_false() {
                 continue;
             }
-            let m = self.space.manager_mut();
-            if Self::crossing_is_mixed(m, &self.branches[bi], srcs, block.set) {
+            if self.crossing_is_mixed(bi, block.set) {
                 count += 1;
+                if Some(count) == stop {
+                    break;
+                }
             }
         }
         count
@@ -1001,7 +1130,10 @@ impl Iteration {
     /// leave / enter / stay out" answers come from one non-building
     /// [`BddManager::crossing`] walk over the sources, the set and the set
     /// at the branch's target.
-    fn crossing_is_mixed(m: &mut BddManager, b: &BranchOps, srcs: Bdd, set: Bdd) -> bool {
+    fn crossing_is_mixed(&mut self, bi: usize, set: Bdd) -> bool {
+        self.crossing_tests += 1;
+        let (b, srcs) = (&self.branches[bi], self.srcs[bi]);
+        let m = self.space.manager_mut();
         let tgt_in = m.restrict_cube(set, b.pinned_cube);
         let mask = m.crossing(srcs, set, tgt_in);
         let crossing = mask & (BddManager::LEAVES | BddManager::ENTERS);
@@ -1044,27 +1176,27 @@ impl Iteration {
 
     /// The frontier search over brick unions (Fig. 4 re-expressed on BDDs):
     /// grow the best `FW` blocks by image-adjacent bricks while the cheap
-    /// separation cost improves, and return the candidate pool sorted by
-    /// that cost.
+    /// separation cost improves, and return the ranked candidate pool.
     fn search_blocks(
         &mut self,
         core: &Core,
         config: &SolverConfig,
         stats: &mut SolveStats,
-    ) -> Vec<(Zone, CheapCost)> {
+    ) -> Pool {
         let cone = self.conflict_cone(core);
         let bricks: Vec<Zone> =
             self.bricks().into_iter().filter(|b| overlaps(&b.sup, &cone)).collect();
         let mut seen: FxHashSet<bdd::NodeId> = FxHashSet::default();
-        let mut pool: Vec<(Zone, CheapCost)> = Vec::new();
+        // The ranks plan selection reads before it scans for any plan at all.
+        let mut pool = Pool::new((4 * config.frontier_width).max(24));
         for brick in &bricks {
             if !seen.insert(brick.set.node_id()) {
                 stats.stage.candidates_pruned += 1;
                 continue;
             }
-            let cost = self.cheap_eval(core, brick);
+            let cost = self.cheap_eval(core, brick, pool.bound().as_ref());
             stats.stage.candidates_evaluated += 1;
-            pool.push((brick.clone(), cost));
+            pool.push(brick.clone(), cost);
         }
         // The symbolic search needs a somewhat wider frontier than the
         // explicit one (its seeds double as chain/merge candidates), so
@@ -1078,10 +1210,8 @@ impl Iteration {
         // stable interior — are reachable even when no brick union forms
         // them.
         {
-            let mut sorted = pool.clone();
-            sorted.sort_by(|a, b| a.1.cmp(&b.1));
             let mut chain_seeds: Vec<Zone> =
-                sorted.iter().take(width).map(|c| c.0.clone()).collect();
+                pool.leaders(width).into_iter().map(|(zone, _)| zone).collect();
             // The core sides are projected onto the cone before chaining,
             // so the chains (and everything grown from them) stay local:
             // "the pulser-side window, at any configuration of the other
@@ -1125,18 +1255,13 @@ impl Iteration {
                         stats.stage.candidates_pruned += 1;
                         continue;
                     }
-                    let cost = self.cheap_eval(core, &cur);
+                    let cost = self.cheap_eval(core, &cur, pool.bound().as_ref());
                     stats.stage.candidates_evaluated += 1;
-                    pool.push((cur.clone(), cost));
+                    pool.push(cur.clone(), cost);
                 }
             }
         }
-        let mut frontier: Vec<(Zone, CheapCost)> = {
-            let mut seeds = pool.clone();
-            seeds.sort_by(|a, b| a.1.cmp(&b.1));
-            seeds.truncate(width);
-            seeds
-        };
+        let mut frontier = pool.leaders(width);
         // Lazily computed per-brick images for backward adjacency.
         let mut brick_images: FxHashMap<bdd::NodeId, Bdd> = FxHashMap::default();
         let rounds = self.place_vars.len().clamp(8, 24);
@@ -1175,10 +1300,12 @@ impl Iteration {
                         continue;
                     }
                     let grown = Zone { set: grown_set, sup: merge_sup(&block.sup, &brick.sup) };
-                    let grown_cost = self.cheap_eval(core, &grown);
+                    // Kept only if strictly better than its parent, so the
+                    // parent's cost bounds the scoring.
+                    let grown_cost = self.cheap_eval(core, &grown, Some(&cost));
                     stats.stage.candidates_evaluated += 1;
                     if grown_cost.cmp(&cost).is_lt() {
-                        pool.push((grown.clone(), grown_cost));
+                        pool.push(grown.clone(), grown_cost);
                         grown_any.push((grown, grown_cost));
                     }
                 }
@@ -1195,9 +1322,7 @@ impl Iteration {
         // segment per code-bucket cluster) come from here: adjacency-driven
         // growth alone can never unite disconnected pieces.
         {
-            let mut sorted = pool.clone();
-            sorted.sort_by(|a, b| a.1.cmp(&b.1));
-            let top: Vec<Zone> = sorted.iter().take(12).map(|c| c.0.clone()).collect();
+            let top: Vec<Zone> = pool.leaders(12).into_iter().map(|(zone, _)| zone).collect();
             for i in 0..top.len() {
                 for j in (i + 1)..top.len() {
                     let merged_set = {
@@ -1209,13 +1334,13 @@ impl Iteration {
                         continue;
                     }
                     let merged = Zone { set: merged_set, sup: merge_sup(&top[i].sup, &top[j].sup) };
-                    let cost = self.cheap_eval(core, &merged);
+                    let cost = self.cheap_eval(core, &merged, pool.bound().as_ref());
                     stats.stage.candidates_evaluated += 1;
-                    pool.push((merged, cost));
+                    pool.push(merged, cost);
                 }
             }
         }
-        pool.sort_by(|a, b| a.1.cmp(&b.1));
+        pool.ranked = pool.ranking();
         pool
     }
 
@@ -1226,17 +1351,21 @@ impl Iteration {
     fn select_plans(
         &mut self,
         core: &Core,
-        candidates: &[(Zone, CheapCost)],
-        config: &SolverConfig,
+        pool: &mut Pool,
         stats: &mut SolveStats,
     ) -> Vec<InsertionPlan> {
         const MAX_PLANS: usize = 6;
-        let cap = (4 * config.frontier_width).max(24);
+        let cap = pool.cap;
         let mut plans: Vec<(DetailCost, InsertionPlan)> = Vec::new();
-        for (rank, (block, cheap)) in candidates.iter().enumerate() {
-            // The insertion must make progress on the chosen core; past the
-            // cap, keep scanning only while no plan has been found at all.
-            if cheap.remaining >= 2 || (rank >= cap && !plans.is_empty()) {
+        for rank in 0.. {
+            // Past the cap, keep scanning only while no plan has been found
+            // at all.
+            if rank >= cap && !plans.is_empty() {
+                break;
+            }
+            let Some((block, cheap)) = pool.at(rank, self, core) else { break };
+            // The insertion must make progress on the chosen core.
+            if cheap.remaining >= 2 {
                 continue;
             }
             if rank >= cap {
@@ -1291,8 +1420,8 @@ impl Iteration {
                 if srcs.is_false() {
                     continue;
                 }
-                let m = self.space.manager_mut();
-                if Self::crossing_is_mixed(m, &self.branches[bi], srcs, block.set) {
+                if self.crossing_is_mixed(bi, block.set) {
+                    let m = self.space.manager_mut();
                     let img = Self::branch_image(m, &self.branches[bi], srcs);
                     let touched = m.or(srcs, img);
                     grow = m.or(grow, touched);
@@ -1776,7 +1905,76 @@ fn insert_signal(stg: &Stg, name: &str, plan: &InsertionPlan) -> Result<Inserted
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
     use stg::benchmarks;
+
+    thread_local! {
+        /// While set, every block search of this thread's solves is checked
+        /// by [`check_pool`], which counts the checked pools and deferred
+        /// entries here.
+        static POOL_ORACLE: Cell<Option<(usize, usize)>> = const { Cell::new(None) };
+    }
+
+    /// Whether two scores are the same, bit for bit.
+    fn same(a: &CheapCost, b: &CheapCost) -> bool {
+        a.cmp(b).is_eq() && a.exact == b.exact
+    }
+
+    /// The pool oracle: rescores every entry of a search's pool with no
+    /// bound, ranks the rescored pool by (cost, insertion index), and
+    /// requires the bounded pool to walk exactly that ranking — its first
+    /// `cap` entries as the search left them, the tail once rescored.
+    pub(super) fn check_pool(it: &mut Iteration, core: &Core, pool: &Pool) {
+        let Some((pools, deferred)) = POOL_ORACLE.get() else { return };
+        let crossing_tests = it.crossing_tests;
+        let exact: Vec<CheapCost> =
+            pool.entries.iter().map(|(zone, _)| it.cheap_eval(core, zone, None)).collect();
+        let mut order: Vec<usize> = (0..exact.len()).collect();
+        order.sort_by(|&a, &b| exact[a].cmp(&exact[b]));
+        let cap = pool.cap.min(exact.len());
+        let mut deferrals = 0;
+        for (i, (_, cost)) in pool.entries.iter().enumerate() {
+            if cost.exact {
+                assert!(same(cost, &exact[i]), "entry {i}: {cost:?} is not {:?}", exact[i]);
+            } else {
+                deferrals += 1;
+                assert!(
+                    cost.cmp(&exact[i]).is_le(),
+                    "entry {i}: {cost:?} bounds no {:?}",
+                    exact[i]
+                );
+                assert!(
+                    exact[i].cmp(&exact[order[cap - 1]]).is_gt(),
+                    "deferred entry {i} is not strictly worse than rank {cap}"
+                );
+            }
+        }
+        let mut walked = pool.clone();
+        for (rank, &want) in order.iter().enumerate() {
+            let (zone, cost) = walked.at(rank, it, core).expect("every rank is walked");
+            let (expected, _) = &pool.entries[want];
+            assert!(zone.set == expected.set && zone.sup == expected.sup, "rank {rank}: zone");
+            assert!(same(cost, &exact[want]), "rank {rank}: {cost:?} is not {:?}", exact[want]);
+        }
+        it.crossing_tests = crossing_tests;
+        POOL_ORACLE.set(Some((pools + 1, deferred + deferrals)));
+    }
+
+    #[test]
+    fn bounded_pools_rank_exactly_like_unbounded_ones() {
+        let mut models: Vec<Stg> =
+            benchmarks::table2_suite().into_iter().map(|(_, model, _)| model).collect();
+        models.extend([benchmarks::pipeline_4ph(3), benchmarks::wide_conflict(4)]);
+        // Plan selection scans past the cap on these fuzz seeds.
+        models.extend([0, 13, 18].map(stg::fuzz::random_stg));
+        POOL_ORACLE.set(Some((0, 0)));
+        for model in &models {
+            // A solve that fails is checked as far as its searches went.
+            let _ = solve_stg_symbolic(model, &SolverConfig::default());
+        }
+        let (pools, deferred) = POOL_ORACLE.take().expect("oracle armed");
+        assert!(pools >= 50 && deferred >= 3000, "{pools} pools, {deferred} deferred entries");
+    }
 
     #[test]
     fn conflict_free_models_need_no_insertion() {

@@ -861,7 +861,7 @@ mod tests {
         // on par_hs24).  Each count includes the final round, which finds
         // nothing new.
         for (stg, rounds, arena) in [
-            (benchmarks::parallel_handshakes(24), 3, Some(96_777)),
+            (benchmarks::parallel_handshakes(24), 3, Some(85_811)),
             (benchmarks::pipeline_2ph(16), 18, None),
             (benchmarks::wide_conflict(16), 4, None),
             (benchmarks::pulser_bank(5), 4, None),
