@@ -25,8 +25,10 @@
 //!   [`BddManager::crossing`] answers which of `s ∧ (a | ¬a) ∧ (b | ¬b)`
 //!   are non-empty in one three-operand walk (its four-bit mask is
 //!   memoised exactly: the walk stops early only once all four bits are
-//!   set), and [`BddManager::restrict_cube`] cofactors at a whole cube in
-//!   one memoised pass,
+//!   set), [`BddManager::restrict_cube`] cofactors at a whole cube in
+//!   one memoised pass, and [`BddManager::value_span`] projects a set onto
+//!   each variable in one read-only pass (a cube whose literal the span
+//!   excludes cannot meet the set),
 //! * satisfy-count, cube enumeration and memory/cache statistics
 //!   ([`BddManager::stats`]) round out the toolkit.
 //!

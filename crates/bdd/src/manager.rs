@@ -1611,6 +1611,81 @@ impl BddManager {
         Some(lits)
     }
 
+    /// [`Self::value_span`] bit: some satisfying assignment sets the
+    /// variable to 0.
+    pub const SPAN_LOW: u8 = 0b01;
+    /// [`Self::value_span`] bit: some satisfying assignment sets the
+    /// variable to 1.
+    pub const SPAN_HIGH: u8 = 0b10;
+
+    /// Per variable, the values the satisfying assignments of `f` take, as
+    /// a mask of [`Self::SPAN_LOW`] and [`Self::SPAN_HIGH`]: the projection
+    /// of `f` onto each variable alone.  A level that a path to `true`
+    /// skips takes both values, and so does every level above the root;
+    /// `false` takes none anywhere.
+    ///
+    /// One read-only pass over `f`'s nodes.  In a reduced BDD every node
+    /// reachable from the root lies on a path to `true`, so a variable takes
+    /// a value exactly when some node on its level has a non-`false` child
+    /// on that side, or some edge into a non-`false` child skips the level.
+    /// Allocates no node and charges no budget step.  A conjunction `f ∧ c`
+    /// with a cube `c` is empty whenever the span excludes one of `c`'s
+    /// literals, which is how the solver skips empty branch images.
+    ///
+    /// ```
+    /// use bdd::BddManager;
+    ///
+    /// let mut m = BddManager::new(3);
+    /// let (x0, x2) = (m.var(0), m.var(2));
+    /// let nx2 = m.not(x2);
+    /// let f = m.and(x0, nx2);
+    /// let (low, high) = (BddManager::SPAN_LOW, BddManager::SPAN_HIGH);
+    /// assert_eq!(m.value_span(f), [high, low | high, low]);
+    /// ```
+    pub fn value_span(&self, f: Bdd) -> Vec<u8> {
+        let n = self.num_vars;
+        let mut span = vec![0u8; n];
+        if f.is_false() {
+            return span;
+        }
+        let level = |id: NodeId| (self.var_of(id) as usize).min(n);
+        // Skipped level ranges, as a difference array over the levels.
+        let mut skips = vec![0i32; n + 1];
+        let mut skip = |from: usize, to: usize| {
+            if from < to {
+                skips[from] += 1;
+                skips[to] -= 1;
+            }
+        };
+        skip(0, level(f.0));
+        let mut scratch = self.scratch.borrow_mut();
+        let TraversalScratch { visited, stack, .. } = &mut *scratch;
+        visited.clear();
+        stack.push(f.0);
+        while let Some(id) = stack.pop() {
+            if id.is_terminal() || !visited.insert(id) {
+                continue;
+            }
+            let node = self.node(id);
+            let v = node.var as usize;
+            for (child, bit) in [(node.low, Self::SPAN_LOW), (node.high, Self::SPAN_HIGH)] {
+                if child != NodeId::FALSE {
+                    span[v] |= bit;
+                    skip(v + 1, level(child));
+                    stack.push(child);
+                }
+            }
+        }
+        let mut open = 0;
+        for (v, values) in span.iter_mut().enumerate() {
+            open += skips[v];
+            if open > 0 {
+                *values = Self::SPAN_LOW | Self::SPAN_HIGH;
+            }
+        }
+        span
+    }
+
     /// The set of variables `f` depends on.
     pub fn support(&self, f: Bdd) -> Vec<VarId> {
         let mut scratch = self.scratch.borrow_mut();
@@ -2232,6 +2307,78 @@ mod tests {
         let (enabled, pinned, _) = random_branch(&mut m, &mut rng, 12);
         poison(&mut m, 12);
         assert!(m.image_cube(f, enabled, pinned).is_false(), "a poisoned manager answers false");
+    }
+
+    /// The per-variable projection of `f`, by enumerating every assignment.
+    fn brute_force_span(m: &BddManager, f: Bdd, nv: u32) -> Vec<u8> {
+        let mut span = vec![0u8; nv as usize];
+        for bits in 0..1u32 << nv {
+            let assignment: Vec<bool> = (0..nv).map(|v| bits >> v & 1 == 1).collect();
+            if m.eval(f, &assignment) {
+                for (values, &value) in span.iter_mut().zip(&assignment) {
+                    *values |= if value { BddManager::SPAN_HIGH } else { BddManager::SPAN_LOW };
+                }
+            }
+        }
+        span
+    }
+
+    #[test]
+    fn value_span_matches_the_brute_force_projection() {
+        let (low, high) = (BddManager::SPAN_LOW, BddManager::SPAN_HIGH);
+        for seed in 900..1060u64 {
+            let mut rng = Rng(seed);
+            let nv = 1 + (rng.next() % 8) as u32;
+            let mut m = BddManager::new(nv as usize);
+            let f = match rng.next() % 8 {
+                0 => m.top(),
+                1 => m.bottom(),
+                // Only the outer levels: everything between is skipped.
+                2 => {
+                    let (first, last) = (m.literal(0, rng.next() % 2 == 0), m.var(nv - 1));
+                    m.xor(first, last)
+                }
+                _ => {
+                    let cubes = 1 + (rng.next() % 6) as usize;
+                    random_cube_set(&mut m, &mut rng, nv, cubes)
+                }
+            };
+            let nodes = m.num_nodes();
+            assert_eq!(m.value_span(f), brute_force_span(&m, f, nv), "seed {seed}");
+            assert_eq!(m.num_nodes(), nodes, "seed {seed}: value_span allocated nodes");
+        }
+        // Skipped levels take both values, levels above the root too.
+        let mut m = BddManager::new(5);
+        let (x1, x3) = (m.var(1), m.nvar(3));
+        let f = m.and(x1, x3);
+        assert_eq!(m.value_span(f), [low | high, high, low | high, low, low | high]);
+        assert_eq!(m.value_span(m.top()), [low | high; 5]);
+        assert_eq!(m.value_span(m.bottom()), [0; 5]);
+    }
+
+    #[test]
+    fn an_image_is_empty_whenever_the_span_excludes_an_enabling_literal() {
+        let mut excluded = 0;
+        for seed in 1100..1400u64 {
+            let mut rng = Rng(seed);
+            let nv = 1 + (rng.next() % 8) as u32;
+            let mut m = BddManager::new(nv as usize);
+            let cubes = 1 + (rng.next() % 4) as usize;
+            let f = random_cube_set(&mut m, &mut rng, nv, cubes);
+            let (enabled, pinned, _) = random_branch(&mut m, &mut rng, nv);
+            let span = m.value_span(f);
+            let literals = m.any_sat(enabled).expect("a cube is satisfiable");
+            let admitted = literals.iter().all(|&(v, value)| {
+                let bit = if value { BddManager::SPAN_HIGH } else { BddManager::SPAN_LOW };
+                span[v as usize] & bit != 0
+            });
+            if !admitted {
+                excluded += 1;
+                assert!(m.image_cube(f, enabled, pinned).is_false(), "seed {seed}");
+                assert!(!m.intersects(f, enabled), "seed {seed}");
+            }
+        }
+        assert!(excluded >= 50, "only {excluded} branches were filtered");
     }
 
     #[test]

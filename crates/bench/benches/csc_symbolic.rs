@@ -12,7 +12,8 @@
 //! quality parity (symbolic never inserts more on these rows), and the
 //! explicit solver's time on the same model (`explicit_ms`, the median of
 //! up to three timed solves), and the crossing-uniformity tests the block
-//! search ran (`crossing_tests`, its deterministic work counter).
+//! search ran (`crossing_tests`, its deterministic work counter) with
+//! those that built a target cofactor (`cofactor_crossings`).
 //! `counter4` and `pipe4_4` are the two designs
 //! that carry most of the `controllers` workload of the end-to-end
 //! benchmark: `counter4` evaluates the most candidates of any Table 2
@@ -81,6 +82,7 @@ fn solver_families(c: &mut Criterion) {
             ("final_states", symbolic.stats.final_states as f64),
             ("candidates_evaluated", symbolic.stats.stage.candidates_evaluated as f64),
             ("crossing_tests", symbolic.stats.stage.crossing_tests as f64),
+            ("cofactor_crossings", symbolic.stats.stage.cofactor_crossings as f64),
             ("explicit_ms", explicit_ms),
         ]);
     }

@@ -149,7 +149,8 @@ impl fmt::Display for FlowRung {
 #[derive(Clone, Debug)]
 pub struct DegradationEvent {
     /// The pipeline stage whose governor fired (`"reachability"`,
-    /// `"candidate-search"`, `"isop"`, or `"flow"` for structural limits).
+    /// `"conflict-detection"`, `"candidate-search"`, `"isop"`, or `"flow"`
+    /// for structural limits).
     pub stage: String,
     /// What tripped: a budget ceiling, a truncated fixpoint, or a
     /// structural limit such as the 64-signal explicit cap.
@@ -426,6 +427,7 @@ pub fn render_stage_table(report: &FlowReport) -> String {
     out.push_str(&format!("{:<22} {:>12}\n", "candidates pruned", stage.candidates_pruned));
     out.push_str(&format!("{:<22} {:>12}\n", "candidates verified", stage.candidates_verified));
     out.push_str(&format!("{:<22} {:>12}\n", "crossing tests", stage.crossing_tests));
+    out.push_str(&format!("{:<22} {:>12}\n", "cofactor crossings", stage.cofactor_crossings));
     out.push_str(&format!("{:<22} {:>12}\n", "reachability fixpoints", report.fixpoints));
     out.push_str(&format!("{:<22} {:>12}\n", "solver engine", report.solver_strategy.to_string()));
     out.push_str(&format!("{:<22} {:>12}\n", "flow rung", report.rung.to_string()));
@@ -1239,6 +1241,24 @@ mod tests {
         assert!(text.contains("66 signals, 1.107e20 states"), "{text}");
         assert!(text.contains("0 state signal(s) inserted, unknown states, CSC not established"));
         assert!(text.contains("conflicts   : unknown"), "{text}");
+    }
+
+    #[test]
+    fn a_trip_in_the_solvers_conflict_detection_is_labelled_with_that_stage() {
+        // The input's reachability and logic analysis finish under 200,000
+        // nodes; the solver's first conflict detection does not, and its
+        // trip must not carry the analysis's "isop" label.
+        let options = FlowOptions { node_budget: Some(200_000), ..FlowOptions::default() };
+        let report = run_flow(&stg::benchmarks::wide_conflict(32), &options).unwrap();
+        assert_eq!(report.rung, FlowRung::PartialReport);
+        let first = &report.degradations[0];
+        assert_eq!(first.stage, "conflict-detection");
+        assert!(
+            first.trigger.contains("budget exceeded in conflict-detection"),
+            "{}",
+            first.trigger
+        );
+        assert!(report.to_string().contains("at conflict-detection"), "{report}");
     }
 
     #[test]

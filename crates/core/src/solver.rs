@@ -107,6 +107,11 @@ pub struct StageStats {
     /// solver's cheap scoring and uniformity repair ran: its deterministic
     /// measure of search work (0 for the explicit solver).
     pub crossing_tests: usize,
+    /// The crossing tests whose branch had sources on both sides of the
+    /// block, so that the test built the block's cofactor at the branch's
+    /// post-values; every other test is answered from the branch's
+    /// interned targets (0 for the explicit solver).
+    pub cofactor_crossings: usize,
 }
 
 impl fmt::Display for StageStats {

@@ -216,7 +216,12 @@ pub fn solve_space(
     initial_code: u64,
     reach: &ReachabilityConfig,
 ) -> Result<(SymbolicSolution, SymbolicStateSpace), CscError> {
-    let budget = reach.budget.as_ref();
+    // Labels the budget trips of what follows.
+    let set_stage = |stage: &'static str| {
+        if let Some(budget) = &reach.budget {
+            budget.set_stage(stage);
+        }
+    };
     let start = Instant::now();
     let fixpoints_before = stg::fixpoints_run();
     let mut current = model.clone();
@@ -227,9 +232,11 @@ pub fn solve_space(
     // The verified iteration of the accepted plan is carried into the next
     // round, so each insertion pays for exactly one encoded-reachability
     // analysis of the grown net.
+    set_stage("conflict-detection");
     let mut it = Iteration::build(model, space, None)?;
 
     loop {
+        set_stage("conflict-detection");
         let t0 = Instant::now();
         let conflicted = it.detect_conflicts();
         it.check_budget()?;
@@ -272,9 +279,7 @@ pub fn solve_space(
         let current_total = it.total_conflict_pairs();
         let current_markings = it.markings_without(&(0..0));
         let name = fresh_signal_name(&current, &config.signal_prefix);
-        if let Some(budget) = budget {
-            budget.set_stage("candidate-search");
-        }
+        set_stage("candidate-search");
         // The rebuilt net's reachability is a sub-step of candidate
         // verification: label its budget trips accordingly.
         let verify_reach = ReachabilityConfig { stage: Some("candidate-search"), ..reach.clone() };
@@ -290,6 +295,7 @@ pub fn solve_space(
             let t2 = Instant::now();
             let plans = it.select_plans(&core, &mut pool, &mut stats);
             stats.stage.crossing_tests += std::mem::take(&mut it.crossing_tests);
+            stats.stage.cofactor_crossings += std::mem::take(&mut it.cofactor_crossings);
             it.check_budget()?;
             stats.stage.partition_ms += ms_since(t2);
             let core_pairs = it.signal_conflict_pairs(signal);
@@ -428,7 +434,7 @@ struct TransArcs {
 }
 
 /// Everything needed to rewrite the net for one new state signal.
-#[derive(Clone)]
+#[derive(Clone, Debug, PartialEq)]
 struct InsertionPlan {
     /// Arc additions per existing transition, indexed by transition id.
     arcs: Vec<TransArcs>,
@@ -603,6 +609,9 @@ impl Pool {
 struct BranchOps {
     trans: TransId,
     enabled: Bdd,
+    /// `enabled`'s literals: a set whose [`BddManager::value_span`]
+    /// excludes one of them has an empty image under the branch.
+    enabled_lits: Vec<(VarId, bool)>,
     /// The post-values of the changed variables.  A predicate cofactored
     /// at this cube ([`BddManager::restrict_cube`]) is the predicate
     /// evaluated at the branch's *target*, as a function of the source.
@@ -658,6 +667,15 @@ fn merge_sup(a: &[VarId], b: &[VarId]) -> Vec<VarId> {
     out
 }
 
+/// Whether every literal takes its value somewhere in a set with the
+/// [`BddManager::value_span`] `span`.
+fn admits(span: &[u8], literals: &[(VarId, bool)]) -> bool {
+    literals.iter().all(|&(v, value)| {
+        let bit = if value { BddManager::SPAN_HIGH } else { BddManager::SPAN_LOW };
+        span[v as usize] & bit != 0
+    })
+}
+
 /// `true` when the sorted variable lists share an element (two-pointer
 /// sweep; both lists are ascending).
 fn overlaps(a: &[VarId], b: &[VarId]) -> bool {
@@ -680,6 +698,11 @@ struct Iteration {
     /// Per-branch reachable source states (`Reach ∧ enabled`), interned
     /// once — every candidate analysis starts from these.
     srcs: Vec<Bdd>,
+    /// Per-branch reachable target states, the images of `srcs` (the
+    /// switching regions): interned by the iteration's first
+    /// [`Self::bricks`] call, so that an iteration no block search runs on
+    /// (a rejected candidate net, the encoded STG's) never images them.
+    tgts: Vec<Bdd>,
     place_vars: Vec<VarId>,
     signal_vars: Vec<VarId>,
     /// Non-input signals, with their excitation predicate.
@@ -704,6 +727,9 @@ struct Iteration {
     /// Crossing-uniformity tests run since the solve last collected them
     /// into [`crate::StageStats::crossing_tests`].
     crossing_tests: usize,
+    /// Those of them that built the target cofactor, collected into
+    /// [`crate::StageStats::cofactor_crossings`].
+    cofactor_crossings: usize,
 }
 
 impl Iteration {
@@ -762,6 +788,7 @@ impl Iteration {
                 BranchOps {
                     trans: b.trans,
                     enabled,
+                    enabled_lits: b.enabled.clone(),
                     pinned_cube: m.cube_of(&b.pinned),
                     changed,
                     vars,
@@ -798,6 +825,7 @@ impl Iteration {
         Ok(Iteration {
             branches,
             srcs,
+            tgts: Vec::new(),
             place_vars,
             signal_vars,
             non_inputs,
@@ -813,6 +841,7 @@ impl Iteration {
             code_eq,
             without_cache: FxHashMap::default(),
             crossing_tests: 0,
+            cofactor_crossings: 0,
             space,
         })
     }
@@ -995,15 +1024,25 @@ impl Iteration {
     /// Images are linear and the previous step's image is part of `z`, so
     /// `z ∪ result` and the hint are exactly those of `image_zone`: a branch
     /// that moved the previous set already put its variables in `z.sup`.
+    ///
+    /// A branch is not imaged at all when the [`BddManager::value_span`] of
+    /// the set it would image excludes one of its enabling literals: no
+    /// state of that set enables it, so its image is provably empty.
     fn image_chain_step(&mut self, z: &Zone, fresh: Bdd, imaged: &[VarId]) -> Zone {
         let m = self.space.manager_mut();
         let mut img = m.bottom();
         let mut sup = z.sup.clone();
+        // The spans of `fresh` and `z.set`, taken on first use.
+        let mut spans: [Option<Vec<u8>>; 2] = [None, None];
         for b in &self.branches {
             if !overlaps(&b.changed, &z.sup) {
                 continue;
             }
-            let from = if overlaps(&b.changed, imaged) { fresh } else { z.set };
+            let (from, side) = if overlaps(&b.changed, imaged) { (fresh, 0) } else { (z.set, 1) };
+            let span = spans[side].get_or_insert_with(|| m.value_span(from));
+            if !admits(span, &b.enabled_lits) {
+                continue;
+            }
             let step = Self::branch_image(m, b, from);
             if !step.is_false() {
                 img = m.or(img, step);
@@ -1126,28 +1165,69 @@ impl Iteration {
 
     /// Whether a branch's reachable firings (`srcs`) cross `set`
     /// non-uniformly: some cross while others stay (inside or outside), or
-    /// some enter while others leave.  The four "does some firing stay in /
-    /// leave / enter / stay out" answers come from one non-building
-    /// [`BddManager::crossing`] walk over the sources, the set and the set
-    /// at the branch's target.
+    /// some enter while others leave.
+    ///
+    /// When the sources all lie on one side of `set`, the firings can only
+    /// stay on it or cross, and the targets say which: the branch is mixed
+    /// iff its targets (`tgts`, exactly the sources' images) meet `set`
+    /// and are not contained in it.  Only sources that straddle `set` need
+    /// the four "does some firing stay in / leave / enter / stay out"
+    /// answers of one [`Self::cofactor_mask`] walk.
     fn crossing_is_mixed(&mut self, bi: usize, set: Bdd) -> bool {
         self.crossing_tests += 1;
-        let (b, srcs) = (&self.branches[bi], self.srcs[bi]);
-        let m = self.space.manager_mut();
-        let tgt_in = m.restrict_cube(set, b.pinned_cube);
-        let mask = m.crossing(srcs, set, tgt_in);
+        let (src_in, src_out) = self.source_sides(bi, set);
+        if !(src_in && src_out) {
+            let (tgts, m) = (self.tgts[bi], self.space.manager_mut());
+            return m.intersects(tgts, set) && !m.implies(tgts, set);
+        }
+        self.cofactor_crossings += 1;
+        let mask = self.cofactor_mask(bi, set);
         let crossing = mask & (BddManager::LEAVES | BddManager::ENTERS);
         let staying = mask & (BddManager::STAYS_IN | BddManager::STAYS_OUT);
         (crossing != 0 && staying != 0) || crossing == BddManager::LEAVES | BddManager::ENTERS
     }
 
+    /// Whether some firing of a branch enters or leaves `set`, by the same
+    /// one-sided short-cut as [`Self::crossing_is_mixed`]: sources inside
+    /// can only leave, into targets outside; sources outside can only
+    /// enter, into targets inside.
+    fn crosses(&mut self, bi: usize, set: Bdd) -> bool {
+        let (src_in, src_out) = self.source_sides(bi, set);
+        if src_in && src_out {
+            return self.cofactor_mask(bi, set) & (BddManager::ENTERS | BddManager::LEAVES) != 0;
+        }
+        let (tgts, m) = (self.tgts[bi], self.space.manager_mut());
+        if src_in {
+            !m.implies(tgts, set)
+        } else {
+            m.intersects(tgts, set)
+        }
+    }
+
+    /// Whether some source of a branch lies inside `set`, and whether some
+    /// lies outside it.
+    fn source_sides(&mut self, bi: usize, set: Bdd) -> (bool, bool) {
+        let (srcs, m) = (self.srcs[bi], self.space.manager_mut());
+        (m.intersects(srcs, set), !m.implies(srcs, set))
+    }
+
+    /// The [`BddManager::crossing`] mask of a branch's sources against
+    /// `set`: one non-building walk over the sources, the set and the set
+    /// at the branch's target (its cofactor at the post-values).
+    fn cofactor_mask(&mut self, bi: usize, set: Bdd) -> u8 {
+        let (b, srcs) = (&self.branches[bi], self.srcs[bi]);
+        let m = self.space.manager_mut();
+        let tgt_in = m.restrict_cube(set, b.pinned_cube);
+        m.crossing(srcs, set, tgt_in)
+    }
+
     /// The candidate bricks: per-place marked predicates, per-branch
     /// excitation regions (preset-marked cubes on the reachable set) and
-    /// switching regions (their images), each carried as a [`Zone`] whose
-    /// support hint is the defining predicate's support — one place, a
-    /// preset cube, a branch's variables — not the (global) support of the
-    /// reach-conjoined set.  Degenerate sets are dropped; duplicates are
-    /// deduplicated by set identity.
+    /// switching regions (their images, `tgts`), each carried as a
+    /// [`Zone`] whose support hint is the defining predicate's support —
+    /// one place, a preset cube, a branch's variables — not the (global)
+    /// support of the reach-conjoined set.  Degenerate sets are dropped;
+    /// duplicates are deduplicated by set identity.
     fn bricks(&mut self) -> Vec<Zone> {
         let mut out: Vec<Zone> = Vec::new();
         let mut seen: FxHashSet<bdd::NodeId> = FxHashSet::default();
@@ -1164,12 +1244,17 @@ impl Iteration {
             let set = m.and(reach, marked);
             push(&mut out, set, vec![v]);
         }
-        for i in 0..self.branches.len() {
-            let er = self.srcs[i];
-            push(&mut out, er, self.branches[i].vars.clone());
+        if self.tgts.is_empty() {
             let m = self.space.manager_mut();
-            let sr = Self::branch_image(m, &self.branches[i], reach);
-            push(&mut out, sr, self.branches[i].vars.clone());
+            self.tgts = self
+                .branches
+                .iter()
+                .map(|b| m.image_cube(reach, b.enabled, b.pinned_cube))
+                .collect();
+        }
+        for (i, b) in self.branches.iter().enumerate() {
+            push(&mut out, self.srcs[i], b.vars.clone());
+            push(&mut out, self.tgts[i], b.vars.clone());
         }
         out
     }
@@ -1371,7 +1456,10 @@ impl Iteration {
             if rank >= cap {
                 stats.stage.candidates_evaluated += 1;
             }
-            if let Some((cost, plan)) = self.detail_eval(core, block) {
+            let outcome = self.detail_eval(core, block);
+            #[cfg(test)]
+            tests::check_detail(self, core, block, &outcome);
+            if let Some((cost, plan)) = outcome {
                 plans.push((cost, plan));
             }
         }
@@ -1422,8 +1510,7 @@ impl Iteration {
                 }
                 if self.crossing_is_mixed(bi, block.set) {
                     let m = self.space.manager_mut();
-                    let img = Self::branch_image(m, &self.branches[bi], srcs);
-                    let touched = m.or(srcs, img);
+                    let touched = m.or(srcs, self.tgts[bi]);
                     grow = m.or(grow, touched);
                     grow_sup = merge_sup(&grow_sup, &self.branches[bi].vars);
                 }
@@ -1572,8 +1659,24 @@ impl Iteration {
     /// stay mixed or would delay an input.  Returns the detailed cost and
     /// the ready-to-apply insertion plan.
     fn detail_eval(&mut self, core: &Core, block: &Zone) -> Option<(DetailCost, InsertionPlan)> {
-        // Orientation: the new signal starts at 0, so the initial state must
-        // lie outside the block.
+        let block = self.uniform_block(block)?;
+        // Input edges may trigger the new signal but never wait for it.  A
+        // block that an input firing enters or leaves is rejected before
+        // its exit borders are derived: the arc derivation of
+        // `plan_block` looks at every branch this test looks at (its
+        // support contains `block.sup`) and flags the same transition, and
+        // every step in between either rejects the block too or reaches
+        // that check.
+        if self.delays_an_input(&block) {
+            return None;
+        }
+        self.plan_block(core, &block)
+    }
+
+    /// A candidate oriented so that the initial state lies outside it (the
+    /// new signal starts at 0) and repaired to crossing-uniformity; `None`
+    /// for a degenerate block or an escaping repair.
+    fn uniform_block(&mut self, block: &Zone) -> Option<Zone> {
         let block = {
             let m = self.space.manager_mut();
             if m.intersects(self.initial, block.set) {
@@ -1585,13 +1688,34 @@ impl Iteration {
         if block.set.is_false() || block.set == self.reach {
             return None;
         }
-        let block = self.repair_block_uniformity(block)?;
+        self.repair_block_uniformity(block)
+    }
+
+    /// Whether a firing of an input-labelled branch touching `block.sup`
+    /// enters or leaves the block, which would make the input wait for
+    /// the new signal.
+    fn delays_an_input(&mut self, block: &Zone) -> bool {
+        for bi in self.branches_touching(&block.sup) {
+            let is_input = match self.labels[self.branches[bi].trans.index()] {
+                TransitionLabel::Edge { signal, .. } => self.input_signal[signal.index()],
+                TransitionLabel::Dummy => false,
+            };
+            if is_input && self.crosses(bi, block.set) {
+                return true;
+            }
+        }
+        false
+    }
+
+    /// The rest of [`Self::detail_eval`] on a uniform block: the
+    /// excitation regions, the progress gate, the arcs and the cost.
+    fn plan_block(&mut self, core: &Core, block: &Zone) -> Option<(DetailCost, InsertionPlan)> {
         let side0 = {
             let m = self.space.manager_mut();
             Zone { set: m.and_not(self.reach, block.set), sup: block.sup.clone() }
         };
         let er_rise = self.exit_border(&side0);
-        let er_fall = self.exit_border(&block);
+        let er_fall = self.exit_border(block);
         if er_rise.set.is_false() || er_fall.set.is_false() {
             return None; // the new signal would never rise or never fall
         }
@@ -1960,15 +2084,131 @@ mod tests {
         POOL_ORACLE.set(Some((pools + 1, deferred + deferrals)));
     }
 
-    #[test]
-    fn bounded_pools_rank_exactly_like_unbounded_ones() {
+    /// The Table 2 suite, `pipe4_3`, `wide_conflict4` and the fuzz seeds
+    /// whose plan selection scans past the cap: the solves the search
+    /// oracles below run on.
+    fn oracle_models() -> Vec<Stg> {
         let mut models: Vec<Stg> =
             benchmarks::table2_suite().into_iter().map(|(_, model, _)| model).collect();
         models.extend([benchmarks::pipeline_4ph(3), benchmarks::wide_conflict(4)]);
-        // Plan selection scans past the cap on these fuzz seeds.
         models.extend([0, 13, 18].map(stg::fuzz::random_stg));
+        models
+    }
+
+    thread_local! {
+        /// While set, every candidate plan selection evaluates is checked
+        /// by [`check_detail`], which counts the checked candidates and
+        /// those the early input check rejected here.
+        static DETAIL_ORACLE: Cell<Option<(usize, usize)>> = const { Cell::new(None) };
+    }
+
+    /// Whether two detailed costs are the same, bit for bit.
+    fn same_detail(a: &DetailCost, b: &DetailCost) -> bool {
+        a.unresolved.to_bits() == b.unresolved.to_bits()
+            && a.border.to_bits() == b.border.to_bits()
+            && a.short_circuits == b.short_circuits
+            && a.triggers == b.triggers
+            && a.imbalance.to_bits() == b.imbalance.to_bits()
+    }
+
+    /// The early-rejection oracle: re-evaluates `block` with the early
+    /// input check skipped and requires `outcome`, the evaluation with it:
+    /// both `None`, or the same cost bit for bit and the same plan.
+    pub(super) fn check_detail(
+        it: &mut Iteration,
+        core: &Core,
+        block: &Zone,
+        outcome: &Option<(DetailCost, InsertionPlan)>,
+    ) {
+        let Some((evaluated, early)) = DETAIL_ORACLE.get() else { return };
+        let counters = (it.crossing_tests, it.cofactor_crossings);
+        let uniform = it.uniform_block(block);
+        let rejected_early = uniform.as_ref().is_some_and(|b| it.delays_an_input(b));
+        let full = uniform.and_then(|b| it.plan_block(core, &b));
+        match (outcome, &full) {
+            (None, None) => {}
+            (Some((cost, plan)), Some((full_cost, full_plan))) => {
+                assert!(same_detail(cost, full_cost), "{cost:?} is not {full_cost:?}");
+                assert_eq!(plan, full_plan);
+            }
+            _ => panic!(
+                "the early input check changed the outcome: {} with it, {} without",
+                outcome.is_some(),
+                full.is_some()
+            ),
+        }
+        (it.crossing_tests, it.cofactor_crossings) = counters;
+        DETAIL_ORACLE.set(Some((evaluated + 1, early + usize::from(rejected_early))));
+    }
+
+    #[test]
+    fn early_input_rejection_keeps_every_outcome() {
+        DETAIL_ORACLE.set(Some((0, 0)));
+        for model in &oracle_models() {
+            // A solve that fails is checked as far as its searches went.
+            let _ = solve_stg_symbolic(model, &SolverConfig::default());
+        }
+        let (evaluated, early) = DETAIL_ORACLE.take().expect("oracle armed");
+        assert!(
+            evaluated >= 2000 && early >= 500,
+            "{evaluated} candidates, {early} early rejections"
+        );
+    }
+
+    /// The crossing test without the one-sided short-cut: the cofactor of
+    /// `set` at the branch's post-values and one crossing walk, for every
+    /// branch.
+    fn cofactor_crossing(it: &mut Iteration, bi: usize, set: Bdd) -> u8 {
+        let (pinned, srcs) = (it.branches[bi].pinned_cube, it.srcs[bi]);
+        let m = it.space.manager_mut();
+        let tgt_in = m.restrict_cube(set, pinned);
+        m.crossing(srcs, set, tgt_in)
+    }
+
+    #[test]
+    fn one_sided_crossing_tests_match_the_cofactor_walk() {
+        const CROSSES: u8 = BddManager::LEAVES | BddManager::ENTERS;
+        const STAYS: u8 = BddManager::STAYS_IN | BddManager::STAYS_OUT;
+        let (mut tests, mut one_sided_mixed) = (0, 0);
+        for model in &oracle_models() {
+            let space =
+                model.try_symbolic_encoded_state_space(0, &ReachabilityConfig::default()).unwrap();
+            let mut it = Iteration::build(model, space, None).unwrap();
+            for brick in it.bricks() {
+                // The brick and the first 12 prefixes of its growth chain.
+                let mut zone = brick;
+                for prefix in 0..=12 {
+                    for bi in 0..it.branches.len() {
+                        let mask = cofactor_crossing(&mut it, bi, zone.set);
+                        let mixed =
+                            (mask & CROSSES != 0 && mask & STAYS != 0) || mask & CROSSES == CROSSES;
+                        let cofactored = it.cofactor_crossings;
+                        let context = format!("{}: prefix {prefix}, branch {bi}", model.name());
+                        assert_eq!(it.crossing_is_mixed(bi, zone.set), mixed, "{context}");
+                        assert_eq!(it.crosses(bi, zone.set), mask & CROSSES != 0, "{context}");
+                        one_sided_mixed +=
+                            usize::from(mixed && it.cofactor_crossings == cofactored);
+                        tests += 1;
+                    }
+                    let img = it.image_zone(&zone);
+                    let grown = it.space.manager_mut().or(zone.set, img.set);
+                    if grown == zone.set {
+                        break;
+                    }
+                    zone = Zone { set: grown, sup: img.sup };
+                }
+            }
+        }
+        assert!(
+            tests >= 40_000 && one_sided_mixed >= 500,
+            "{tests} tests, {one_sided_mixed} mixed one-sided"
+        );
+    }
+
+    #[test]
+    fn bounded_pools_rank_exactly_like_unbounded_ones() {
         POOL_ORACLE.set(Some((0, 0)));
-        for model in &models {
+        for model in &oracle_models() {
             // A solve that fails is checked as far as its searches went.
             let _ = solve_stg_symbolic(model, &SolverConfig::default());
         }
