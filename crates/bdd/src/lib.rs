@@ -15,10 +15,11 @@
 //! * [`Bdd`] is a cheap copyable handle (node index) into a manager,
 //! * binary operations go through a memoised Shannon-expansion `apply`,
 //! * set quantification (`exists_many`/`forall_many`) runs as one fused
-//!   recursion over a sorted variable cube, and the relational product
-//!   [`BddManager::and_exists`] conjoins and quantifies in a single pass
-//!   without materialising the intermediate conjunction — the image
-//!   operator symbolic reachability is built on,
+//!   recursion over a sorted variable cube, and the branch image
+//!   [`BddManager::image_cube`] selects, quantifies and re-pins a cube's
+//!   variables in one pass without materialising the conjunction or the
+//!   quantified set — the image operator symbolic reachability and the CSC
+//!   solver are built on,
 //! * emptiness questions are answered without building the BDD they ask
 //!   about: [`BddManager::intersects`] and [`BddManager::implies`] stop
 //!   at the first satisfying path and allocate nothing,

@@ -21,12 +21,11 @@
 //!   `(Op, NodeId, NodeId, NodeId)`: binary connectives use two operands
 //!   (negation uses `Op::Not` with both operands equal), while the
 //!   quantifier recursions key the third slot with the variable cube and
-//!   the fused relational product `and_exists` and the branch image
-//!   `image_cube` use all three.  The cube cofactor is keyed `(f, cube)`,
-//!   the non-building tests `intersects`/`implies` store their yes/no
-//!   answer as a terminal, and the three-operand test `crossing` stores
-//!   its exact four-bit mask in the result slot.  Entries carry a
-//!   generation tag: [`BddManager::clear_caches`] invalidates
+//!   the branch image `image_cube` uses all three.  The cube cofactor is
+//!   keyed `(f, cube)`, the non-building tests `intersects`/`implies` store
+//!   their yes/no answer as a terminal, and the three-operand test
+//!   `crossing` stores its exact four-bit mask in the result slot.  Entries
+//!   carry a generation tag: [`BddManager::clear_caches`] invalidates
 //!   every entry in O(1) by bumping the generation, and the cache is
 //!   re-sized (which also clears it) when the arena outgrows it.
 //!   Collisions simply overwrite — stale results are only ever *missed*,
@@ -95,31 +94,27 @@ enum Op {
     Exists = 4,
     /// `∀ cube. f` — keyed `(f, cube, -)`.
     Forall = 5,
-    /// `∃ cube. f ∧ g` — the fused relational product, keyed `(f, g, cube)`.
-    AndExists = 6,
-    /// Shift every odd variable down by one — keyed `(f, -, -)`.
-    Unprime = 7,
     /// Shift every even variable up by one — keyed `(f, -, -)`.
-    Prime = 8,
+    Prime = 6,
     /// `f` cofactored at every literal of a cube — keyed `(f, cube, -)`.
-    RestrictCube = 9,
+    RestrictCube = 7,
     /// Whether `f ∧ g` is satisfiable — keyed `(f, g, -)`, answered as a
     /// terminal.
-    Intersects = 10,
+    Intersects = 8,
     /// Whether `f ∧ ¬g` is satisfiable (the complement of `f → g`) — keyed
     /// `(f, g, -)`, answered as a terminal.
-    IntersectsNot = 11,
+    IntersectsNot = 9,
     /// Which of `s ∧ (a | ¬a) ∧ (b | ¬b)` are satisfiable — keyed
     /// `(s, a, b)`, answered as the four-bit mask of
     /// [`BddManager::crossing`] in place of a node id.  The recursion stops
     /// early only once all four bits are set, so a stored mask is always
     /// exact, whichever question the caller asked.
-    Crossing = 12,
+    Crossing = 10,
     /// `f ∧ ¬g` without building `¬g` — keyed `(f, g, -)`.
-    AndNot = 13,
+    AndNot = 11,
     /// The branch image `pinned ∧ ∃vars(pinned). f ∧ enabled` — keyed
     /// `(f, enabled, pinned)`.
-    Image = 14,
+    Image = 12,
 }
 
 /// Sentinel for an empty unique-table slot (no node can have this id: the
@@ -1020,8 +1015,8 @@ impl BddManager {
     ///
     /// The cube doubles as the memo key for the quantifier recursions, so
     /// callers that quantify the same set repeatedly (fixpoint loops) should
-    /// build it once and reuse it through [`Self::exists_cube`],
-    /// [`Self::forall_cube`] and [`Self::and_exists_with`].
+    /// build it once and reuse it through [`Self::exists_cube`] and
+    /// [`Self::forall_cube`].
     pub fn quant_cube(&mut self, vars: &[VarId]) -> Bdd {
         let mut sorted: Vec<VarId> = vars.to_vec();
         sorted.sort_unstable();
@@ -1166,177 +1161,38 @@ impl BddManager {
         r
     }
 
-    /// The fused relational product `∃ vars. f ∧ g`.
-    ///
-    /// A single recursion conjoins and quantifies in one pass: the
-    /// intermediate `f ∧ g` BDD is never materialised, and the disjunction
-    /// at quantified levels short-circuits to `true` without visiting the
-    /// other branch.  This is the image operator of symbolic reachability.
-    ///
-    /// ```
-    /// use bdd::BddManager;
-    ///
-    /// let mut m = BddManager::new(3);
-    /// let (a, b, c) = (m.var(0), m.var(1), m.var(2));
-    /// // ∃a. (a ∨ b) ∧ (a ∨ c) — the fused product equals the two-step one.
-    /// let ab = m.or(a, b);
-    /// let ac = m.or(a, c);
-    /// let fused = m.and_exists(ab, ac, &[0]);
-    /// let conjoined = m.and(ab, ac);
-    /// let two_step = m.exists_many(conjoined, &[0]);
-    /// assert_eq!(fused, two_step);
-    /// assert!(fused.is_true()); // choosing a = 1 satisfies both operands
-    /// ```
-    pub fn and_exists(&mut self, f: Bdd, g: Bdd, vars: &[VarId]) -> Bdd {
-        let cube = self.quant_cube(vars);
-        self.and_exists_with(f, g, cube)
-    }
-
-    /// [`Self::and_exists`] over a prebuilt [`Self::quant_cube`] — the form
-    /// fixpoint loops should call so the cube (which is also the memo key)
-    /// is interned once.
-    pub fn and_exists_with(&mut self, f: Bdd, g: Bdd, cube: Bdd) -> Bdd {
-        if self.tripped {
-            return Bdd(NodeId::FALSE);
-        }
-        debug_assert!(self.is_quant_cube(cube), "quantifier cube must be positive literals");
-        Bdd(self.and_exists_rec(f.0, g.0, cube.0))
-    }
-
-    fn and_exists_rec(&mut self, f: NodeId, g: NodeId, mut cube: NodeId) -> NodeId {
-        if f == NodeId::FALSE || g == NodeId::FALSE {
-            return NodeId::FALSE;
-        }
-        // Degenerate operands reduce to a plain quantification (which has
-        // better sharing under its own cache key).
-        if f == NodeId::TRUE {
-            return self.exists_rec(g, cube);
-        }
-        if g == NodeId::TRUE || f == g {
-            return self.exists_rec(f, cube);
-        }
-        // Conjunction is commutative: normalise the operand order.
-        let (f, g) = if f <= g { (f, g) } else { (g, f) };
-        let vf = self.var_of(f);
-        let vg = self.var_of(g);
-        let v = vf.min(vg);
-        while cube != NodeId::TRUE && self.var_of(cube) < v {
-            cube = self.node(cube).high;
-        }
-        if cube == NodeId::TRUE {
-            // No variables left to quantify below this level.
-            return self.apply(Op::And, f, g);
-        }
-        if self.tripped {
-            return NodeId::FALSE;
-        }
-        if let Some(r) = self.cache.lookup3(Op::AndExists, f, g, cube) {
-            return r;
-        }
-        let (f_low, f_high) = if vf == v {
-            let n = self.node(f);
-            (n.low, n.high)
-        } else {
-            (f, f)
-        };
-        let (g_low, g_high) = if vg == v {
-            let n = self.node(g);
-            (n.low, n.high)
-        } else {
-            (g, g)
-        };
-        let r = if v == self.var_of(cube) {
-            let rest = self.node(cube).high;
-            let low = self.and_exists_rec(f_low, g_low, rest);
-            if low == NodeId::TRUE {
-                NodeId::TRUE
-            } else {
-                let high = self.and_exists_rec(f_high, g_high, rest);
-                self.apply(Op::Or, low, high)
-            }
-        } else {
-            let low = self.and_exists_rec(f_low, g_low, cube);
-            let high = self.and_exists_rec(f_high, g_high, cube);
-            self.mk(v, low, high)
-        };
-        if !self.tripped {
-            self.cache.store3(Op::AndExists, f, g, cube, r);
-        }
-        r
-    }
-
-    /// Maps every *odd* variable in `f`'s support to its even predecessor
-    /// (`2i+1 ↦ 2i`), leaving even variables in place.
-    ///
-    /// This is the rename step of the relational-product image under an
-    /// interleaved current/next variable encoding (current state in the even
-    /// variables, next state in the odd ones): after quantifying the current
-    /// copy, `unprime` moves the next-state result back onto the current
-    /// variables.  The map preserves the variable order, so the result is
-    /// built by a single structural traversal.
-    ///
-    /// # Panics
-    ///
-    /// `f` must not depend on both `2i` and `2i + 1` for any `i` — the two
-    /// would collide on the same level after the shift.  Violations panic
-    /// (in release builds too): silently interning an out-of-order node
-    /// would corrupt canonicity for the whole manager.
-    pub fn unprime(&mut self, f: Bdd) -> Bdd {
-        Bdd(self.unprime_rec(f.0))
-    }
-
-    fn unprime_rec(&mut self, f: NodeId) -> NodeId {
-        if f.is_terminal() {
-            return f;
-        }
-        if self.tripped {
-            return NodeId::FALSE;
-        }
-        if let Some(r) = self.cache.lookup(Op::Unprime, f, f) {
-            return r;
-        }
-        let n = self.node(f);
-        let low = self.unprime_rec(n.low);
-        let high = self.unprime_rec(n.high);
-        let var = n.var - (n.var & 1);
-        assert!(
-            self.var_of(low) > var && self.var_of(high) > var,
-            "unprime: input depends on both variables of the pair ({var}, {})",
-            var + 1
-        );
-        let r = self.mk(var, low, high);
-        if !self.tripped {
-            self.cache.store(Op::Unprime, f, f, r);
-        }
-        r
-    }
-
     /// Maps every *even* variable in `f`'s support to its odd successor
-    /// (`2i ↦ 2i + 1`), leaving odd variables in place — the inverse rename
-    /// of [`Self::unprime`].
+    /// (`2i ↦ 2i + 1`), leaving odd variables in place.
     ///
     /// Under the interleaved current/next encoding this re-expresses a
     /// current-state predicate over the next-state copies, which is how a
-    /// *pair* relation (e.g. the CSC conflict relation between two reachable
+    /// *pair* relation (e.g. the CSC conflict pairs between two reachable
     /// states) is built: keep one operand on the current variables, `prime`
-    /// the other, and conjoin.
+    /// the other, and conjoin.  The map preserves the variable order, so the
+    /// result is built by a single structural traversal.
     ///
     /// ```
     /// use bdd::BddManager;
     ///
     /// let mut m = BddManager::new(4);
-    /// let cur = m.var(0);           // current copy of state variable 0
-    /// let primed = m.prime(cur);    // the same predicate on the next copy
-    /// assert_eq!(primed, m.var(1));
-    /// assert_eq!(m.unprime(primed), cur);
+    /// let (x0, x2) = (m.var(0), m.var(2));
+    /// let cur = m.and(x0, x2);      // a predicate on the current copies
+    /// let primed = m.prime(cur);    // the same predicate on the next copies
+    /// let (x1, x3) = (m.var(1), m.var(3));
+    /// assert_eq!(primed, m.and(x1, x3));
+    /// // Conjoined with the original, it relates two states that both hold it.
+    /// let pairs = m.and(cur, primed);
+    /// assert_eq!(m.sat_count(pairs), 1);
     /// ```
     ///
     /// # Panics
     ///
-    /// `f` must not depend on both `2i` and `2i + 1` for any `i`, and no
-    /// variable of `f`'s support may be the last manager variable (its odd
-    /// successor must exist).  Violations panic in release builds too, for
-    /// the same canonicity reason as [`Self::unprime`].
+    /// `f` must not depend on both `2i` and `2i + 1` for any `i` — the two
+    /// would collide on the same level after the shift — and no variable of
+    /// `f`'s support may be the last manager variable (its odd successor
+    /// must exist).  Violations panic in release builds too: silently
+    /// interning an out-of-order node would corrupt canonicity for the whole
+    /// manager.
     pub fn prime(&mut self, f: Bdd) -> Bdd {
         Bdd(self.prime_rec(f.0))
     }
@@ -2019,26 +1875,6 @@ mod tests {
     }
 
     #[test]
-    fn and_exists_equals_exists_of_and_on_random_cube_sets() {
-        for seed in 0..40u64 {
-            let mut rng = Rng(seed);
-            let nv = 2 + (rng.next() % 7) as u32;
-            let mut m = BddManager::new(nv as usize);
-            let fc = 1 + (rng.next() % 6) as usize;
-            let f = random_cube_set(&mut m, &mut rng, nv, fc);
-            let gc = 1 + (rng.next() % 6) as usize;
-            let g = random_cube_set(&mut m, &mut rng, nv, gc);
-            let vars: Vec<VarId> = (0..nv).filter(|_| rng.next() % 2 == 0).collect();
-            let fused = m.and_exists(f, g, &vars);
-            let fg = m.and(f, g);
-            let reference = m.exists_many(fg, &vars);
-            assert_eq!(fused, reference, "seed {seed}, vars {vars:?}");
-            // Cross-check against the per-variable loop as well.
-            assert_eq!(exists_loop(&mut m, fg, &vars), reference, "seed {seed}");
-        }
-    }
-
-    #[test]
     fn fused_quantifiers_match_the_per_variable_loop() {
         for seed in 100..130u64 {
             let mut rng = Rng(seed);
@@ -2411,60 +2247,7 @@ mod tests {
     }
 
     #[test]
-    fn and_exists_never_builds_the_conjunction_when_it_can_prune() {
-        // f ∧ g is huge, but quantifying everything collapses to a constant;
-        // the fused operator must answer without materialising f ∧ g.
-        let mut m = BddManager::new(16);
-        let f_vars: Vec<Bdd> = (0..16).map(|i| m.var(i)).collect();
-        let mut f = m.bottom();
-        for pair in f_vars.chunks(2) {
-            let x = m.xor(pair[0], pair[1]);
-            f = m.or(f, x);
-        }
-        let g = m.top();
-        let all: Vec<VarId> = (0..16).collect();
-        let r = m.and_exists(f, g, &all);
-        assert!(r.is_true());
-    }
-
-    #[test]
-    fn unprime_shifts_odd_variables_down() {
-        let mut m = BddManager::new(8);
-        // f over the odd (next-state) variables 1, 3, 5.
-        let x1 = m.var(1);
-        let x3 = m.var(3);
-        let x5 = m.var(5);
-        let x13 = m.and(x1, x3);
-        let f = m.or(x13, x5);
-        let g = m.unprime(f);
-        let e0 = m.var(0);
-        let e2 = m.var(2);
-        let e4 = m.var(4);
-        let e02 = m.and(e0, e2);
-        let expected = m.or(e02, e4);
-        assert_eq!(g, expected);
-        // Mixed support is fine as long as no even/odd pair collides.
-        let e6 = m.var(6);
-        let mixed = m.and(f, e6);
-        let unprimed = m.unprime(mixed);
-        let expected_mixed = m.and(expected, e6);
-        assert_eq!(unprimed, expected_mixed);
-        // Even-only functions are fixed points.
-        assert_eq!(m.unprime(expected), expected);
-    }
-
-    #[test]
-    #[should_panic(expected = "both variables of the pair")]
-    fn unprime_rejects_colliding_variable_pairs() {
-        let mut m = BddManager::new(4);
-        let x0 = m.var(0);
-        let x1 = m.var(1);
-        let bad = m.and(x0, x1);
-        let _ = m.unprime(bad);
-    }
-
-    #[test]
-    fn prime_shifts_even_variables_up_and_inverts_unprime() {
+    fn prime_shifts_even_variables_up() {
         let mut m = BddManager::new(8);
         let e0 = m.var(0);
         let e2 = m.var(2);
@@ -2478,11 +2261,14 @@ mod tests {
         let x13 = m.and(x1, x3);
         let expected = m.or(x13, x5);
         assert_eq!(primed, expected);
-        assert_eq!(m.unprime(primed), f, "unprime ∘ prime is the identity");
-        // Odd-only functions are fixed points; mixed support is fine as long
-        // as no even/odd pair collides.
+        // The primed function reads on `2i + 1` what `f` reads on `2i`.
+        for bits in 0..256u32 {
+            let a: Vec<bool> = (0..8).map(|v| (bits >> v) & 1 != 0).collect();
+            let shifted: Vec<bool> = (0..8).map(|v| a[v & !1]).collect();
+            assert_eq!(m.eval(primed, &shifted), m.eval(f, &a), "assignment {bits:#010b}");
+        }
+        // Odd-only functions are fixed points.
         assert_eq!(m.prime(expected), expected);
-        let mixed = m.and(f, x5);
         // f depends on var 4, x5 on var 5 — the pair (4, 5) collides.
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut m2 = BddManager::new(8);
@@ -2492,7 +2278,6 @@ mod tests {
             m2.prime(bad)
         }));
         assert!(result.is_err(), "colliding pair must panic");
-        let _ = mixed;
     }
 
     #[test]

@@ -91,10 +91,11 @@ fn solver_families(c: &mut Criterion) {
 
 fn wide_designs(c: &mut Criterion) {
     let mut group = c.benchmark_group("csc_symbolic/wide");
-    // One sample per row: each solve runs several reachability analyses of
-    // a huge product space, and the measurement is dominated by those, not
-    // by sampling noise.
-    group.sample_size(1).measurement_time(Duration::from_millis(1));
+    // Five samples per row: one sample moved `wide_conflict32`'s scaled
+    // median by 14% between two recordings of the same build.  The time
+    // budget never cuts the five short (a `wide_conflict32` solve takes a
+    // fraction of a second).
+    group.sample_size(5).measurement_time(Duration::from_secs(20));
     let config = SolverConfig::default();
     for n in [8usize, 16, 32] {
         let model = benchmarks::wide_conflict(n);

@@ -6,7 +6,11 @@
 //! `bench_function`, `Bencher::iter`, `black_box`) while adding the one
 //! thing the project needs from a harness: machine-readable baselines.
 //! Setting `BENCH_OUT=<path>` writes every recorded statistic as a JSON
-//! array so successive PRs have a perf trajectory to compare against.
+//! array so successive PRs have a perf trajectory to compare against.  A
+//! relative path is resolved against the workspace root, not against the
+//! directory `cargo bench` runs the bench in (its package's), so
+//! `BENCH_OUT=BENCH_symbolic.json` updates the tracked baseline at the
+//! root; an absolute path is used as given.
 //!
 //! Two environment overrides support CI smoke runs: `BENCH_SAMPLE_SIZE`
 //! and `BENCH_MEASUREMENT_MS` replace every group's sampling parameters,
@@ -28,6 +32,7 @@
 //! than the raw one.  Each benchmark also runs one untimed warm-up pass
 //! before its samples.
 
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 /// Opaque value barrier preventing the optimiser from deleting benched work.
@@ -198,12 +203,24 @@ impl Criterion {
             }
         }
         if let Ok(path) = std::env::var("BENCH_OUT") {
+            let path = bench_out_path(&path);
             match std::fs::write(&path, results_to_json(&self.results)) {
-                Ok(()) => println!("\nresults written to {path}"),
-                Err(e) => eprintln!("\ncould not write {path}: {e}"),
+                Ok(()) => println!("\nresults written to {}", path.display()),
+                Err(e) => eprintln!("\ncould not write {}: {e}", path.display()),
             }
         }
     }
+}
+
+/// The file a `BENCH_OUT` value names: an absolute path as given, a
+/// relative one under the workspace root (two levels above this package).
+fn bench_out_path(value: &str) -> PathBuf {
+    let path = Path::new(value);
+    if path.is_absolute() {
+        return path.to_path_buf();
+    }
+    let package = Path::new(env!("CARGO_MANIFEST_DIR"));
+    package.ancestors().nth(2).expect("the bench package sits two levels below the root").join(path)
 }
 
 fn format_ns(ns: f64) -> String {
@@ -413,6 +430,18 @@ impl Bencher<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn bench_out_resolves_relative_paths_against_the_workspace_root() {
+        let relative = bench_out_path("BENCH_symbolic.json");
+        assert!(relative.is_absolute(), "{}", relative.display());
+        assert!(relative.ends_with("BENCH_symbolic.json"));
+        assert!(relative.with_file_name("Cargo.lock").is_file(), "{}", relative.display());
+        let nested = bench_out_path("out/b.json");
+        assert_eq!(nested, relative.with_file_name("out").join("b.json"));
+        let absolute = std::env::temp_dir().join("b.json");
+        assert_eq!(bench_out_path(absolute.to_str().unwrap()), absolute);
+    }
 
     #[test]
     fn bench_function_records_requested_samples() {

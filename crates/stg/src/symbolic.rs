@@ -2,33 +2,42 @@
 //!
 //! The DAC'96 paper attributes petrify's capacity to handle "extremely large
 //! state graphs" to the symbolic (OBDD) representation of the state graph.
-//! This module provides that engine, built around the fused
-//! relational-product operator [`bdd::BddManager::and_exists`]:
+//! This module provides that engine, built around the one-pass branch image
+//! [`bdd::BddManager::image_cube`]:
 //!
 //! * **Interleaved variable encoding** — every state variable (one per
 //!   place, plus one per signal for code-encoded spaces) owns an adjacent
 //!   pair of BDD variables: the *current* copy at index `2i` and the *next*
-//!   copy at `2i + 1`.  Interleaving keeps the per-transition relations
-//!   linear-sized, and renaming next back to current is a plain
-//!   order-preserving shift ([`bdd::BddManager::unprime`]).
-//! * **Partitioned transition relations** — each transition contributes a
-//!   small relation `enabled(x) ∧ next-values(x′) ∧ frame(x, x′)` whose
-//!   support is limited to the variables the transition actually touches.
-//!   Relations are grouped into *disjunctive clusters* per signal (dummy
-//!   transitions stay individual), so one image step per cluster replaces
-//!   the per-transition and/exists/and/or chain.
-//! * **Chained reachability** — each image round fires the clusters one
-//!   after another, in the order they are built: a cluster images the
-//!   round's frontier plus every state the clusters before it found in the
-//!   same round, so one round advances every independent component of an
-//!   interleaving product instead of one component by one step.  The round
-//!   then hands everything it found to the next round as its frontier.
+//!   copy at `2i + 1`.  Reachable sets live on the current copies only; the
+//!   next copies carry the second state of *pair* relations (the CSC
+//!   solver's code-tied conflict-pair counts, built with
+//!   [`bdd::BddManager::prime`]).
+//! * **Firing branches** — each transition fires through one branch per
+//!   pre-value of its code bit (two for a toggle, one otherwise): a cube of
+//!   enabling literals (marked preset, the signal's pre-value) and a cube of
+//!   post-values for the variables it changes.  The image of a set under a
+//!   branch is `pinned ∧ ∃changed. set ∧ enabled`, one memoised recursion
+//!   that builds no relation and touches no next copy.
+//! * **Causal firing order** — the branches fire in an order computed once
+//!   per net: breadth-first from the initially marked places, a transition
+//!   entering when the first of its preset places is reached (transitions
+//!   never reached follow in index order; a toggle's two branches stay
+//!   adjacent).  A token can then travel a whole handshake or ring within
+//!   one round, and the transitions an insertion adds land next to their
+//!   triggers.
+//! * **Chained reachability** — each round fires the branches one after
+//!   another in that order; a branch images the reachable set as the
+//!   branches before it left it, so one round carries a token as far along
+//!   the order as it can travel.  The round ends when every branch has
+//!   fired, and a round that finds nothing new ends the fixpoint.
 //!   Chaining only fires enabled transitions, so it computes the same least
-//!   fixpoint as breadth-first search; and after round `k` the reachable set
-//!   holds every state within `k` steps of the initial one, so it never
-//!   needs more rounds than breadth-first search (the `4 × places` round cap
-//!   keeps its meaning).  A product of `k` handshakes converges in 3 rounds
-//!   where breadth-first search needs the sum of the component depths.
+//!   fixpoint as breadth-first search, whatever the order; and after round
+//!   `k` the reachable set holds every state within `k` steps of the
+//!   initial one, so it never needs more rounds than breadth-first search
+//!   (the `4 × places` round cap keeps its meaning).  A product of
+//!   handshakes converges in 2 rounds, the last of which finds nothing
+//!   new.  The same loop, with one transition skipped, answers
+//!   [`SymbolicStateSpace::reachable_without`].
 //!
 //! The symbolic engine is used by the Table 1 harness to count state spaces
 //! far beyond what explicit enumeration can touch (e.g. `4^24` markings for
@@ -38,9 +47,10 @@
 use crate::error::StgError;
 use crate::model::{Stg, TransitionLabel};
 use crate::signal::{Polarity, SignalId};
-use bdd::{Bdd, BddManager, BddStats, Budget, FxHashMap, VarId};
-use petri::TransId;
+use bdd::{Bdd, BddManager, BddStats, Budget, BudgetExceeded, VarId};
+use petri::{PlaceId, TransId};
 use std::cell::Cell;
+use std::collections::VecDeque;
 
 thread_local! {
     static FIXPOINTS: Cell<usize> = const { Cell::new(0) };
@@ -90,6 +100,8 @@ pub struct SymbolicStateSpace {
     /// Position of each logical state variable (places `0..num_places`,
     /// then signals) in the interleaved BDD variable order.
     pos: Vec<usize>,
+    /// The branches the fixpoint fires, in causal order.
+    firings: Vec<Firing>,
     /// `true` when the fixpoint completed without hitting the iteration cap.
     pub converged: bool,
     /// Number of chained image rounds the fixpoint performed; a converged
@@ -130,7 +142,6 @@ pub struct TransitionBranch {
 struct RawBranch {
     trans: TransId,
     enabled: Vec<(usize, bool)>,
-    changed: Vec<usize>,
     pinned: Vec<(usize, bool)>,
 }
 
@@ -158,8 +169,6 @@ fn enumerate_branches(stg: &Stg, with_codes: bool) -> Vec<RawBranch> {
             None
         };
         let enabled_base: Vec<(usize, bool)> = pre.iter().map(|&p| (p, true)).collect();
-        let mut changed_base: Vec<usize> = cleared.clone();
-        changed_base.extend(&set);
         let mut pinned_base: Vec<(usize, bool)> = Vec::new();
         pinned_base.extend(cleared.iter().map(|&p| (p, false)));
         pinned_base.extend(set.iter().map(|&p| (p, true)));
@@ -176,30 +185,103 @@ fn enumerate_branches(stg: &Stg, with_codes: bool) -> Vec<RawBranch> {
         };
         for (pre_lit, post_lit) in code_branches {
             let mut enabled = enabled_base.clone();
-            let mut changed = changed_base.clone();
             let mut pinned = pinned_base.clone();
-            if let Some((sv, value)) = pre_lit {
-                enabled.push((sv, value));
-                changed.push(sv);
-            }
-            if let Some((sv, value)) = post_lit {
-                pinned.push((sv, value));
-            }
-            changed.sort_unstable();
-            changed.dedup();
-            branches.push(RawBranch { trans: t_id, enabled, changed, pinned });
+            enabled.extend(pre_lit);
+            pinned.extend(post_lit);
+            branches.push(RawBranch { trans: t_id, enabled, pinned });
         }
     }
     branches
 }
 
-/// One disjunctive cluster of transition relations plus its quantifier.
-struct Cluster {
-    /// `∨` over the member transitions of `enabled ∧ pins ∧ frame`.
-    relation: Bdd,
-    /// Positive cube of the *current* copies of every state variable some
-    /// member changes — the set `and_exists` quantifies away.
-    quant: Bdd,
+/// The order the chained fixpoint fires transitions in: breadth-first over
+/// the net from the initially marked places.  A transition enters the order
+/// when the first of its preset places is reached, and its postset places
+/// join the queue; transitions never reached come last, in index order.
+fn causal_order(stg: &Stg) -> Vec<TransId> {
+    let net = stg.net();
+    let mut place_seen = vec![false; net.num_places()];
+    let mut ordered = vec![false; net.num_transitions()];
+    let mut order = Vec::with_capacity(net.num_transitions());
+    let mut queue: VecDeque<PlaceId> = (0..net.num_places())
+        .map(PlaceId::from)
+        .filter(|&p| net.initial_marking().is_marked(p))
+        .collect();
+    for p in &queue {
+        place_seen[p.index()] = true;
+    }
+    while let Some(p) = queue.pop_front() {
+        for &t in net.place_postset(p) {
+            if std::mem::replace(&mut ordered[t.index()], true) {
+                continue;
+            }
+            order.push(t);
+            for &q in net.postset(t) {
+                if !std::mem::replace(&mut place_seen[q.index()], true) {
+                    queue.push_back(q);
+                }
+            }
+        }
+    }
+    order.extend((0..net.num_transitions()).map(TransId::from).filter(|t| !ordered[t.index()]));
+    order
+}
+
+/// One firing branch of the chained fixpoint, interned in the space's
+/// manager over the *current* variable copies.
+#[derive(Debug)]
+struct Firing {
+    trans: TransId,
+    /// Cube of the literals enabling the branch.
+    enabled: Bdd,
+    /// Cube of the post-values of the variables the branch changes.
+    pinned: Bdd,
+}
+
+/// Outcome of [`chained_fixpoint`].
+struct Chain {
+    reachable: Bdd,
+    rounds: usize,
+    converged: bool,
+}
+
+/// The chained fixpoint from `initial`, firing every branch of `firings`
+/// but those of `skip`, for at most `limit` rounds.
+///
+/// Each round fires the branches one after another: a branch images the
+/// reachable set as the branches before it left it, and adds its image.  No
+/// frontier or difference set is interned, so the arena holds only the
+/// growing reachable set and the images; a sub-DAG a branch imaged before
+/// is looked up in the operation cache (while the cache still holds it)
+/// rather than imaged again.  A round that adds nothing ends the fixpoint.
+/// Each round ends with a budget check when the manager carries a budget:
+/// it flushes the batched node charges, samples the deadline and catches
+/// any poison an in-round trip left behind before the truncated round is
+/// mistaken for a fixpoint.
+fn chained_fixpoint(
+    m: &mut BddManager,
+    firings: &[Firing],
+    initial: Bdd,
+    skip: Option<TransId>,
+    limit: usize,
+) -> Result<Chain, BudgetExceeded> {
+    let mut reachable = initial;
+    let mut rounds = 0;
+    while rounds < limit {
+        let before = reachable;
+        for firing in firings.iter().filter(|f| Some(f.trans) != skip) {
+            let step = m.image_cube(reachable, firing.enabled, firing.pinned);
+            reachable = m.or(reachable, step);
+        }
+        rounds += 1;
+        if m.budget().is_some() {
+            m.check_budget()?;
+        }
+        if reachable == before {
+            return Ok(Chain { reachable, rounds, converged: true });
+        }
+    }
+    Ok(Chain { reachable, rounds, converged: false })
 }
 
 impl Stg {
@@ -322,7 +404,6 @@ impl Stg {
             pos
         };
         let current = |state_var: usize| (2 * pos[state_var]) as VarId;
-        let next = |state_var: usize| (2 * pos[state_var] + 1) as VarId;
         // Pre-size the arena and unique table: reachability fixpoints build
         // nodes monotonically, and sizing up front avoids growth rehashing
         // in the middle of the image iteration.
@@ -336,7 +417,7 @@ impl Stg {
 
         // Initial state cube over the current-copy variables.
         let mut initial_lits: Vec<(VarId, bool)> = (0..num_places)
-            .map(|p| (current(p), net.initial_marking().is_marked(petri::PlaceId::from(p))))
+            .map(|p| (current(p), net.initial_marking().is_marked(PlaceId::from(p))))
             .collect();
         if with_codes {
             for s in 0..num_signals {
@@ -349,140 +430,46 @@ impl Stg {
         }
         let initial = m.cube_of(&initial_lits);
 
-        // --- Build the partitioned transition relations -------------------
-        //
-        // Each transition branch yields: the literals enabling it (marked
-        // preset, plus the signal's pre-value for a coded edge), the state
-        // variables it changes, and the next-copy literals pinning their
-        // post-values.  A toggle edge (`a~`) flips its code bit, so it
-        // expands into one branch per current bit value.  The enumeration
-        // itself is shared with [`SymbolicStateSpace::transition_branches`]
-        // so the two views of the firing rule cannot drift apart.
-        struct TransBranch {
-            enabled: Vec<(VarId, bool)>,
-            changed: Vec<usize>,
-            pinned: Vec<(VarId, bool)>,
+        // The firing branches in causal order.  The enumeration is shared
+        // with [`SymbolicStateSpace::transition_branches`] so the two views
+        // of the firing rule cannot drift apart; the stable sort keeps a
+        // toggle's two branches adjacent.
+        let mut rank = vec![0; net.num_transitions()];
+        for (r, t) in causal_order(self).into_iter().enumerate() {
+            rank[t.index()] = r;
         }
-        // Branches grouped into disjunctive clusters: one cluster per
-        // signal, one per dummy transition.
-        let mut members: Vec<Vec<TransBranch>> = Vec::new();
-        let mut cluster_of_signal: FxHashMap<usize, usize> = FxHashMap::default();
-        for raw in enumerate_branches(self, with_codes) {
-            let slot = match self.label(raw.trans) {
-                TransitionLabel::Edge { signal, .. } => {
-                    *cluster_of_signal.entry(signal.index()).or_insert_with(|| {
-                        members.push(Vec::new());
-                        members.len() - 1
-                    })
-                }
-                TransitionLabel::Dummy => {
-                    members.push(Vec::new());
-                    members.len() - 1
-                }
-            };
-            members[slot].push(TransBranch {
-                enabled: raw.enabled.iter().map(|&(sv, v)| (current(sv), v)).collect(),
-                changed: raw.changed,
-                pinned: raw.pinned.iter().map(|&(sv, v)| (next(sv), v)).collect(),
-            });
-        }
-
-        // Frame condition x′ᵥ ↔ xᵥ, interned once per state variable.
-        let mut frame_iffs: Vec<Option<Bdd>> = vec![None; num_state_vars];
-        let mut frame_of = |m: &mut BddManager, sv: usize| {
-            *frame_iffs[sv].get_or_insert_with(|| {
-                let cur = m.var(current(sv));
-                let nxt = m.var(next(sv));
-                m.iff(cur, nxt)
-            })
+        let mut raw_branches = enumerate_branches(self, with_codes);
+        raw_branches.sort_by_key(|b| rank[b.trans.index()]);
+        let on_current = |lits: &[(usize, bool)]| -> Vec<(VarId, bool)> {
+            lits.iter().map(|&(sv, v)| (current(sv), v)).collect()
         };
-        let clusters: Vec<Cluster> = members
-            .into_iter()
-            .filter(|branches| !branches.is_empty())
-            .map(|branches| {
-                // The cluster quantifies the union of its members' changed
-                // sets, so members that leave one of those variables alone
-                // need an explicit frame conjunct to carry its value across.
-                let mut changed_union: Vec<usize> =
-                    branches.iter().flat_map(|b| b.changed.iter().copied()).collect();
-                changed_union.sort_unstable();
-                changed_union.dedup();
-                let mut relation = m.bottom();
-                for branch in &branches {
-                    let mut lits = branch.enabled.clone();
-                    lits.extend(&branch.pinned);
-                    let mut rel = m.cube_of(&lits);
-                    for &sv in changed_union.iter().rev() {
-                        if !branch.changed.contains(&sv) {
-                            let frame = frame_of(&mut m, sv);
-                            rel = m.and(rel, frame);
-                        }
-                    }
-                    relation = m.or(relation, rel);
-                }
-                let quant_vars: Vec<VarId> = changed_union.iter().map(|&sv| current(sv)).collect();
-                let quant = m.quant_cube(&quant_vars);
-                Cluster { relation, quant }
+        let firings: Vec<Firing> = raw_branches
+            .iter()
+            .map(|b| Firing {
+                trans: b.trans,
+                enabled: m.cube_of(&on_current(&b.enabled)),
+                pinned: m.cube_of(&on_current(&b.pinned)),
             })
             .collect();
 
-        // --- Fixpoint ------------------------------------------------------
-        let limit = max_iterations.unwrap_or(4 * num_places.max(8));
-        let mut reachable = initial;
-        let mut frontier = initial;
-        let mut converged = false;
-        let mut iterations = 0;
-        // The relation build above may already have tripped the budget;
-        // surface that before imaging anything.
+        // The set-up above may already have tripped the budget; surface that
+        // before imaging anything.
         if budget.is_some() {
             m.check_budget()?;
         }
-        for _ in 0..limit {
-            // One chained round: one fused relational product per cluster
-            // (conjoin with the cluster relation and quantify the current
-            // copies in a single pass, then shift the next copies back
-            // down), each cluster imaging the frontier plus whatever the
-            // clusters before it found this round.
-            let mut from = frontier;
-            let mut found = m.bottom();
-            for cluster in &clusters {
-                let step = m.and_exists_with(from, cluster.relation, cluster.quant);
-                if step.is_false() {
-                    continue;
-                }
-                let step = m.unprime(step);
-                let fresh = m.and_not(step, reachable);
-                if fresh.is_false() {
-                    continue;
-                }
-                reachable = m.or(reachable, fresh);
-                from = m.or(from, fresh);
-                found = m.or(found, fresh);
-            }
-            iterations += 1;
-            // One budget check per image round: flushes the batched node
-            // charges and samples the deadline, and catches any poison an
-            // in-round trip left behind before the truncated round is
-            // mistaken for a fixpoint.
-            if budget.is_some() {
-                m.check_budget()?;
-            }
-            if found.is_false() {
-                converged = true;
-                break;
-            }
-            frontier = found;
-        }
+        let limit = max_iterations.unwrap_or(4 * num_places.max(8));
+        let chain = chained_fixpoint(&mut m, &firings, initial, None, limit)?;
 
         Ok(SymbolicStateSpace {
             manager: m,
-            reachable,
+            reachable: chain.reachable,
             initial,
             num_places,
             num_signals,
             pos,
-            converged,
-            iterations,
+            firings,
+            converged: chain.converged,
+            iterations: chain.rounds,
         })
     }
 }
@@ -608,12 +595,29 @@ impl SymbolicStateSpace {
         self.initial
     }
 
+    /// The states reachable from the initial state *without ever firing*
+    /// transition `avoid`: the chained fixpoint of [`Self::reachable`], in
+    /// the same firing order, with `avoid`'s branches skipped and no round
+    /// cap.  It does not count toward [`fixpoints_run`].
+    ///
+    /// A budget trip poisons the manager; the result is then empty and
+    /// meaningless, and the caller's next budget check reports the trip.
+    pub fn reachable_without(&mut self, avoid: TransId) -> Bdd {
+        let m = &mut self.manager;
+        match chained_fixpoint(m, &self.firings, self.initial, Some(avoid), usize::MAX) {
+            Ok(chain) => chain.reachable,
+            Err(_) => m.bottom(),
+        }
+    }
+
     /// The firing branches of every transition of `stg`, expressed over this
-    /// space's *current* variable copies (see [`TransitionBranch`]).
+    /// space's *current* variable copies (see [`TransitionBranch`]), in
+    /// transition index order.
     ///
     /// `stg` must be the model the space was built from; the branch
-    /// enumeration is the exact one the reachability engine used, so images
-    /// computed from these branches agree with [`Self::reachable`].
+    /// enumeration is the exact one the reachability engine fired (in its
+    /// causal order), so images computed from these branches agree with
+    /// [`Self::reachable`].
     pub fn transition_branches(&self, stg: &Stg) -> Vec<TransitionBranch> {
         self.branches(stg, self.num_signals > 0)
     }
@@ -823,8 +827,10 @@ mod tests {
     fn chained_fixpoints_match_the_explicit_state_graph() {
         // Chaining only fires enabled transitions, so its set is a subset of
         // the true reachable set: equal counts plus every explicit state
-        // being a member make the two sets identical.
-        for stg in [
+        // being a member make the two sets identical.  The fuzz seeds (each
+        // under 100 k states) add nets of random shape, and so firing
+        // orders no hand-written model has.
+        let mut models = vec![
             benchmarks::handshake(),
             benchmarks::pulser(),
             benchmarks::vme_read(),
@@ -833,8 +839,10 @@ mod tests {
             benchmarks::parallel_handshakes(5),
             benchmarks::parallelizer(4),
             benchmarks::pulser_bank(2),
-        ] {
-            let sg = stg.state_graph(1_000_000).unwrap();
+        ];
+        models.extend((0..40).map(crate::fuzz::random_stg));
+        for stg in models {
+            let sg = stg.state_graph(100_000).unwrap();
             let explicit = sg.num_states() as u128;
             let places = stg.symbolic_state_space(None);
             // The encoded space exercises the code bits; a consistent STG
@@ -855,24 +863,97 @@ mod tests {
     }
 
     #[test]
+    fn the_causal_order_follows_the_tokens_and_puts_unreached_transitions_last() {
+        use crate::{Polarity, SignalKind, StgBuilder};
+        use petri::{PlaceId, TransId};
+        // `stuck` waits on a place nothing marks and feeds `after`; both are
+        // declared before the handshake, so index order would fire them
+        // first.
+        let mut b = StgBuilder::new("unreached");
+        let stuck = b.add_dummy("stuck");
+        let after = b.add_dummy("after");
+        let never = b.add_place("never", false);
+        let between = b.add_place("between", false);
+        b.arc_place_to_transition(never, stuck);
+        b.arc_transition_to_place(stuck, between);
+        b.arc_place_to_transition(between, after);
+        let req = b.add_signal("req", SignalKind::Input);
+        let ack = b.add_signal("ack", SignalKind::Output);
+        let cycle = [
+            b.add_edge(req, Polarity::Rise),
+            b.add_edge(ack, Polarity::Rise),
+            b.add_edge(req, Polarity::Fall),
+            b.add_edge(ack, Polarity::Fall),
+        ];
+        b.connect_cycle(&cycle);
+        let unreached = b.build().unwrap();
+        for (stg, unreached_count) in
+            [(benchmarks::counter(2), 0), (benchmarks::pipeline_4ph(3), 0), (unreached, 2)]
+        {
+            let net = stg.net();
+            let order = super::causal_order(&stg);
+            let mut indices: Vec<usize> = order.iter().map(|t| t.index()).collect();
+            indices.sort_unstable();
+            assert_eq!(indices, (0..net.num_transitions()).collect::<Vec<_>>(), "{}", stg.name());
+            // The places a token can ever reach, closed independently of
+            // the order.
+            let initially = |p: usize| net.initial_marking().is_marked(PlaceId::from(p));
+            let mut reachable: Vec<bool> = (0..net.num_places()).map(initially).collect();
+            let mut grew = true;
+            while grew {
+                grew = false;
+                for t in (0..net.num_transitions()).map(TransId::from) {
+                    if net.preset(t).iter().any(|p| reachable[p.index()]) {
+                        for q in net.postset(t) {
+                            grew |= !std::mem::replace(&mut reachable[q.index()], true);
+                        }
+                    }
+                }
+            }
+            let reached = |t: TransId| net.preset(t).iter().any(|p| reachable[p.index()]);
+            // Each reached transition has a preset place that is initially
+            // marked or marked by a transition before it.
+            let mut marked: Vec<bool> = (0..net.num_places()).map(initially).collect();
+            let split = order.iter().take_while(|&&t| reached(t)).count();
+            for &t in &order[..split] {
+                let name = net.transition_name(t);
+                assert!(net.preset(t).iter().any(|p| marked[p.index()]), "{}: {name}", stg.name());
+                for q in net.postset(t) {
+                    marked[q.index()] = true;
+                }
+            }
+            // The unreached ones follow, in index order.
+            let rest = &order[split..];
+            assert_eq!(rest.len(), unreached_count, "{}", stg.name());
+            assert!(rest.iter().all(|&t| !reached(t)), "{}", stg.name());
+            assert!(rest.windows(2).all(|w| w[0] < w[1]), "{}", stg.name());
+        }
+    }
+
+    #[test]
     fn chained_rounds_and_arena_are_pinned() {
-        // An interleaving product converges in a few chained rounds, where
-        // breadth-first rounds need the sum of its components' depths (73
-        // on par_hs24).  Each count includes the final round, which finds
-        // nothing new.
+        // Causally ordered firing carries a token through a whole handshake
+        // or ring within one round, where breadth-first rounds need the sum
+        // of the components' depths (73 on par_hs24).  Each count includes
+        // the final round, which finds nothing new.  Per-signal clusters
+        // fired in declaration order needed (rounds, arena): counter4
+        // (17, 9,070), seq8 (11, 1,838), pipe4_4 (9, 4,955), pulser_bank5
+        // (4, 8,170), par_hs24 (3, 85,811), wide_conflict16 (4, 44,739),
+        // pipe2_16 (18, 36,799) and pipe2_32 (34, 270,375).
         for (stg, rounds, arena) in [
-            (benchmarks::parallel_handshakes(24), 3, Some(85_811)),
-            (benchmarks::pipeline_2ph(16), 18, None),
-            (benchmarks::wide_conflict(16), 4, None),
-            (benchmarks::pulser_bank(5), 4, None),
-            (benchmarks::counter(4), 17, None),
+            (benchmarks::counter(4), 2, 1_421),
+            (benchmarks::sequencer(8), 2, 721),
+            (benchmarks::pipeline_4ph(4), 8, 2_713),
+            (benchmarks::pulser_bank(5), 2, 3_247),
+            (benchmarks::parallel_handshakes(24), 2, 36_937),
+            (benchmarks::wide_conflict(16), 2, 19_216),
+            (benchmarks::pipeline_2ph(16), 10, 24_736),
+            (benchmarks::pipeline_2ph(32), 18, 198_096),
         ] {
             let space = stg.symbolic_encoded_state_space(0, None);
             assert!(space.converged, "{}", stg.name());
             assert_eq!(space.iterations, rounds, "{}", stg.name());
-            if let Some(arena) = arena {
-                assert_eq!(space.manager_stats().num_nodes, arena, "{}", stg.name());
-            }
+            assert_eq!(space.manager_stats().num_nodes, arena, "{}", stg.name());
         }
     }
 

@@ -11,8 +11,8 @@
 //! * both logic derivations reproduce the truth tables of the explicit
 //!   state graph (the oracle in `truth_table/mod.rs`).
 //!
-//! (The randomized `and_exists ≡ exists_many ∘ and` relational-product
-//! property lives next to the engine, in the `bdd` crate's unit tests.)
+//! (The randomized `image_cube` ≡ three-pass image property lives next to
+//! the engine, in the `bdd` crate's unit tests.)
 //!
 //! The cases are generated by a small deterministic in-repo generator (the
 //! container cannot fetch `proptest`); every run explores the same seeds, so
