@@ -14,7 +14,7 @@
 //!   guarantees canonicity, so function equality is handle equality,
 //! * [`Bdd`] is a cheap copyable handle (node index) into a manager,
 //! * binary operations go through a memoised Shannon-expansion `apply`,
-//! * set quantification (`exists_many`/`forall_many`) runs as one fused
+//! * set quantification (`exists_many`) runs as one fused
 //!   recursion over a sorted variable cube, and the branch image
 //!   [`BddManager::image_cube`] selects, quantifies and re-pins a cube's
 //!   variables in one pass without materialising the conjunction or the

@@ -92,8 +92,6 @@ enum Op {
     Not = 3,
     /// `∃ cube. f` — keyed `(f, cube, -)`.
     Exists = 4,
-    /// `∀ cube. f` — keyed `(f, cube, -)`.
-    Forall = 5,
     /// Shift every even variable up by one — keyed `(f, -, -)`.
     Prime = 6,
     /// `f` cofactored at every literal of a cube — keyed `(f, cube, -)`.
@@ -723,26 +721,6 @@ impl BddManager {
         self.not(x)
     }
 
-    /// If-then-else: `(f ∧ g) ∨ (¬f ∧ h)`.
-    pub fn ite(&mut self, f: Bdd, g: Bdd, h: Bdd) -> Bdd {
-        let fg = self.and(f, g);
-        let nf = self.not(f);
-        let nfh = self.and(nf, h);
-        self.or(fg, nfh)
-    }
-
-    /// Conjunction of an iterator of functions.
-    pub fn and_many<I: IntoIterator<Item = Bdd>>(&mut self, fs: I) -> Bdd {
-        let mut acc = self.top();
-        for f in fs {
-            acc = self.and(acc, f);
-            if acc.is_false() {
-                break;
-            }
-        }
-        acc
-    }
-
     /// Disjunction of an iterator of functions.
     pub fn or_many<I: IntoIterator<Item = Bdd>>(&mut self, fs: I) -> Bdd {
         let mut acc = self.bottom();
@@ -1015,8 +993,7 @@ impl BddManager {
     ///
     /// The cube doubles as the memo key for the quantifier recursions, so
     /// callers that quantify the same set repeatedly (fixpoint loops) should
-    /// build it once and reuse it through [`Self::exists_cube`] and
-    /// [`Self::forall_cube`].
+    /// build it once and reuse it through [`Self::exists_cube`].
     pub fn quant_cube(&mut self, vars: &[VarId]) -> Bdd {
         let mut sorted: Vec<VarId> = vars.to_vec();
         sorted.sort_unstable();
@@ -1038,11 +1015,6 @@ impl BddManager {
             cur = n.high;
         }
         cur == NodeId::TRUE
-    }
-
-    /// Existential quantification of a single variable.
-    pub fn exists(&mut self, f: Bdd, var: VarId) -> Bdd {
-        self.exists_many(f, &[var])
     }
 
     /// Existential quantification of a set of variables.
@@ -1101,62 +1073,6 @@ impl BddManager {
         };
         if !self.tripped {
             self.cache.store(Op::Exists, f, cube, r);
-        }
-        r
-    }
-
-    /// Universal quantification of a single variable.
-    pub fn forall(&mut self, f: Bdd, var: VarId) -> Bdd {
-        self.forall_many(f, &[var])
-    }
-
-    /// Universal quantification of a set of variables (one fused recursion,
-    /// like [`Self::exists_many`]).
-    pub fn forall_many(&mut self, f: Bdd, vars: &[VarId]) -> Bdd {
-        let cube = self.quant_cube(vars);
-        self.forall_cube(f, cube)
-    }
-
-    /// Universal quantification over a prebuilt [`Self::quant_cube`].
-    pub fn forall_cube(&mut self, f: Bdd, cube: Bdd) -> Bdd {
-        if self.tripped {
-            return Bdd(NodeId::FALSE);
-        }
-        debug_assert!(self.is_quant_cube(cube), "quantifier cube must be positive literals");
-        Bdd(self.forall_rec(f.0, cube.0))
-    }
-
-    fn forall_rec(&mut self, f: NodeId, mut cube: NodeId) -> NodeId {
-        let vf = self.var_of(f);
-        while cube != NodeId::TRUE && self.var_of(cube) < vf {
-            cube = self.node(cube).high;
-        }
-        if f.is_terminal() || cube == NodeId::TRUE {
-            return f;
-        }
-        if self.tripped {
-            return NodeId::FALSE;
-        }
-        if let Some(r) = self.cache.lookup(Op::Forall, f, cube) {
-            return r;
-        }
-        let n = self.node(f);
-        let r = if n.var == self.var_of(cube) {
-            let rest = self.node(cube).high;
-            let low = self.forall_rec(n.low, rest);
-            if low == NodeId::FALSE {
-                NodeId::FALSE
-            } else {
-                let high = self.forall_rec(n.high, rest);
-                self.apply(Op::And, low, high)
-            }
-        } else {
-            let low = self.forall_rec(n.low, cube);
-            let high = self.forall_rec(n.high, cube);
-            self.mk(n.var, low, high)
-        };
-        if !self.tripped {
-            self.cache.store(Op::Forall, f, cube, r);
         }
         r
     }
@@ -1642,7 +1558,7 @@ mod tests {
     }
 
     #[test]
-    fn xor_iff_ite() {
+    fn xor_and_iff_are_complements() {
         let mut m = BddManager::new(2);
         let a = m.var(0);
         let b = m.var(1);
@@ -1652,9 +1568,6 @@ mod tests {
         assert_eq!(m.sat_count(e), 2);
         let nx = m.not(x);
         assert_eq!(e, nx);
-        let i = m.ite(a, b, m.bottom());
-        let ab = m.and(a, b);
-        assert_eq!(i, ab);
     }
 
     #[test]
@@ -1671,23 +1584,6 @@ mod tests {
         let f = m.or(ab, c);
         assert_eq!(m.sat_count(f), 5);
         assert!((m.sat_count_f64(f) - 5.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn quantification() {
-        let mut m = BddManager::new(3);
-        let a = m.var(0);
-        let b = m.var(1);
-        let f = m.and(a, b);
-        let ex_b = m.exists(f, 1);
-        assert_eq!(ex_b, a);
-        let all_b = m.forall(f, 1);
-        assert!(all_b.is_false());
-        let g = m.or(a, b);
-        let all = m.forall_many(g, &[0, 1]);
-        assert!(all.is_false());
-        let ex = m.exists_many(g, &[0, 1]);
-        assert!(ex.is_true());
     }
 
     #[test]
@@ -1755,11 +1651,9 @@ mod tests {
     }
 
     #[test]
-    fn and_or_many_fold() {
+    fn or_many_fold() {
         let mut m = BddManager::new(8);
         let all_vars: Vec<Bdd> = (0..8).map(|i| m.var(i)).collect();
-        let conj = m.and_many(all_vars.iter().copied());
-        assert_eq!(m.sat_count(conj), 1);
         let disj = m.or_many(all_vars.iter().copied());
         assert_eq!(m.sat_count(disj), 255);
     }
@@ -1885,11 +1779,6 @@ mod tests {
             let vars: Vec<VarId> = (0..nv).filter(|_| rng.next() % 2 == 0).collect();
             let fused = m.exists_many(f, &vars);
             assert_eq!(fused, exists_loop(&mut m, f, &vars), "seed {seed}");
-            // ∀ is the De Morgan dual of ∃.
-            let all = m.forall_many(f, &vars);
-            let nf = m.not(f);
-            let ex_nf = m.exists_many(nf, &vars);
-            assert_eq!(all, m.not(ex_nf), "seed {seed}");
         }
     }
 

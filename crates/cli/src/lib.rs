@@ -239,7 +239,8 @@ pub struct FlowReport {
     /// 0 when it established none, which prints as unknown.
     pub states_f64: f64,
     /// CSC conflict pairs before solving (0 when the symbolic analysis
-    /// established that CSC already holds, `None` on a partial report).
+    /// established that CSC already holds).  A partial report carries the
+    /// count its symbolic rung's CSC decision established, or `None`.
     pub initial_conflicts: Option<usize>,
     /// Whether CSC holds on the final state graph.  `false` on a partial
     /// report means "not established", and the report prints it so.
@@ -583,6 +584,8 @@ struct Established {
     /// The input's reachable state count, once its space passed the seed
     /// guard.
     states_f64: Option<f64>,
+    /// The input's conflict-code count, once its space decided CSC.
+    conflicts: Option<usize>,
 }
 
 /// Why a symbolic rung was abandoned (ladder-internal).
@@ -653,6 +656,9 @@ fn symbolic_rung(
     // still no explicit state graph anywhere.
     if let Err(csc_violation @ LogicError::CscViolation { .. }) = &analysis {
         established.diagnosis = vec![LogicDiagnostic::from(csc_violation)];
+        // The analysis decided CSC on the space; reading the decision again
+        // computes nothing.
+        established.conflicts = space.csc_decision().ok().map(|d| d.conflict_count());
         if options.strategy != SolverStrategy::Symbolic {
             return RungAttempt::Route;
         }
@@ -909,7 +915,7 @@ fn partial_report(
         transitions,
         signals,
         states_f64: established.states_f64.unwrap_or(0.0),
-        initial_conflicts: None,
+        initial_conflicts: established.conflicts,
         csc_satisfied: false,
         inserted_signals: 0,
         final_states_f64: 0.0,
@@ -1231,25 +1237,34 @@ mod tests {
     fn a_partial_report_prints_the_state_count_its_symbolic_rung_established() {
         // The input's reachability and CSC analysis finish; the budget
         // trips later, in candidate search, and the 66 signals leave no
-        // explicit rung.
+        // explicit rung.  The analysis decided the conflict count: two
+        // codes per configuration of the 32 handshakes, 2^65 in all.
         let options = FlowOptions { node_budget: Some(300_000), ..FlowOptions::default() };
         let report = run_flow(&stg::benchmarks::wide_conflict(32), &options).unwrap();
         assert_eq!(report.rung, FlowRung::PartialReport);
         assert_eq!(report.degradations[0].stage, "candidate-search");
         assert_eq!(report.states_f64, 6.0 * 4f64.powi(32));
+        assert_eq!(report.initial_conflicts, Some(usize::MAX));
         let text = report.to_string();
         assert!(text.contains("66 signals, 1.107e20 states"), "{text}");
         assert!(text.contains("0 state signal(s) inserted, unknown states, CSC not established"));
-        assert!(text.contains("conflicts   : unknown"), "{text}");
+        assert!(text.contains("conflicts   : > 1.8e19 (saturated)"), "{text}");
+        // A trip before the decision leaves the count unknown: par_hs16
+        // trips in reachability.
+        let options = FlowOptions { node_budget: Some(20_000), ..FlowOptions::default() };
+        let report = run_flow(&stg::benchmarks::parallel_handshakes(16), &options).unwrap();
+        assert_eq!(report.degradations[0].stage, "reachability");
+        assert_eq!(report.initial_conflicts, None);
     }
 
     #[test]
     fn a_trip_in_the_solvers_conflict_detection_is_labelled_with_that_stage() {
-        // The input's reachability and logic analysis finish under 125,000
-        // nodes; the solver's first conflict detection does not, and its
-        // trip must not carry the analysis's "isop" label.  (It trips there
-        // from about 102,000 to 145,000 nodes; below, in reachability,
-        // above, in candidate search.)
+        // The input's reachability and CSC decision finish under 125,000
+        // nodes; the solver's conflict-pair counts that follow do not, and
+        // their trip must not carry the analysis's "isop" label.  (A budget
+        // trips in conflict-detection from about 104,000 to 158,000 nodes —
+        // inside the analysis's CSC decision up to about 124,000 — below,
+        // in reachability, above, in candidate search.)
         let options = FlowOptions { node_budget: Some(125_000), ..FlowOptions::default() };
         let report = run_flow(&stg::benchmarks::wide_conflict(32), &options).unwrap();
         assert_eq!(report.rung, FlowRung::PartialReport);

@@ -8,12 +8,13 @@
 //! the paper's algorithm over the BDDs of [`stg::SymbolicStateSpace`], so
 //! the solver's capacity is bounded by BDD sizes instead of state counts:
 //!
-//! 1. **Conflict detection** — for every non-input signal `a`, the ON/OFF
-//!    *code* sets are projections of the reachable (marking, code) set, and
-//!    the codes of the *conflict relation* — pairs of reachable states with
-//!    equal codes but different enabled behaviour — are their intersection.
-//!    The relation's pairs themselves are counted over current/next
-//!    variable pairs ([`bdd::BddManager::prime`]) tied by code equality.
+//! 1. **Conflict detection** — the space's CSC decision
+//!    ([`stg::SymbolicStateSpace::csc_decision`]): for every non-input
+//!    signal `a`, the codes of the *conflict relation* — pairs of reachable
+//!    states with equal codes but different enabled behaviour — are the
+//!    intersection of the ON and OFF *code* sets.  The relation's pairs
+//!    themselves are counted over current/next variable pairs
+//!    ([`bdd::BddManager::prime`]) tied by code equality.
 //! 2. **Core extraction** — [`bdd::BddManager::one_sat`] picks one
 //!    conflicting code from the relation; the states carrying it split into
 //!    the two *core* sets the next insertion must separate.
@@ -47,7 +48,7 @@ use bdd::{Bdd, BddManager, FxHashMap, FxHashSet, VarId};
 use petri::{PetriNetBuilder, TransId};
 use std::time::Instant;
 use stg::{
-    ReachabilityConfig, Signal, SignalId, SignalKind, Stg, StgError, SymbolicStateSpace,
+    Branch, ReachabilityConfig, Signal, SignalId, SignalKind, Stg, StgError, SymbolicStateSpace,
     TransitionLabel,
 };
 
@@ -237,15 +238,19 @@ pub fn solve_space(
     loop {
         set_stage("conflict-detection");
         let t0 = Instant::now();
-        let conflicted = it.detect_conflicts();
+        // Decided once per space: on the flow's input space the analysis
+        // already did, and on an accepted rebuild this decides it for the
+        // analysis of the encoded STG.
+        let decision = it.space.csc_decision().map_err(CscError::Budget)?;
         it.check_budget()?;
         stats.stage.conflict_ms += ms_since(t0);
         let states = saturating_usize(it.state_count);
         if inserted.is_empty() {
             stats.initial_states = states;
             initial_states_f64 = it.state_count;
-            stats.initial_conflicts = saturating_usize(it.conflict_code_count);
+            stats.initial_conflicts = decision.conflict_count();
         }
+        let conflicted = decision.conflicted;
         if conflicted.is_empty() {
             stats.final_states = states;
             stats.elapsed = start.elapsed();
@@ -283,9 +288,9 @@ pub fn solve_space(
         // verification: label its budget trips accordingly.
         let verify_reach = ReachabilityConfig { stage: Some("candidate-search"), ..reach.clone() };
         let mut chosen: Option<(ConflictCore, Stg, Iteration)> = None;
-        'signals: for &signal in &conflicted {
+        'signals: for &(signal, conflict_codes) in &conflicted {
             it.check_budget()?;
-            let core = it.extract_core(signal);
+            let core = it.extract_core(signal, conflict_codes);
             let t1 = Instant::now();
             let mut pool = it.search_blocks(&core, config, &mut stats);
             #[cfg(test)]
@@ -603,30 +608,6 @@ impl Pool {
     }
 }
 
-/// A branch in solver form: enabled cube and pinned-value cube interned
-/// once per iteration.
-struct BranchOps {
-    trans: TransId,
-    enabled: Bdd,
-    /// `enabled`'s literals: a set whose [`BddManager::value_span`]
-    /// excludes one of them has an empty image under the branch.
-    enabled_lits: Vec<(VarId, bool)>,
-    /// The post-values of the changed variables.  A predicate cofactored
-    /// at this cube ([`BddManager::restrict_cube`]) is the predicate
-    /// evaluated at the branch's *target*, as a function of the source.
-    pinned_cube: Bdd,
-    /// The (sorted) variables the branch changes — `pinned_cube`'s variables.
-    /// A branch whose changed set is disjoint from a predicate's support
-    /// can never change membership in it: firings neither enter nor leave,
-    /// and its image of a subset of the predicate stays inside.  Every
-    /// region analysis below uses this to skip the (many) branches of a
-    /// wide net that are independent of a local candidate block.
-    changed: Vec<VarId>,
-    /// All (sorted) variables the branch mentions (enabling ∪ changed) —
-    /// what a zone's support hint absorbs when the branch contributes.
-    vars: Vec<VarId>,
-}
-
 /// A candidate region: a set of reachable states (`set ⊆ Reach`) together
 /// with a *support hint* — a sorted variable list naming the variables
 /// membership depends on within the reachable states.  The hint is what
@@ -689,11 +670,11 @@ fn overlaps(a: &[VarId], b: &[VarId]) -> bool {
     false
 }
 
-/// The per-iteration working state: the encoded reachability BDDs plus the
-/// interned branch predicates every analysis below shares.
+/// The per-iteration working state: the encoded space, whose interned
+/// branches ([`stg::Branch`]) every analysis below reads, plus the
+/// per-branch sets and code relation the block search shares.
 struct Iteration {
     space: SymbolicStateSpace,
-    branches: Vec<BranchOps>,
     /// Per-branch reachable source states (`Reach ∧ enabled`), interned
     /// once — every candidate analysis starts from these.
     srcs: Vec<Bdd>,
@@ -704,18 +685,14 @@ struct Iteration {
     tgts: Vec<Bdd>,
     place_vars: Vec<VarId>,
     signal_vars: Vec<VarId>,
-    /// Non-input signals, with their excitation predicate.
+    /// Non-input signals, with their excitation predicate `up ∨ down`.
     non_inputs: Vec<(SignalId, Bdd)>,
     num_transitions: usize,
-    labels: Vec<TransitionLabel>,
     input_signal: Vec<bool>,
     signal_names: Vec<String>,
     reach: Bdd,
     initial: Bdd,
     state_count: f64,
-    conflict_code_count: f64,
-    /// Conflict code sets per signal index (`None` = no conflict).
-    conflict_codes: Vec<Option<Bdd>>,
     /// `⋀_s (cur_s ↔ next_s)` over the signal variables — the code-equality
     /// relation the conflict-pair counts are built on.
     code_eq: Bdd,
@@ -739,11 +716,12 @@ impl Iteration {
         self.space.manager_mut().check_budget().map_err(CscError::Budget)
     }
 
-    /// Guards the seed of `stg`'s encoded space and interns the branch
-    /// predicates.  `last_inserted` labels a guard failure: on the input it
-    /// means a wrong `initial_code`, on a candidate net that the insertion
-    /// broke consistency.  The budget attached to the space's manager (if
-    /// any) is charged by every analysis this iteration performs.
+    /// Guards the seed of `stg`'s encoded space (once per space) and
+    /// interns the per-branch source sets.  `last_inserted` labels a guard
+    /// failure: on the input it means a wrong `initial_code`, on a
+    /// candidate net that the insertion broke consistency.  The budget
+    /// attached to the space's manager (if any) is charged by every
+    /// analysis this iteration performs.
     fn build(
         stg: &Stg,
         mut space: SymbolicStateSpace,
@@ -772,41 +750,14 @@ impl Iteration {
         let reach = space.reachable();
         let initial = space.initial_state();
 
-        let raw_branches = space.transition_branches(stg);
-        let m = space.manager_mut();
-        let branches: Vec<BranchOps> = raw_branches
-            .iter()
-            .map(|b| {
-                let enabled = m.cube_of(&b.enabled);
-                let mut changed: Vec<VarId> = b.pinned.iter().map(|&(v, _)| v).collect();
-                changed.sort_unstable();
-                let mut vars: Vec<VarId> = b.enabled.iter().map(|&(v, _)| v).collect();
-                vars.extend_from_slice(&changed);
-                vars.sort_unstable();
-                vars.dedup();
-                BranchOps {
-                    trans: b.trans,
-                    enabled,
-                    enabled_lits: b.enabled.clone(),
-                    pinned_cube: m.cube_of(&b.pinned),
-                    changed,
-                    vars,
-                }
-            })
-            .collect();
-
-        // Excitation predicate per non-input signal: some branch of one of
-        // its transitions is enabled.
+        // Excitation predicate per non-input signal: some branch raising
+        // or lowering it is enabled.
         let mut non_inputs = Vec::new();
-        for signal in stg.non_input_signals() {
-            let mut en = m.bottom();
-            for t in stg.transitions_of_signal(signal) {
-                for b in branches.iter().filter(|b| b.trans == t) {
-                    en = m.or(en, b.enabled);
-                }
-            }
-            non_inputs.push((signal, en));
+        for signal in space.non_input_signals().to_vec() {
+            let (up, down) = space.excitation(signal);
+            non_inputs.push((signal, space.manager_mut().or(up, down)));
         }
+        let (m, branches) = space.manager_with_branches();
         let srcs: Vec<Bdd> = branches.iter().map(|b| m.and(reach, b.enabled)).collect();
         let input_signal: Vec<bool> =
             stg.signals().iter().map(|s| s.kind == SignalKind::Input).collect();
@@ -822,21 +773,17 @@ impl Iteration {
         }
 
         Ok(Iteration {
-            branches,
             srcs,
             tgts: Vec::new(),
             place_vars,
             signal_vars,
             non_inputs,
             num_transitions: stg.net().num_transitions(),
-            labels: stg.labels().to_vec(),
             input_signal,
             signal_names,
             reach,
             initial,
             state_count: coded_states,
-            conflict_code_count: 0.0,
-            conflict_codes: vec![None; num_signals],
             code_eq,
             without_cache: FxHashMap::default(),
             crossing_tests: 0,
@@ -889,15 +836,15 @@ impl Iteration {
         total
     }
 
+    /// The excitation predicate of non-input `signal`.
+    fn excitation(&self, signal: SignalId) -> Bdd {
+        let entry = self.non_inputs.iter().find(|(s, _)| *s == signal);
+        entry.expect("non-input signal").1
+    }
+
     /// CSC conflict pairs of one signal over the whole reachable set.
     fn signal_conflict_pairs(&mut self, signal: SignalId) -> f64 {
-        let en = self
-            .non_inputs
-            .iter()
-            .find(|(s, _)| *s == signal)
-            .map(|&(_, en)| en)
-            .expect("non-input signal");
-        self.conflict_pair_count(self.reach, en)
+        self.conflict_pair_count(self.reach, self.excitation(signal))
     }
 
     /// The number of equal-code pairs across two (disjoint) state sets —
@@ -912,44 +859,13 @@ impl Iteration {
         self.code_tied_pairs(a, b)
     }
 
-    /// Detects CSC conflicts per non-input signal and returns the
-    /// conflicted signal ids in id order.
-    ///
-    /// The conflict relation of signal `a` holds pairs of reachable states
-    /// with equal codes, one enabling `a` and one not.  Its shared codes are
-    /// exactly the codes both sides carry, so the conflicting codes are the
-    /// intersection `codes(Reach ∧ En_a) ∧ codes(Reach ∧ ¬En_a)` of the two
-    /// projections onto the code variables; no pair relation is built.
-    fn detect_conflicts(&mut self) -> Vec<SignalId> {
-        let m = self.space.manager_mut();
-        let norm = 2f64.powi(m.num_vars() as i32 - self.signal_vars.len() as i32);
-
-        let mut conflicted = Vec::new();
-        let mut total = 0.0;
-        for &(signal, en) in &self.non_inputs {
-            let with = m.and(self.reach, en);
-            let without = m.and_not(self.reach, en);
-            let codes_with = m.exists_many(with, &self.place_vars);
-            let codes_without = m.exists_many(without, &self.place_vars);
-            let clash = m.and(codes_with, codes_without);
-            if !clash.is_false() {
-                total += m.sat_count_f64(clash) / norm;
-                conflicted.push(signal);
-                self.conflict_codes[signal.index()] = Some(clash);
-            } else {
-                self.conflict_codes[signal.index()] = None;
-            }
-        }
-        self.conflict_code_count = total;
-        conflicted
-    }
-
-    /// Extracts the conflict core of `signal`: one witness code (a full
-    /// signal-variable assignment from `one_sat`, free variables completed
-    /// with 0 — every completion of a satisfying path is a conflicting
-    /// code) and the two state sets carrying it.
-    fn extract_core(&mut self, signal: SignalId) -> Core {
-        let clash = self.conflict_codes[signal.index()].expect("core of a conflict-free signal");
+    /// Extracts the conflict core of `signal`, whose conflict codes are
+    /// `clash`: one witness code (a full signal-variable assignment from
+    /// `one_sat`, free variables completed with 0 — every completion of a
+    /// satisfying path is a conflicting code) and the two state sets
+    /// carrying it.
+    fn extract_core(&mut self, signal: SignalId, clash: Bdd) -> Core {
+        let en = self.excitation(signal);
         let m = self.space.manager_mut();
         let sat = m.one_sat(clash).expect("non-empty clash set");
         let picked: FxHashMap<VarId, bool> = sat.into_iter().collect();
@@ -959,12 +875,6 @@ impl Iteration {
             .map(|&v| (v, picked.get(&v).copied().unwrap_or(false)))
             .collect();
         let code_cube = m.cube_of(&code_lits);
-        let en = self
-            .non_inputs
-            .iter()
-            .find(|(s, _)| *s == signal)
-            .map(|&(_, en)| en)
-            .expect("conflicted signal is non-input");
         let coded = m.and(self.reach, code_cube);
         let with = m.and(coded, en);
         let without = m.and_not(coded, en);
@@ -976,13 +886,6 @@ impl Iteration {
     fn describe_core(&self, core: &Core) -> ConflictCore {
         let code = core.code_lits.iter().map(|&(_, value)| value).collect();
         ConflictCore { signal: self.signal_names[core.signal.index()].clone(), code }
-    }
-
-    /// Image of `set` under one branch: `(∃ changed. set ∧ enabled) ∧
-    /// pinned`, in one pass ([`BddManager::image_cube`]).  All
-    /// current-variable; the next copies are never touched.
-    fn branch_image(m: &mut BddManager, b: &BranchOps, set: Bdd) -> Bdd {
-        m.image_cube(set, b.enabled, b.pinned_cube)
     }
 
     /// Image of a zone under every branch *that can move it*.
@@ -1009,12 +912,12 @@ impl Iteration {
     /// the set it would image excludes one of its enabling literals: no
     /// state of that set enables it, so its image is provably empty.
     fn image_chain_step(&mut self, z: &Zone, fresh: Bdd, imaged: &[VarId]) -> Zone {
-        let m = self.space.manager_mut();
+        let (m, branches) = self.space.manager_with_branches();
         let mut img = m.bottom();
         let mut sup = z.sup.clone();
         // The spans of `fresh` and `z.set`, taken on first use.
         let mut spans: [Option<Vec<u8>>; 2] = [None, None];
-        for b in &self.branches {
+        for b in branches {
             if !overlaps(&b.changed, &z.sup) {
                 continue;
             }
@@ -1023,7 +926,8 @@ impl Iteration {
             if !admits(span, &b.enabled_lits) {
                 continue;
             }
-            let step = Self::branch_image(m, b, from);
+            // The branch image, in one pass ([`BddManager::image_cube`]).
+            let step = m.image_cube(from, b.enabled, b.pinned);
             if !step.is_false() {
                 img = m.or(img, step);
                 sup.extend_from_slice(&b.vars);
@@ -1049,17 +953,17 @@ impl Iteration {
         };
         let mut sup = z.sup.clone();
         for i in self.branches_touching(&z.sup) {
-            let m = self.space.manager_mut();
-            let b = &self.branches[i];
+            let (m, branches) = self.space.manager_with_branches();
+            let b = &branches[i];
             let src = m.and(z.set, b.enabled);
             if src.is_false() {
                 continue;
             }
-            let leaves = m.restrict_cube(complement, b.pinned_cube);
+            let leaves = m.restrict_cube(complement, b.pinned);
             let exits = m.and(src, leaves);
             if !exits.is_false() {
                 border = m.or(border, exits);
-                sup = merge_sup(&sup, &self.branches[i].vars);
+                sup = merge_sup(&sup, &b.vars);
             }
         }
         self.close_forward(Zone { set: border, sup }, z)
@@ -1195,17 +1099,17 @@ impl Iteration {
     /// `set`: one non-building walk over the sources, the set and the set
     /// at the branch's target (its cofactor at the post-values).
     fn cofactor_mask(&mut self, bi: usize, set: Bdd) -> u8 {
-        let (b, srcs) = (&self.branches[bi], self.srcs[bi]);
+        let (pinned, srcs) = (self.space.branches()[bi].pinned, self.srcs[bi]);
         let m = self.space.manager_mut();
-        let tgt_in = m.restrict_cube(set, b.pinned_cube);
+        let tgt_in = m.restrict_cube(set, pinned);
         m.crossing(srcs, set, tgt_in)
     }
 
     /// The candidate bricks: per-place marked predicates, per-branch
-    /// excitation regions (preset-marked cubes on the reachable set) and
+    /// excitation regions (enabled cubes on the reachable set, `srcs`) and
     /// switching regions (their images, `tgts`), each carried as a
     /// [`Zone`] whose support hint is the defining predicate's support —
-    /// one place, a preset cube, a branch's variables — not the (global)
+    /// one place, a branch's variables — not the (global)
     /// support of the reach-conjoined set.  Degenerate sets are dropped;
     /// duplicates are deduplicated by set identity.
     fn bricks(&mut self) -> Vec<Zone> {
@@ -1225,14 +1129,10 @@ impl Iteration {
             push(&mut out, set, vec![v]);
         }
         if self.tgts.is_empty() {
-            let m = self.space.manager_mut();
-            self.tgts = self
-                .branches
-                .iter()
-                .map(|b| m.image_cube(reach, b.enabled, b.pinned_cube))
-                .collect();
+            let (m, branches) = self.space.manager_with_branches();
+            self.tgts = branches.iter().map(|b| m.image_cube(reach, b.enabled, b.pinned)).collect();
         }
-        for (i, b) in self.branches.iter().enumerate() {
+        for (i, b) in self.space.branches().iter().enumerate() {
             push(&mut out, self.srcs[i], b.vars.clone());
             push(&mut out, self.tgts[i], b.vars.clone());
         }
@@ -1492,7 +1392,7 @@ impl Iteration {
                     let m = self.space.manager_mut();
                     let touched = m.or(srcs, self.tgts[bi]);
                     grow = m.or(grow, touched);
-                    grow_sup = merge_sup(&grow_sup, &self.branches[bi].vars);
+                    grow_sup = merge_sup(&grow_sup, &self.space.branches()[bi].vars);
                 }
             }
             let m = self.space.manager_mut();
@@ -1534,7 +1434,7 @@ impl Iteration {
         }
         loop {
             let mut grew = false;
-            for b in &self.branches {
+            for b in self.space.branches() {
                 if overlaps(&b.vars, &cone) && !b.vars.iter().all(|v| cone.binary_search(v).is_ok())
                 {
                     cone = merge_sup(&cone, &b.vars);
@@ -1551,9 +1451,8 @@ impl Iteration {
     /// the only branches whose firings can enter or leave a predicate with
     /// that support.
     fn branches_touching(&self, support: &[VarId]) -> Vec<usize> {
-        (0..self.branches.len())
-            .filter(|&bi| overlaps(&self.branches[bi].changed, support))
-            .collect()
+        let branches = self.space.branches();
+        (0..branches.len()).filter(|&bi| overlaps(&branches[bi].changed, support)).collect()
     }
 
     /// The number of distinct markings the reachable set projects onto
@@ -1643,10 +1542,8 @@ impl Iteration {
     /// the new signal.
     fn delays_an_input(&mut self, block: &Zone) -> bool {
         for bi in self.branches_touching(&block.sup) {
-            let is_input = match self.labels[self.branches[bi].trans.index()] {
-                TransitionLabel::Edge { signal, .. } => self.input_signal[signal.index()],
-                TransitionLabel::Dummy => false,
-            };
+            let edge = self.space.branches()[bi].edge;
+            let is_input = edge.is_some_and(|(signal, _)| self.input_signal[signal.index()]);
             if is_input && self.crosses(bi, block.set) {
                 return true;
             }
@@ -1698,22 +1595,27 @@ impl Iteration {
         let mut short_circuits = 0usize;
         let relevant = merge_sup(&merge_sup(&block.sup, &er_rise.sup), &er_fall.sup);
         for bi in self.branches_touching(&relevant) {
-            let b = &self.branches[bi];
-            let t = b.trans.index();
-            let m = self.space.manager_mut();
             let srcs = self.srcs[bi];
+            let (m, branches) = self.space.manager_with_branches();
+            let Branch { trans, pinned, edge, .. } = branches[bi];
+            let t = trans.index();
             if srcs.is_false() {
                 continue;
             }
             // Each question is one bit of a non-building crossing walk.
-            let tgt_in_block = m.restrict_cube(block.set, b.pinned_cube);
+            let tgt_in_block = m.restrict_cube(block.set, pinned);
             let block_mask = m.crossing(srcs, block.set, tgt_in_block);
+            // Input edges may trigger the new signal but never wait for it.
+            let input = edge.is_some_and(|(signal, _)| self.input_signal[signal.index()]);
+            if input && block_mask & (BddManager::ENTERS | BddManager::LEAVES) != 0 {
+                return None;
+            }
             arcs[t].consume_a1 |= block_mask & BddManager::ENTERS != 0;
             arcs[t].consume_a0 |= block_mask & BddManager::LEAVES != 0;
-            let tgt_er_rise = m.restrict_cube(er_rise.set, b.pinned_cube);
+            let tgt_er_rise = m.restrict_cube(er_rise.set, pinned);
             let rise_mask = m.crossing(srcs, er_rise.set, tgt_er_rise);
             arcs[t].produce_r1 |= rise_mask & BddManager::ENTERS != 0;
-            let tgt_er_fall = m.restrict_cube(er_fall.set, b.pinned_cube);
+            let tgt_er_fall = m.restrict_cube(er_fall.set, pinned);
             let fall_mask = m.crossing(srcs, er_fall.set, tgt_er_fall);
             arcs[t].produce_r0 |= fall_mask & BddManager::ENTERS != 0;
             // Direct jumps between the two excitation regions: the new
@@ -1729,17 +1631,6 @@ impl Iteration {
         // unboundedly (empty preset) — reject such degenerate plans.
         if !arcs.iter().any(|a| a.produce_r1) || !arcs.iter().any(|a| a.produce_r0) {
             return None;
-        }
-        // Input edges may trigger the new signal but never wait for it.
-        for (t, arc) in arcs.iter().enumerate() {
-            if !(arc.consume_a1 || arc.consume_a0) {
-                continue;
-            }
-            if let TransitionLabel::Edge { signal, .. } = self.labels[t] {
-                if self.input_signal[signal.index()] {
-                    return None;
-                }
-            }
         }
         let triggers = arcs.iter().filter(|a| a.produce_r1).count()
             + arcs.iter().filter(|a| a.produce_r0).count();
@@ -2106,7 +1997,7 @@ mod tests {
     /// `set` at the branch's post-values and one crossing walk, for every
     /// branch.
     fn cofactor_crossing(it: &mut Iteration, bi: usize, set: Bdd) -> u8 {
-        let (pinned, srcs) = (it.branches[bi].pinned_cube, it.srcs[bi]);
+        let (pinned, srcs) = (it.space.branches()[bi].pinned, it.srcs[bi]);
         let m = it.space.manager_mut();
         let tgt_in = m.restrict_cube(set, pinned);
         m.crossing(srcs, set, tgt_in)
@@ -2125,7 +2016,7 @@ mod tests {
                 // The brick and the first 12 prefixes of its growth chain.
                 let mut zone = brick;
                 for prefix in 0..=12 {
-                    for bi in 0..it.branches.len() {
+                    for bi in 0..it.space.branches().len() {
                         let mask = cofactor_crossing(&mut it, bi, zone.set);
                         let mixed =
                             (mask & CROSSES != 0 && mask & STAYS != 0) || mask & CROSSES == CROSSES;

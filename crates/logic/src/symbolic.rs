@@ -10,13 +10,13 @@
 //!   [`EncodedGraph`] (the object the explicit CSC solver produces): each
 //!   state contributes its code cube to the buckets, and all minimization
 //!   happens on the BDDs.
-//! * [`analyze_space`] never enumerates states at all: the reachable set is
-//!   the encoded [`SymbolicStateSpace`] of the `stg` symbolic engine, the
-//!   per-signal excitation predicates are preset-marked cubes, and the
-//!   ON/OFF *code* sets come from quantifying the place variables away.
-//!   This is the path that scales to state spaces (and signal counts) the
-//!   explicit representation cannot touch; [`analyze_stg_with`] wraps it
-//!   for callers that hold only the STG.
+//! * [`analyze_space`] never enumerates states at all: it reads the ON/OFF
+//!   *code* sets and the CSC decision the encoded [`SymbolicStateSpace`]
+//!   of the `stg` symbolic engine derives from its branches
+//!   ([`SymbolicStateSpace::coding`]).  This is the path that scales to
+//!   state spaces (and signal counts) the explicit representation cannot
+//!   touch; [`analyze_stg_with`] wraps it for callers that hold only the
+//!   STG.
 //!
 //! An ISOP cover is irredundant but its cubes are not necessarily prime, so
 //! a cheap BDD-exact polish pass expands every cube against the OFF-set and
@@ -76,8 +76,14 @@ pub fn derive_next_state_functions(graph: &EncodedGraph) -> Result<NextStateFunc
     }
 
     let mut functions = Vec::with_capacity(non_inputs.len());
+    let signal_of_var = |var: VarId| var as usize;
     for &i in &non_inputs {
         let name = graph.signals[i].name.clone();
+        let clash = m.and(on[i], off[i]);
+        if !clash.is_false() {
+            let code = clash_code(&m, clash, num_signals, &signal_of_var);
+            return Err(LogicError::CscViolation { signal: name, code });
+        }
         let function = extract_function(
             &mut m,
             SignalId::from(i),
@@ -85,8 +91,8 @@ pub fn derive_next_state_functions(graph: &EncodedGraph) -> Result<NextStateFunc
             on[i],
             off[i],
             num_signals,
-            &|var| var as usize,
-        )?;
+            &signal_of_var,
+        );
         functions.push(function);
     }
     Ok(NextStateFunctions {
@@ -202,12 +208,14 @@ fn reachability_error(e: StgError) -> LogicError {
 /// ([`stg::SymbolicStateSpace::check_seed`]) runs first, so a wrong seed is
 /// reported, never turned into logic.
 ///
-/// The next value of signal `a` in a reachable state is determined from the
-/// excitation predicates of its transitions (preset-marked cubes): rising —
-/// or toggling out of 0 — demands 1, falling (or toggling out of 1) demands
-/// 0, and an unexcited signal holds its current value.  Projecting the
-/// resulting state sets onto the code variables yields the ON/OFF sets of
-/// the paper; a code in both is exactly a CSC violation.
+/// The next value of signal `a` in a reachable state is 1 when a branch
+/// raising `a` is enabled, or when `a` is 1 and no branch lowering it is:
+/// the space's ON set ([`SymbolicStateSpace::coding`]).  Projected onto the
+/// code variables, ON and OFF are the ON/OFF sets of the paper; a code in
+/// both is exactly a CSC violation.  The space's CSC decision runs before
+/// any cover is extracted, and its budget trips are labelled
+/// `conflict-detection`; a space that already decided CSC (the solver's
+/// accepted rebuild) is not decided again.
 ///
 /// # Errors
 ///
@@ -227,62 +235,37 @@ pub fn analyze_space(
     let markings = space.state_count_f64();
     let num_places = space.num_places();
     let num_signals = space.num_signals();
-    let place_vars: Vec<VarId> = (0..num_places).map(|p| space.current_var_of_place(p)).collect();
-    let signal_vars: Vec<VarId> =
-        (0..num_signals).map(|s| space.current_var_of_signal(s)).collect();
-    // Inverse map, manager variable → signal index, for the ISOP cubes.
+    // Manager variable → signal index, for the ISOP cubes.
     let mut signal_of_var = vec![usize::MAX; 2 * (num_places + num_signals)];
-    for (s, &v) in signal_vars.iter().enumerate() {
-        signal_of_var[v as usize] = s;
+    for s in 0..num_signals {
+        signal_of_var[space.current_var_of_signal(s) as usize] = s;
     }
-    // Excitation predicates per polarity: some transition of the signal
-    // has its whole preset marked.
-    let non_inputs = stg.non_input_signals();
-    let excitations: Vec<[Bdd; 3]> =
-        non_inputs.iter().map(|&signal| space.excitations(stg, signal)).collect();
-    let reachable = space.reachable();
-    let m = space.manager_mut();
-    let place_quant = m.quant_cube(&place_vars);
-
-    if let Some(budget) = m.budget() {
-        budget.set_stage("isop");
+    let signal_of_var = |var: VarId| signal_of_var[var as usize];
+    let set_stage = |space: &SymbolicStateSpace, stage| {
+        if let Some(budget) = space.manager().budget() {
+            budget.set_stage(stage);
+        }
+    };
+    set_stage(space, "conflict-detection");
+    let decision = space.csc_decision()?;
+    if let Some(&(signal, conflicts)) = decision.conflicted.first() {
+        return Err(LogicError::CscViolation {
+            signal: stg.signal(signal).name.clone(),
+            code: clash_code(space.manager(), conflicts, num_signals, &signal_of_var),
+        });
     }
+    set_stage(space, "isop");
     let mut functions = Vec::new();
-    for (&signal, &[rise, fall, toggle]) in non_inputs.iter().zip(&excitations) {
+    for &signal in &stg.non_input_signals() {
+        let coding = space.coding(signal)?;
+        let m = space.manager_mut();
         m.check_budget()?;
-        let a = m.var(signal_vars[signal.index()]);
-        // next = 1 ⟺ rising ∨ toggling out of 0 ∨ (stable at 1: neither
-        // falling nor toggling).
-        let not_a = m.not(a);
-        let toggle_up = m.and(toggle, not_a);
-        let not_fall = m.not(fall);
-        let not_toggle = m.not(toggle);
-        let hold_high = {
-            let quiet = m.and(not_fall, not_toggle);
-            m.and(a, quiet)
-        };
-        let on_pred = {
-            let excited = m.or(rise, toggle_up);
-            m.or(excited, hold_high)
-        };
-        let on_states = m.and(reachable, on_pred);
-        let off_states = m.and_not(reachable, on_pred);
-        // Project away the marking: what remains are the code sets.
-        let on_codes = m.exists_cube(on_states, place_quant);
-        let off_codes = m.exists_cube(off_states, place_quant);
-        let function = extract_function(
-            m,
-            signal,
-            stg.signal(signal).name.clone(),
-            on_codes,
-            off_codes,
-            num_signals,
-            &|var| signal_of_var[var as usize],
-        )?;
-        functions.push(function);
+        let name = stg.signal(signal).name.clone();
+        let (on, off) = (coding.on_codes, coding.off_codes);
+        functions.push(extract_function(m, signal, name, on, off, num_signals, &signal_of_var));
     }
-    let diagnostics = persistency_diagnostics(stg, m, reachable, &place_vars, &signal_vars);
-    m.check_budget()?;
+    let diagnostics = persistency_diagnostics(stg, space);
+    space.manager_mut().check_budget()?;
     let bdd_nodes = space.manager().num_nodes() - nodes_before;
     Ok(SymbolicLogicReport {
         functions: NextStateFunctions { functions, num_variables: num_signals, bdd_nodes },
@@ -296,17 +279,18 @@ pub fn analyze_space(
 /// firing disables `t` — structurally, `u` consumes a token `t` needs
 /// (`pre(t) ∩ (pre(u) ∖ post(u)) ≠ ∅`) or switches `t`'s own signal away
 /// from the value `t` requires.  The structural filter keeps the pair scan
-/// cheap; co-enabledness is decided exactly on the reachable set.
-fn persistency_diagnostics(
-    stg: &Stg,
-    m: &mut BddManager,
-    reachable: Bdd,
-    place_vars: &[VarId],
-    signal_vars: &[VarId],
-) -> Vec<LogicDiagnostic> {
+/// cheap; co-enabledness is decided exactly on the reachable set, where a
+/// transition is enabled when one of its branches is.
+fn persistency_diagnostics(stg: &Stg, space: &mut SymbolicStateSpace) -> Vec<LogicDiagnostic> {
     let net = stg.net();
+    let reachable = space.reachable();
+    let (m, branches) = space.manager_with_branches();
+    let mut enabled = vec![m.bottom(); net.num_transitions()];
+    for b in branches {
+        let t = b.trans.index();
+        enabled[t] = m.or(enabled[t], b.enabled);
+    }
     struct TransInfo {
-        enabled: Bdd,
         pre: Vec<usize>,
         consumed: Vec<usize>,
         edge: Option<(usize, Polarity)>,
@@ -321,16 +305,7 @@ fn persistency_diagnostics(
                 TransitionLabel::Edge { signal, polarity } => Some((signal.index(), polarity)),
                 TransitionLabel::Dummy => None,
             };
-            let mut lits: Vec<(VarId, bool)> = pre.iter().map(|&p| (place_vars[p], true)).collect();
-            if let Some((s, polarity)) = edge {
-                match polarity {
-                    Polarity::Rise => lits.push((signal_vars[s], false)),
-                    Polarity::Fall => lits.push((signal_vars[s], true)),
-                    Polarity::Toggle => {}
-                }
-            }
-            let enabled = m.cube_of(&lits);
-            TransInfo { enabled, pre, consumed, edge }
+            TransInfo { pre, consumed, edge }
         })
         .collect();
 
@@ -372,7 +347,7 @@ fn persistency_diagnostics(
             if !steals_token && !flips_value {
                 continue;
             }
-            let both = m.and(t_info.enabled, u_info.enabled);
+            let both = m.and(enabled[t], enabled[u]);
             let witness = m.and(reachable, both);
             if !witness.is_false() {
                 reported.push(signal_name.clone());
@@ -387,9 +362,9 @@ fn persistency_diagnostics(
     diagnostics
 }
 
-/// Checks `on ∧ off = ∅`, extracts the exact ON/OFF covers and the
-/// DC-absorbing minimized cover, and maps the ISOP literals back onto
-/// signal indices via `signal_of_var`.
+/// Extracts the exact ON/OFF covers of disjoint code sets `on` and `off`
+/// and the DC-absorbing minimized cover, and maps the ISOP literals back
+/// onto signal indices via `signal_of_var`.
 fn extract_function(
     m: &mut BddManager,
     signal: SignalId,
@@ -398,29 +373,22 @@ fn extract_function(
     off: Bdd,
     num_signals: usize,
     signal_of_var: &dyn Fn(VarId) -> usize,
-) -> Result<SignalFunction, LogicError> {
-    let clash = m.and(on, off);
-    if !clash.is_false() {
-        return Err(LogicError::CscViolation {
-            signal: name,
-            code: clash_code(m, clash, num_signals, signal_of_var),
-        });
-    }
+) -> SignalFunction {
     let upper = m.not(off);
     let minimized_isop = m.isop(on, upper);
     let minimized = refine_cover(m, minimized_isop.cubes, on, off);
     let on_cover = m.isop(on, on).cubes;
     let off_cover = m.isop(off, off).cubes;
-    Ok(SignalFunction {
+    SignalFunction {
         signal,
         name,
         on_set: cubes_to_cover(&on_cover, num_signals, signal_of_var),
         off_set: cubes_to_cover(&off_cover, num_signals, signal_of_var),
         minimized: cubes_to_cover(&minimized, num_signals, signal_of_var),
-    })
+    }
 }
 
-/// A witness code from the `ON ∧ OFF` intersection, rendered most
+/// A witness code from an `ON ∧ OFF` intersection, rendered most
 /// significant signal first (unconstrained signals read as 0).
 fn clash_code(
     m: &BddManager,

@@ -16,11 +16,14 @@
 //!   difference is both sound and complete for trace containment in either
 //!   direction, projected on the STG's signals.
 //! * **Speed independence** — no transition of *another* signal may
-//!   withdraw a gate's excitation before the gate fires.  For each
-//!   transition branch `u`, "the successor still excites `a`" is the
-//!   cofactor of the excitation at `u`'s pinned literals
-//!   ([`stg::TransitionBranch`]), so the check needs no next-state
-//!   variables at all.
+//!   withdraw a gate's excitation before the gate fires.  For each firing
+//!   branch `u` of the space ([`stg::Branch`]), "the successor still
+//!   excites `a`" is the cofactor of the excitation at `u`'s pinned
+//!   literals, so the check needs no next-state variables at all.
+//!
+//! The STG side of both checks is the space's own excitation of each
+//! signal ([`SymbolicStateSpace::excitation`]), the one the logic analysis
+//! derived the gates from.
 //!
 //! Every check honours the budget attached to the space's manager (the
 //! [`ReachabilityConfig`]'s budget for [`verify`]): a tripped ceiling
@@ -29,7 +32,7 @@
 use crate::{cover_bdd, GateKind, Netlist, NetlistError};
 use bdd::{Bdd, BddManager, VarId};
 use std::fmt;
-use stg::{ReachabilityConfig, Stg, StgError, SymbolicStateSpace, TransitionLabel};
+use stg::{ReachabilityConfig, Stg, StgError, SymbolicStateSpace};
 
 /// A typed, witness-carrying verification finding.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -187,14 +190,13 @@ pub fn verify_space(
     // Netlist variable → manager variable (through the STG signal index).
     let var_of: Vec<VarId> = stg_of_var.iter().map(|&s| signal_vars[s]).collect();
     let reachable = space.reachable();
-    let branches = space.transition_branches(stg);
-    // The STG's excitation predicates of each gate's signal.
-    let excitations: Vec<[Bdd; 3]> = netlist
+    // The STG's excitation `(up, down)` of each gate's signal.
+    let excitations: Vec<(Bdd, Bdd)> = netlist
         .gates
         .iter()
-        .map(|gate| space.excitations(stg, stg_of_var[gate.signal.index()].into()))
+        .map(|gate| space.excitation(stg_of_var[gate.signal.index()].into()))
         .collect();
-    let m = space.manager_mut();
+    let (m, branches) = space.manager_with_branches();
     if let Some(budget) = m.budget() {
         budget.set_stage("netlist-verify");
     }
@@ -229,14 +231,8 @@ pub fn verify_space(
     // Projection trace equivalence: per gate, compare the circuit
     // excitations against the STG's enabled edges on the reachable set.
     let mut trace_equivalent = true;
-    for (gate, &[rise, fall, toggle]) in gates.iter().zip(&excitations) {
+    for (gate, &(stg_up, stg_down)) in gates.iter().zip(&excitations) {
         m.check_budget()?;
-        let a = m.var(signal_vars[gate.signal]);
-        let not_a = m.not(a);
-        let toggle_up = m.and(toggle, not_a);
-        let toggle_down = m.and(toggle, a);
-        let stg_up = m.or(rise, toggle_up);
-        let stg_down = m.or(fall, toggle_down);
         for (stg_side, circuit_side, rising) in
             [(stg_up, gate.excite_up, true), (stg_down, gate.excite_down, false)]
         {
@@ -263,19 +259,15 @@ pub fn verify_space(
     let mut speed_independent = true;
     'gates: for gate in &gates {
         m.check_budget()?;
-        for branch in &branches {
-            let label = stg.label(branch.trans);
-            match label {
-                TransitionLabel::Edge { signal, .. } if signal.index() == gate.signal => continue,
-                TransitionLabel::Dummy => continue,
-                TransitionLabel::Edge { .. } => {}
+        for branch in branches {
+            match branch.edge {
+                Some((signal, _)) if signal.index() != gate.signal => {}
+                _ => continue,
             }
-            let enabled = m.cube_of(&branch.enabled);
-            let pinned = m.cube_of(&branch.pinned);
             for excite in [gate.excite_up, gate.excite_down] {
-                let successor = m.restrict_cube(excite, pinned);
+                let successor = m.restrict_cube(excite, branch.pinned);
                 let withdrawn = m.and_not(excite, successor);
-                let co_enabled = m.and(withdrawn, enabled);
+                let co_enabled = m.and(withdrawn, branch.enabled);
                 let witness = m.and(reachable, co_enabled);
                 if !witness.is_false() {
                     speed_independent = false;

@@ -53,5 +53,7 @@ pub use model::{Stg, StgBuilder, TransitionLabel};
 pub use parser::parse_g;
 pub use signal::{Polarity, Signal, SignalId, SignalKind};
 pub use state_graph::StateGraph;
-pub use symbolic::{fixpoints_run, ReachabilityConfig, SymbolicStateSpace, TransitionBranch};
+pub use symbolic::{
+    fixpoints_run, Branch, CscDecision, ReachabilityConfig, SignalCoding, SymbolicStateSpace,
+};
 pub use validate::{validate, Severity, ValidationIssue, ValidationReport};

@@ -12,12 +12,16 @@
 //!   next copies carry the second state of *pair* relations (the CSC
 //!   solver's code-tied conflict-pair counts, built with
 //!   [`bdd::BddManager::prime`]).
-//! * **Firing branches** — each transition fires through one branch per
-//!   pre-value of its code bit (two for a toggle, one otherwise): a cube of
-//!   enabling literals (marked preset, the signal's pre-value) and a cube of
-//!   post-values for the variables it changes.  The image of a set under a
-//!   branch is `pinned ∧ ∃changed. set ∧ enabled`, one memoised recursion
-//!   that builds no relation and touches no next copy.
+//! * **Firing branches, interned once** — each transition fires through
+//!   one [`Branch`] per pre-value of its code bit (two for a toggle, one
+//!   otherwise): a cube of enabling literals (marked preset, the signal's
+//!   pre-value) and a cube of post-values for the variables it changes.
+//!   The image of a set under a branch is `pinned ∧ ∃changed. set ∧
+//!   enabled`, one memoised recursion that builds no relation and touches
+//!   no next copy.  The space interns its branches at construction, in
+//!   transition index order, and every consumer — the fixpoint, the seed
+//!   guard, the CSC solver's region analyses, the logic derivation and the
+//!   netlist check — reads them from there.
 //! * **Causal firing order** — the branches fire in an order computed once
 //!   per net: breadth-first from the initially marked places, a transition
 //!   entering when the first of its preset places is reached (transitions
@@ -38,6 +42,19 @@
 //!   handshakes converges in 2 rounds, the last of which finds nothing
 //!   new.  The same loop, with one transition skipped, answers
 //!   [`SymbolicStateSpace::reachable_without`].
+//!
+//! * **One CSC decision per space** — each signal's excitation is the pair
+//!   `(up, down)` of the enabled cubes of the branches that raise or lower
+//!   it ([`SymbolicStateSpace::excitation`]).  From it the space derives,
+//!   once, each non-input signal's ON set `Reach ∧ (up ∨ a ∧ ¬down)`, its
+//!   OFF set `Reach ∧ ¬ON`, their code projections and the conflict codes
+//!   `ON_codes ∧ OFF_codes` ([`SymbolicStateSpace::coding`]), and the CSC
+//!   decision over all of them ([`SymbolicStateSpace::csc_decision`]).
+//!   The code bit fixes the signal's pre-value, so a code's ON and OFF
+//!   states are its excited and unexcited states in some order: the
+//!   conflict codes are exactly the codes carried by an excited and an
+//!   unexcited state.  Logic analysis, the solver and
+//!   [`Stg::symbolic_csc_violation`] all read this one decision.
 //!
 //! The symbolic engine is used by the Table 1 harness to count state spaces
 //! far beyond what explicit enumeration can touch (e.g. `4^24` markings for
@@ -100,8 +117,20 @@ pub struct SymbolicStateSpace {
     /// Position of each logical state variable (places `0..num_places`,
     /// then signals) in the interleaved BDD variable order.
     pos: Vec<usize>,
-    /// The branches the fixpoint fires, in causal order.
-    firings: Vec<Firing>,
+    /// The firing branches, in transition index order.
+    branches: Vec<Branch>,
+    /// Indices into `branches`, in the causal order the fixpoint fires them.
+    order: Vec<usize>,
+    /// The non-input signals, in id order (none in a places-only space).
+    non_inputs: Vec<SignalId>,
+    /// Each signal's excitation `(up, down)`, once computed.
+    excitations: Vec<Option<(Bdd, Bdd)>>,
+    /// Each non-input signal's coding, once computed.
+    codings: Vec<Option<SignalCoding>>,
+    /// The CSC decision, once computed.
+    decision: Option<CscDecision>,
+    /// Whether the seed guard passed.
+    seed_checked: bool,
     /// `true` when the fixpoint completed without hitting the iteration cap.
     pub converged: bool,
     /// Number of chained image rounds the fixpoint performed; a converged
@@ -109,86 +138,144 @@ pub struct SymbolicStateSpace {
     pub iterations: usize,
 }
 
-/// One enabling/update branch of an STG transition, expressed over the
-/// *current* BDD variables of the [`SymbolicStateSpace`] it was derived
-/// from.
+/// One firing branch of an STG transition, interned in its space's manager
+/// over the *current* variable copies.
 ///
-/// A rising or falling edge contributes exactly one branch; a toggle edge
-/// contributes two (one per pre-value of its code bit); a dummy transition
-/// contributes one branch that touches no code variable.  Because the next
-/// state differs from the current one only on [`Self::pinned`]'s variables
-/// — and there to fixed constants — downstream analyses (image, crossing
-/// and border computations in the symbolic CSC solver) never need the
-/// next-state variable copies: the image of a state set `A` under a branch
-/// is `(∃ changed. A ∧ enabled) ∧ pinned`, and "the target satisfies `Q`"
-/// is the cofactor of `Q` at the pinned literals.
+/// A rising or falling edge fires through one branch; a toggle through two
+/// (one per pre-value of its code bit); a dummy through one that touches no
+/// code variable.  The next state differs from the current one only on the
+/// changed variables, and there by the constants of [`Self::pinned`], so no
+/// analysis needs the next-state copies: the image of a set `A` under a
+/// branch is `pinned ∧ ∃changed. A ∧ enabled`
+/// ([`BddManager::image_cube`]), and "the target satisfies `Q`" is the
+/// cofactor of `Q` at `pinned` ([`BddManager::restrict_cube`]).
 #[derive(Clone, Debug)]
-pub struct TransitionBranch {
-    /// The net transition this branch belongs to.
+pub struct Branch {
+    /// The net transition the branch belongs to.
     pub trans: TransId,
-    /// Literals that must hold for the branch to fire: every preset place
-    /// marked, plus the signal's pre-value for a coded edge.
-    pub enabled: Vec<(VarId, bool)>,
-    /// Values the changed variables take after firing — cleared places to 0,
-    /// newly marked places to 1, the signal's code bit to its post-value.
-    /// Variables outside this list keep their current value.
-    pub pinned: Vec<(VarId, bool)>,
+    /// The signal the branch switches and its post-value (`true`: the
+    /// branch raises it); `None` for a dummy, and in a places-only space.
+    pub edge: Option<(SignalId, bool)>,
+    /// Cube of the enabling literals: every preset place marked, plus the
+    /// signal's pre-value for a coded edge.
+    pub enabled: Bdd,
+    /// `enabled`'s literals, sorted by variable.  A set whose
+    /// [`BddManager::value_span`] excludes one of them has an empty image
+    /// under the branch.
+    pub enabled_lits: Vec<(VarId, bool)>,
+    /// Cube of the post-values of the variables the branch changes:
+    /// cleared places 0, newly marked places 1, the code bit its post-value.
+    pub pinned: Bdd,
+    /// The variables the branch changes (`pinned`'s), sorted.  A branch
+    /// whose changed variables miss a predicate's support never changes
+    /// membership in it: its firings neither enter nor leave.
+    pub changed: Vec<VarId>,
+    /// Every variable the branch mentions (enabling ∪ changed), sorted.
+    pub vars: Vec<VarId>,
 }
 
-/// One enabling/update branch of a transition over *state-variable indices*
-/// (places `0..num_places`, then signals) — the encoding-independent form
-/// shared by the reachability engine and [`SymbolicStateSpace::
-/// transition_branches`].
-struct RawBranch {
-    trans: TransId,
-    enabled: Vec<(usize, bool)>,
-    pinned: Vec<(usize, bool)>,
+/// What a code-encoded space decides about one non-input signal `a` with
+/// excitation `(up, down)` ([`SymbolicStateSpace::coding`]).
+#[derive(Clone, Copy, Debug)]
+pub struct SignalCoding {
+    /// The reachable states whose next value of `a` is 1: `Reach ∧ (up ∨
+    /// a ∧ ¬down)` — excited to rise, or at 1 and not excited to fall.
+    pub on: Bdd,
+    /// The reachable states whose next value is 0, `Reach ∧ ¬on`.
+    pub off: Bdd,
+    /// The codes of `on` (the place variables quantified away).
+    pub on_codes: Bdd,
+    /// The codes of `off`.
+    pub off_codes: Bdd,
+    /// `on_codes ∧ off_codes`: the codes whose states need different next
+    /// values, empty exactly when CSC holds for `a`.
+    pub conflicts: Bdd,
 }
 
-/// Enumerates the firing branches of every transition.  `with_codes` adds
-/// the per-signal code variables (indices `num_places..`) to the coded
-/// edges; without it every label is treated like a dummy.
-fn enumerate_branches(stg: &Stg, with_codes: bool) -> Vec<RawBranch> {
-    let net = stg.net();
-    let num_places = net.num_places();
-    let mut branches = Vec::new();
-    for t in 0..net.num_transitions() {
-        let t_id = TransId::from(t);
-        let pre: Vec<usize> = net.preset(t_id).iter().map(|p| p.index()).collect();
-        let post: Vec<usize> = net.postset(t_id).iter().map(|p| p.index()).collect();
-        let cleared: Vec<usize> = pre.iter().copied().filter(|v| !post.contains(v)).collect();
-        let set: Vec<usize> = post.iter().copied().filter(|v| !pre.contains(v)).collect();
-        let signal_state_var = if with_codes {
-            match stg.label(t_id) {
-                TransitionLabel::Edge { signal, polarity } => {
-                    Some((num_places + signal.index(), polarity))
-                }
-                TransitionLabel::Dummy => None,
-            }
+/// The CSC decision of a code-encoded space
+/// ([`SymbolicStateSpace::csc_decision`]).
+#[derive(Clone, Debug, Default)]
+pub struct CscDecision {
+    /// The non-input signals with conflict codes, in id order, each with
+    /// its [`SignalCoding::conflicts`].
+    pub conflicted: Vec<(SignalId, Bdd)>,
+    /// The number of conflict codes summed over those signals, as a float
+    /// (wide designs exceed every integer type).
+    pub conflict_codes: f64,
+}
+
+impl CscDecision {
+    /// [`Self::conflict_codes`] as an integer, saturating at `usize::MAX`.
+    pub fn conflict_count(&self) -> usize {
+        if self.conflict_codes >= usize::MAX as f64 {
+            usize::MAX
         } else {
-            None
+            self.conflict_codes.round() as usize
+        }
+    }
+}
+
+/// Interns the firing branches of every transition in `m`, in transition
+/// index order.  State variables are indexed places `0..num_places`, then
+/// signals, and `current` maps each to its current BDD copy; `with_codes`
+/// adds the signal's code literals to the coded edges, without it every
+/// label is treated like a dummy.
+fn intern_branches(
+    stg: &Stg,
+    with_codes: bool,
+    m: &mut BddManager,
+    current: &dyn Fn(usize) -> VarId,
+) -> Vec<Branch> {
+    let net = stg.net();
+    let mut branches = Vec::new();
+    for t in (0..net.num_transitions()).map(TransId::from) {
+        let (pre, post) = (net.preset(t), net.postset(t));
+        let enabled: Vec<(usize, bool)> = pre.iter().map(|p| (p.index(), true)).collect();
+        let mut pinned: Vec<(usize, bool)> =
+            pre.iter().filter(|p| !post.contains(p)).map(|p| (p.index(), false)).collect();
+        pinned.extend(post.iter().filter(|p| !pre.contains(p)).map(|p| (p.index(), true)));
+        // The code bit's post-value per branch; a toggle fires from either
+        // value and lands on the opposite one.
+        let (signal, post_values): (Option<SignalId>, &[Option<bool>]) = match stg.label(t) {
+            TransitionLabel::Edge { signal, polarity } if with_codes => (
+                Some(signal),
+                match polarity {
+                    Polarity::Rise => &[Some(true)],
+                    Polarity::Fall => &[Some(false)],
+                    Polarity::Toggle => &[Some(true), Some(false)],
+                },
+            ),
+            _ => (None, &[None]),
         };
-        let enabled_base: Vec<(usize, bool)> = pre.iter().map(|&p| (p, true)).collect();
-        let mut pinned_base: Vec<(usize, bool)> = Vec::new();
-        pinned_base.extend(cleared.iter().map(|&p| (p, false)));
-        pinned_base.extend(set.iter().map(|&p| (p, true)));
-        // (signal pre-value, signal post-value) per branch; a toggle fires
-        // from either value and lands on the opposite one.
-        type CodeLit = Option<(usize, bool)>;
-        let code_branches: Vec<(CodeLit, CodeLit)> = match signal_state_var {
-            Some((sv, Polarity::Rise)) => vec![(Some((sv, false)), Some((sv, true)))],
-            Some((sv, Polarity::Fall)) => vec![(Some((sv, true)), Some((sv, false)))],
-            Some((sv, Polarity::Toggle)) => {
-                vec![(Some((sv, false)), Some((sv, true))), (Some((sv, true)), Some((sv, false)))]
+        for &post_value in post_values {
+            let (mut enabled, mut pinned) = (enabled.clone(), pinned.clone());
+            let edge = signal.zip(post_value);
+            if let Some((signal, value)) = edge {
+                let sv = net.num_places() + signal.index();
+                enabled.push((sv, !value));
+                pinned.push((sv, value));
             }
-            None => vec![(None, None)],
-        };
-        for (pre_lit, post_lit) in code_branches {
-            let mut enabled = enabled_base.clone();
-            let mut pinned = pinned_base.clone();
-            enabled.extend(pre_lit);
-            pinned.extend(post_lit);
-            branches.push(RawBranch { trans: t_id, enabled, pinned });
+            let on_current = |lits: Vec<(usize, bool)>| -> Vec<(VarId, bool)> {
+                let mut lits: Vec<(VarId, bool)> =
+                    lits.into_iter().map(|(sv, v)| (current(sv), v)).collect();
+                lits.sort_unstable();
+                lits
+            };
+            let (enabled_lits, pinned) = (on_current(enabled), on_current(pinned));
+            let changed: Vec<VarId> = pinned.iter().map(|&(v, _)| v).collect();
+            let mut vars: Vec<VarId> = enabled_lits.iter().map(|&(v, _)| v).collect();
+            vars.extend_from_slice(&changed);
+            vars.sort_unstable();
+            vars.dedup();
+            branches.push(Branch {
+                trans: t,
+                edge,
+                enabled: m.cube_of(&enabled_lits),
+                enabled_lits,
+                pinned: m.cube_of(&pinned),
+                changed,
+                vars,
+            });
         }
     }
     branches
@@ -227,17 +314,6 @@ fn causal_order(stg: &Stg) -> Vec<TransId> {
     order
 }
 
-/// One firing branch of the chained fixpoint, interned in the space's
-/// manager over the *current* variable copies.
-#[derive(Debug)]
-struct Firing {
-    trans: TransId,
-    /// Cube of the literals enabling the branch.
-    enabled: Bdd,
-    /// Cube of the post-values of the variables the branch changes.
-    pinned: Bdd,
-}
-
 /// Outcome of [`chained_fixpoint`].
 struct Chain {
     reachable: Bdd,
@@ -245,7 +321,7 @@ struct Chain {
     converged: bool,
 }
 
-/// The chained fixpoint from `initial`, firing every branch of `firings`
+/// The chained fixpoint from `initial`, firing the `branches` in `order`
 /// but those of `skip`, for at most `limit` rounds.
 ///
 /// Each round fires the branches one after another: a branch images the
@@ -260,7 +336,8 @@ struct Chain {
 /// mistaken for a fixpoint.
 fn chained_fixpoint(
     m: &mut BddManager,
-    firings: &[Firing],
+    branches: &[Branch],
+    order: &[usize],
     initial: Bdd,
     skip: Option<TransId>,
     limit: usize,
@@ -269,8 +346,8 @@ fn chained_fixpoint(
     let mut rounds = 0;
     while rounds < limit {
         let before = reachable;
-        for firing in firings.iter().filter(|f| Some(f.trans) != skip) {
-            let step = m.image_cube(reachable, firing.enabled, firing.pinned);
+        for b in order.iter().map(|&i| &branches[i]).filter(|b| Some(b.trans) != skip) {
+            let step = m.image_cube(reachable, b.enabled, b.pinned);
             reachable = m.or(reachable, step);
         }
         rounds += 1;
@@ -430,27 +507,16 @@ impl Stg {
         }
         let initial = m.cube_of(&initial_lits);
 
-        // The firing branches in causal order.  The enumeration is shared
-        // with [`SymbolicStateSpace::transition_branches`] so the two views
-        // of the firing rule cannot drift apart; the stable sort keeps a
-        // toggle's two branches adjacent.
+        // The firing branches, kept in transition index order and fired in
+        // causal order; the stable sort keeps a toggle's two branches
+        // adjacent.
+        let branches = intern_branches(self, with_codes, &mut m, &current);
         let mut rank = vec![0; net.num_transitions()];
         for (r, t) in causal_order(self).into_iter().enumerate() {
             rank[t.index()] = r;
         }
-        let mut raw_branches = enumerate_branches(self, with_codes);
-        raw_branches.sort_by_key(|b| rank[b.trans.index()]);
-        let on_current = |lits: &[(usize, bool)]| -> Vec<(VarId, bool)> {
-            lits.iter().map(|&(sv, v)| (current(sv), v)).collect()
-        };
-        let firings: Vec<Firing> = raw_branches
-            .iter()
-            .map(|b| Firing {
-                trans: b.trans,
-                enabled: m.cube_of(&on_current(&b.enabled)),
-                pinned: m.cube_of(&on_current(&b.pinned)),
-            })
-            .collect();
+        let mut order: Vec<usize> = (0..branches.len()).collect();
+        order.sort_by_key(|&i| rank[branches[i].trans.index()]);
 
         // The set-up above may already have tripped the budget; surface that
         // before imaging anything.
@@ -458,7 +524,7 @@ impl Stg {
             m.check_budget()?;
         }
         let limit = max_iterations.unwrap_or(4 * num_places.max(8));
-        let chain = chained_fixpoint(&mut m, &firings, initial, None, limit)?;
+        let chain = chained_fixpoint(&mut m, &branches, &order, initial, None, limit)?;
 
         Ok(SymbolicStateSpace {
             manager: m,
@@ -467,7 +533,13 @@ impl Stg {
             num_places,
             num_signals,
             pos,
-            firings,
+            branches,
+            order,
+            non_inputs: if with_codes { self.non_input_signals() } else { Vec::new() },
+            excitations: vec![None; num_signals],
+            codings: vec![None; num_signals],
+            decision: None,
+            seed_checked: false,
             converged: chain.converged,
             iterations: chain.rounds,
         })
@@ -604,71 +676,134 @@ impl SymbolicStateSpace {
     /// meaningless, and the caller's next budget check reports the trip.
     pub fn reachable_without(&mut self, avoid: TransId) -> Bdd {
         let m = &mut self.manager;
-        match chained_fixpoint(m, &self.firings, self.initial, Some(avoid), usize::MAX) {
+        match chained_fixpoint(
+            m,
+            &self.branches,
+            &self.order,
+            self.initial,
+            Some(avoid),
+            usize::MAX,
+        ) {
             Ok(chain) => chain.reachable,
             Err(_) => m.bottom(),
         }
     }
 
-    /// The firing branches of every transition of `stg`, expressed over this
-    /// space's *current* variable copies (see [`TransitionBranch`]), in
-    /// transition index order.
-    ///
-    /// `stg` must be the model the space was built from; the branch
-    /// enumeration is the exact one the reachability engine fired (in its
-    /// causal order), so images computed from these branches agree with
-    /// [`Self::reachable`].
-    pub fn transition_branches(&self, stg: &Stg) -> Vec<TransitionBranch> {
-        self.branches(stg, self.num_signals > 0)
+    /// The firing branches of every transition, in transition index order
+    /// (see [`Branch`]): the very branches the fixpoint fired, so images
+    /// computed from them agree with [`Self::reachable`].
+    pub fn branches(&self) -> &[Branch] {
+        &self.branches
     }
 
-    /// [`Self::transition_branches`], with or without the code literals.
-    fn branches(&self, stg: &Stg, with_codes: bool) -> Vec<TransitionBranch> {
-        assert_eq!(stg.net().num_places(), self.num_places, "space/model mismatch");
-        let current = |lits: &[(usize, bool)]| -> Vec<(VarId, bool)> {
-            lits.iter().map(|&(sv, v)| ((2 * self.pos[sv]) as VarId, v)).collect()
-        };
-        enumerate_branches(stg, with_codes)
-            .into_iter()
-            .map(|raw| TransitionBranch {
-                trans: raw.trans,
-                enabled: current(&raw.enabled),
-                pinned: current(&raw.pinned),
-            })
-            .collect()
+    /// The manager and the branches at once, for analyses that image or
+    /// cofactor sets under the branches.
+    pub fn manager_with_branches(&mut self) -> (&mut BddManager, &[Branch]) {
+        (&mut self.manager, &self.branches)
     }
 
-    /// The excitation predicates of `signal` over the current place copies,
-    /// indexed by [`Polarity`] declaration order (`[rise, fall, toggle]`):
-    /// some transition of that polarity has its whole preset marked.
-    pub fn excitations(&mut self, stg: &Stg, signal: SignalId) -> [Bdd; 3] {
-        let mut by_polarity = [self.manager.bottom(); 3];
-        for t in stg.transitions_of_signal(signal) {
-            let TransitionLabel::Edge { polarity, .. } = stg.label(t) else { continue };
-            let lits: Vec<(VarId, bool)> = stg
-                .net()
-                .preset(t)
-                .iter()
-                .map(|p| (self.current_var_of_place(p.index()), true))
-                .collect();
-            let cube = self.manager.cube_of(&lits);
-            let slot = &mut by_polarity[polarity as usize];
-            *slot = self.manager.or(*slot, cube);
+    /// The non-input signals of the model, in id order (none in a
+    /// places-only space).
+    pub fn non_input_signals(&self) -> &[SignalId] {
+        &self.non_inputs
+    }
+
+    /// The excitation `(up, down)` of `signal`: the disjunctions of the
+    /// enabled cubes of the branches that raise it and of those that lower
+    /// it.  Computed once per space; a result computed on a poisoned
+    /// manager is returned but not kept.
+    pub fn excitation(&mut self, signal: SignalId) -> (Bdd, Bdd) {
+        if let Some(excitation) = self.excitations[signal.index()] {
+            return excitation;
         }
-        by_polarity
+        let m = &mut self.manager;
+        let (mut up, mut down) = (m.bottom(), m.bottom());
+        for b in &self.branches {
+            match b.edge {
+                Some((s, true)) if s == signal => up = m.or(up, b.enabled),
+                Some((s, false)) if s == signal => down = m.or(down, b.enabled),
+                _ => {}
+            }
+        }
+        if !m.budget_tripped() {
+            self.excitations[signal.index()] = Some((up, down));
+        }
+        (up, down)
+    }
+
+    /// The ON and OFF sets of non-input `signal`, their code projections
+    /// and their conflict codes (see [`SignalCoding`]), computed once per
+    /// space.
+    ///
+    /// # Errors
+    ///
+    /// The budget trip of the space's manager, if it is poisoned; nothing
+    /// is kept then.
+    pub fn coding(&mut self, signal: SignalId) -> Result<SignalCoding, BudgetExceeded> {
+        if let Some(coding) = self.codings[signal.index()] {
+            return Ok(coding);
+        }
+        let (up, down) = self.excitation(signal);
+        let place_vars: Vec<VarId> =
+            (0..self.num_places).map(|p| self.current_var_of_place(p)).collect();
+        let a = self.current_var_of_signal(signal.index());
+        let reachable = self.reachable;
+        let m = &mut self.manager;
+        let a = m.var(a);
+        let hold = m.and_not(a, down);
+        let next_high = m.or(up, hold);
+        let on = m.and(reachable, next_high);
+        let off = m.and_not(reachable, next_high);
+        let places = m.quant_cube(&place_vars);
+        let on_codes = m.exists_cube(on, places);
+        let off_codes = m.exists_cube(off, places);
+        let conflicts = m.and(on_codes, off_codes);
+        m.check_budget()?;
+        let coding = SignalCoding { on, off, on_codes, off_codes, conflicts };
+        self.codings[signal.index()] = Some(coding);
+        Ok(coding)
+    }
+
+    /// The CSC decision: every non-input signal's [`Self::coding`], and
+    /// which of them carry conflict codes.  Computed once per space; asking
+    /// again touches no BDD.
+    ///
+    /// # Errors
+    ///
+    /// The budget trip of the space's manager; nothing is kept then.
+    pub fn csc_decision(&mut self) -> Result<CscDecision, BudgetExceeded> {
+        if let Some(decision) = &self.decision {
+            return Ok(decision.clone());
+        }
+        // Conflict codes depend on the current signal copies only.
+        let free_vars = (self.manager.num_vars() - self.num_signals) as i32;
+        let mut decision = CscDecision::default();
+        for i in 0..self.non_inputs.len() {
+            let signal = self.non_inputs[i];
+            let conflicts = self.coding(signal)?.conflicts;
+            if !conflicts.is_false() {
+                decision.conflict_codes +=
+                    self.manager.sat_count_f64(conflicts) / 2f64.powi(free_vars);
+                decision.conflicted.push((signal, conflicts));
+            }
+        }
+        self.decision = Some(decision.clone());
+        Ok(decision)
     }
 
     /// The seed guard of a code-encoded space: decides, on the space itself,
     /// whether the seed (`initial_code`) labels every reachable marking of
-    /// `stg` with exactly one code.
+    /// `stg` with exactly one code.  A passed verdict is remembered, so the
+    /// guard runs once per space.
     ///
     /// Let `P = ∃codes. Reach` be the markings the space covers.  The guard
-    /// holds iff every place-only firing from `P` stays in `P`, and
-    /// `|Reach| = |P|` (one code per marking).  It is exact: `P` is always
-    /// contained in the place-reachable set and contains the initial
-    /// marking, so a `P` closed under firing *is* the place-reachable set —
-    /// the guard accepts exactly what comparing against a places-only
-    /// fixpoint would accept, without running one.
+    /// holds iff every firing from `P` stays in `P`, and `|Reach| = |P|`
+    /// (one code per marking).  It is exact: `P` is always contained in the
+    /// place-reachable set and contains the initial marking, so a `P`
+    /// closed under firing *is* the place-reachable set — the guard accepts
+    /// exactly what comparing against a places-only fixpoint would accept,
+    /// without running one.  `P` mentions no code variable, so a coded
+    /// branch leaves it exactly where its places-only firing would.
     ///
     /// # Errors
     ///
@@ -676,23 +811,21 @@ impl SymbolicStateSpace {
     /// `None` when a marking carries two codes), and [`StgError::Budget`]
     /// when the space's budget trips.
     pub fn check_seed(&mut self, stg: &Stg) -> Result<(), StgError> {
+        if self.seed_checked {
+            return Ok(());
+        }
         let signal_vars: Vec<VarId> =
             (0..self.num_signals).map(|s| self.current_var_of_signal(s)).collect();
-        let coded = self.manager.exists_many(self.reachable, &signal_vars);
-        let mut blocked_transition = None;
-        for branch in self.branches(stg, false) {
-            // A firing leaves `P` from the sources where `P`, cofactored at
-            // the branch's post-values, no longer holds.
-            let m = &mut self.manager;
-            let enabled = m.cube_of(&branch.enabled);
-            let src = m.and(coded, enabled);
-            let pinned = m.cube_of(&branch.pinned);
-            let after = m.restrict_cube(coded, pinned);
-            if !m.implies(src, after) {
-                blocked_transition = Some(stg.net().transition_name(branch.trans).to_owned());
-                break;
-            }
-        }
+        let m = &mut self.manager;
+        let coded = m.exists_many(self.reachable, &signal_vars);
+        // A firing leaves `P` from the sources where `P`, cofactored at the
+        // branch's post-values, no longer holds.
+        let blocked = self.branches.iter().find(|b| {
+            let src = m.and(coded, b.enabled);
+            let after = m.restrict_cube(coded, b.pinned);
+            !m.implies(src, after)
+        });
+        let blocked_transition = blocked.map(|b| stg.net().transition_name(b.trans).to_owned());
         // The verdict is only meaningful on unpoisoned results.
         self.manager.check_budget()?;
         // `coded` depends on the current place copies only.
@@ -701,6 +834,7 @@ impl SymbolicStateSpace {
         let coded_states = self.state_count_f64();
         let close = |a: f64, b: f64| (a - b).abs() <= (a.abs().max(b.abs())) * 1e-9 + 0.25;
         if blocked_transition.is_none() && close(coded_states, coded_markings) {
+            self.seed_checked = true;
             return Ok(());
         }
         let round = |v: f64| if v >= u128::MAX as f64 { u128::MAX } else { v.round() as u128 };
@@ -714,47 +848,6 @@ impl SymbolicStateSpace {
 
 /// Symbolic encoding-property checks on a code-encoded state space.
 impl Stg {
-    /// Returns `true` if two distinct reachable markings share the same
-    /// binary code (Unique State Coding violated), determined symbolically.
-    ///
-    /// # Panics
-    ///
-    /// Panics if reachability does not converge within the default iteration
-    /// cap (`4 × places`) — an answer computed from a truncated set would be
-    /// silently wrong.  Use [`Self::try_symbolic_usc_violation`] to handle
-    /// that case as a typed error.
-    pub fn symbolic_usc_violation(&self, initial_code: u64) -> bool {
-        self.try_symbolic_usc_violation(initial_code, &ReachabilityConfig::default())
-            .expect("reachability did not converge within the default iteration cap")
-    }
-
-    /// Fallible [`Self::symbolic_usc_violation`]: honours the budget and
-    /// reports non-convergence as [`StgError::NotConverged`] instead of
-    /// answering from a truncated set.
-    pub fn try_symbolic_usc_violation(
-        &self,
-        initial_code: u64,
-        config: &ReachabilityConfig,
-    ) -> Result<bool, StgError> {
-        let space = self.try_symbolic_encoded_state_space(initial_code, config)?;
-        let states = space.state_count_f64();
-        let (num_places, num_signals) = (space.num_places, space.num_signals);
-        let place_vars: Vec<VarId> =
-            (0..num_places).map(|p| space.current_var_of_place(p)).collect();
-        let mut m = space.manager;
-        // Project onto the code variables: quantify away the current place
-        // copies (the next copies are free in `reachable` already).
-        let codes = m.exists_many(space.reachable, &place_vars);
-        // `codes` depends only on the current signal copies; every other of
-        // the 2·(places + signals) manager variables is free.
-        let free_vars = (2 * (num_places + num_signals) - num_signals) as i32;
-        let distinct_codes = m.sat_count_f64(codes) / 2f64.powi(free_vars);
-        if let Some(trip) = m.take_budget_trip() {
-            return Err(StgError::Budget(trip));
-        }
-        Ok(states > distinct_codes + 0.5)
-    }
-
     /// Returns `true` if the STG has a CSC conflict, determined symbolically:
     /// some code is shared by a state that enables a non-input signal and a
     /// state that does not.
@@ -762,8 +855,9 @@ impl Stg {
     /// # Panics
     ///
     /// Panics if reachability does not converge within the default iteration
-    /// cap; see [`Self::symbolic_usc_violation`].  Use
-    /// [`Self::try_symbolic_csc_violation`] for the typed diagnostic.
+    /// cap (`4 × places`) — an answer computed from a truncated set would be
+    /// silently wrong.  Use [`Self::try_symbolic_csc_violation`] for the
+    /// typed diagnostic.
     pub fn symbolic_csc_violation(&self, initial_code: u64) -> bool {
         self.try_symbolic_csc_violation(initial_code, &ReachabilityConfig::default())
             .expect("reachability did not converge within the default iteration cap")
@@ -778,28 +872,8 @@ impl Stg {
         config: &ReachabilityConfig,
     ) -> Result<bool, StgError> {
         let mut space = self.try_symbolic_encoded_state_space(initial_code, config)?;
-        let place_vars: Vec<VarId> =
-            (0..space.num_places).map(|p| space.current_var_of_place(p)).collect();
-        let reachable = space.reachable;
-        for signal in self.non_input_signals() {
-            // Enabled(signal) as a function of places: some transition of the
-            // signal has all its input places marked.
-            let excitations = space.excitations(self, signal);
-            let m = &mut space.manager;
-            let enabled = m.or_many(excitations);
-            let with = m.and(reachable, enabled);
-            let without = m.and_not(reachable, enabled);
-            let codes_with = m.exists_many(with, &place_vars);
-            let codes_without = m.exists_many(without, &place_vars);
-            let clash = m.and(codes_with, codes_without);
-            if let Some(trip) = m.take_budget_trip() {
-                return Err(StgError::Budget(trip));
-            }
-            if !clash.is_false() {
-                return Ok(true);
-            }
-        }
-        Ok(false)
+        let decision = space.csc_decision().map_err(StgError::Budget)?;
+        Ok(!decision.conflicted.is_empty())
     }
 }
 
@@ -1057,13 +1131,67 @@ mod tests {
     }
 
     #[test]
-    fn symbolic_usc_and_csc_checks() {
-        assert!(!benchmarks::handshake().symbolic_usc_violation(0));
+    fn symbolic_csc_checks() {
         assert!(!benchmarks::handshake().symbolic_csc_violation(0));
-        assert!(benchmarks::pulser().symbolic_usc_violation(0));
         assert!(benchmarks::pulser().symbolic_csc_violation(0));
         assert!(benchmarks::vme_read().symbolic_csc_violation(0));
         assert!(!benchmarks::parallelizer(3).symbolic_csc_violation(0));
+    }
+
+    #[test]
+    fn the_csc_decision_matches_the_explicit_state_graph() {
+        // A signal's conflict codes are exactly the codes the explicit graph
+        // carries on both a state that excites the signal and one that does
+        // not.
+        let mut models: Vec<crate::Stg> = benchmarks::table2_suite()
+            .into_iter()
+            .chain(benchmarks::corpus_suite())
+            .map(|(_, model, _)| model)
+            .collect();
+        models.extend((0..40).map(crate::fuzz::random_stg));
+        let mut conflicted_signals = 0;
+        for stg in models {
+            let sg = stg.state_graph(100_000).unwrap();
+            let seed = sg.code(sg.ts.initial());
+            let mut space = stg.symbolic_encoded_state_space(seed, None);
+            let decision = space.csc_decision().unwrap();
+            // Asking again is free: the decision is kept on the space.
+            let stats = space.manager_stats();
+            let again = space.csc_decision().unwrap();
+            assert_eq!(space.manager_stats(), stats, "{}", stg.name());
+            assert_eq!(again.conflicted, decision.conflicted, "{}", stg.name());
+            let mut explicit_total = 0;
+            for &signal in &stg.non_input_signals() {
+                let bit = 1u64 << signal.index();
+                // Per code: whether some state excites the signal, and
+                // whether some state does not.
+                let mut sides: std::collections::BTreeMap<u64, [bool; 2]> = Default::default();
+                for state in (0..sg.num_states()).map(|s| ts::StateId(s as u32)) {
+                    let excited = sg.enabled_signal_mask(state) & bit != 0;
+                    sides.entry(sg.code(state)).or_default()[usize::from(excited)] = true;
+                }
+                let explicit: Vec<u64> =
+                    sides.iter().filter(|(_, side)| side[0] && side[1]).map(|(&c, _)| c).collect();
+                explicit_total += explicit.len();
+                let name = &stg.signal(signal).name;
+                let codes = decision.conflicted.iter().find(|(s, _)| *s == signal).map(|e| e.1);
+                assert_eq!(codes.is_some(), !explicit.is_empty(), "{}: {name}", stg.name());
+                let Some(codes) = codes else { continue };
+                conflicted_signals += 1;
+                let m = space.manager();
+                let free = (m.num_vars() - space.num_signals()) as i32;
+                assert_eq!(m.sat_count_f64(codes) / 2f64.powi(free), explicit.len() as f64);
+                for code in explicit {
+                    let mut assignment = vec![false; m.num_vars()];
+                    for s in 0..space.num_signals() {
+                        assignment[space.current_var_of_signal(s) as usize] = (code >> s) & 1 != 0;
+                    }
+                    assert!(m.eval(codes, &assignment), "{}: {name} at {code:b}", stg.name());
+                }
+            }
+            assert_eq!(decision.conflict_codes, explicit_total as f64, "{}", stg.name());
+        }
+        assert!(conflicted_signals >= 20, "{conflicted_signals} conflicted signals");
     }
 
     #[test]
