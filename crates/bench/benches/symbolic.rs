@@ -21,7 +21,7 @@ fn explicit_vs_symbolic(c: &mut Criterion) {
             b.iter(|| black_box(model.state_graph(2_000_000).unwrap().num_states()))
         });
         group.bench_function(format!("symbolic/par_hs{n}"), |b| {
-            b.iter(|| black_box(model.symbolic_state_space(None).state_count()))
+            b.iter(|| black_box(model.symbolic_state_space().state_count()))
         });
     }
     group.finish();
@@ -33,9 +33,9 @@ fn symbolic_scaling(c: &mut Criterion) {
     for n in [12usize, 16, 24] {
         let model = stg::benchmarks::parallel_handshakes(n);
         group.bench_function(format!("par_hs{n}"), |b| {
-            b.iter(|| black_box(model.symbolic_state_space(None).state_count_f64()))
+            b.iter(|| black_box(model.symbolic_state_space().state_count_f64()))
         });
-        attach_space_metrics(&mut group, &model.symbolic_state_space(None));
+        attach_space_metrics(&mut group, &model.symbolic_state_space());
     }
     // The encoded (marking, code) fixpoint every flow runs, on the wide
     // designs of the end-to-end benchmark.
@@ -45,9 +45,9 @@ fn symbolic_scaling(c: &mut Criterion) {
         ("wide_conflict16", stg::benchmarks::wide_conflict(16)),
     ] {
         group.bench_function(format!("encoded/{name}"), |b| {
-            b.iter(|| black_box(model.symbolic_encoded_state_space(0, None).state_count_f64()))
+            b.iter(|| black_box(model.symbolic_encoded_state_space(0).state_count_f64()))
         });
-        attach_space_metrics(&mut group, &model.symbolic_encoded_state_space(0, None));
+        attach_space_metrics(&mut group, &model.symbolic_encoded_state_space(0));
     }
     group.finish();
 }

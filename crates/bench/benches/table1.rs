@@ -11,7 +11,7 @@ fn symbolic_state_counts(c: &mut Criterion) {
         let model = stg::benchmarks::parallel_handshakes(n);
         group.bench_function(format!("par_hs{n}"), |b| {
             b.iter(|| {
-                let space = model.symbolic_state_space(None);
+                let space = model.symbolic_state_space();
                 black_box(space.state_count_f64())
             })
         });

@@ -97,7 +97,7 @@ pub fn table1_rows_for(workloads: Vec<(Stg, usize)>) -> Vec<Table1Row> {
         .map(|(model, explicit_limit)| {
             let start = Instant::now();
             let (places, transitions, signals) = model.stats();
-            let space = model.symbolic_state_space(None);
+            let space = model.symbolic_state_space();
             // The per-signal symbolic CSC check is only run while the
             // variable count stays moderate; the huge pure-concurrency
             // workloads are conflict-free by construction anyway.

@@ -15,9 +15,8 @@
 //! the netlist check.  No explicit state graph is built, which is what lets
 //! designs with more than 64 signals (or state spaces beyond explicit
 //! reach) synthesize end to end.  The explicit state-graph pipeline runs
-//! only when a conflicted design selects it ([`FlowOptions::strategy`]),
-//! when the symbolic seed or solver fails, or as the second rung of a
-//! governed run.
+//! only when a conflicted design selects it ([`FlowOptions::strategy`]) or
+//! as the second rung of a governed run whose budget tripped.
 //!
 //! # Example
 //!
@@ -33,7 +32,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use bdd::{Budget, BudgetExceeded};
+use bdd::Budget;
 use csc::{
     conflict_pairs, solve_space, CscError, CscSolution, EncodedGraph, SolverConfig, SolverStrategy,
     StageStats, SymbolicSolution,
@@ -47,34 +46,34 @@ use stg::{ReachabilityConfig, Stg, StgError, SymbolicStateSpace};
 /// Options of the end-to-end flow.
 #[derive(Clone, Debug)]
 pub struct FlowOptions {
-    /// Solver configuration (frontier width, candidate source, …).
+    /// Solver configuration (frontier width, candidate source, …).  Only
+    /// the explicit solver reads the candidate source and
+    /// `enlarge_concurrency`; [`FlowOptions::baseline`] selects it.
     pub solver: SolverConfig,
     /// Whether to estimate the implementation area after solving.
     pub estimate_area: bool,
-    /// Upper bound on explicit state-graph size.
-    pub max_states: usize,
-    /// Signal values in the initial state (bit `i` = signal `i`), used to
-    /// seed the symbolic engines.  The benchmark suite (and `.g` models,
-    /// whose codes are anchored at 0 during propagation) start at 0.
+    /// The first guess at the signal values in the initial state (bit `i`
+    /// = signal `i`).  The flow flips the bits of every signal the seed
+    /// guard finds barred and rebuilds the input's space until the guard
+    /// passes ([`stg::Stg::seeded_encoded_state_space`]); a right guess
+    /// costs no second fixpoint.  The benchmark suite starts at 0.
     pub initial_code: u64,
     /// Which CSC solver resolves a conflicted design.
     /// [`SolverStrategy::Symbolic`] (the default) inserts state signals on
     /// BDDs and keeps the whole flow symbolic — the only option for designs
     /// beyond 64 signals; the explicit state-graph pipeline remains
-    /// selectable and is the automatic fallback when the symbolic solver
-    /// reports a typed failure.
+    /// selectable.  A typed failure of the symbolic solver is the flow's
+    /// error, not a hand-over to the explicit one.
     pub strategy: SolverStrategy,
     /// Ceiling on BDD nodes the whole flow may allocate (`None` = no
     /// ceiling).  Any limit arms the shared [`Budget`] and with it the
     /// fallback ladder — see [`run_flow`].
     pub node_budget: Option<u64>,
-    /// Ceiling on BDD apply steps (`mk` calls) for the whole flow.
-    pub step_budget: Option<u64>,
     /// Wall-clock deadline for the whole flow in milliseconds, honoured
     /// within one budget check interval.
     pub timeout_ms: Option<u64>,
-    /// Refuse to descend the fallback ladder: the first budget trip or
-    /// non-convergence returns its typed error instead of degrading.
+    /// Refuse to descend the fallback ladder: the first budget trip returns
+    /// its typed error instead of degrading.
     pub no_fallback: bool,
     /// Verify the emitted gate netlist against the source STG (symbolic
     /// speed-independence and projection trace equivalence).  The check
@@ -88,11 +87,9 @@ impl Default for FlowOptions {
         FlowOptions {
             solver: SolverConfig::default(),
             estimate_area: true,
-            max_states: 1_000_000,
             initial_code: 0,
             strategy: SolverStrategy::default(),
             node_budget: None,
-            step_budget: None,
             timeout_ms: None,
             no_fallback: false,
             verify_netlist: false,
@@ -101,22 +98,23 @@ impl Default for FlowOptions {
 }
 
 impl FlowOptions {
-    /// The ASSASSIN-style baseline flow (excitation-region candidates only).
+    /// The ASSASSIN-style baseline flow: the explicit solver with
+    /// excitation-region candidates only.
     pub fn baseline() -> Self {
-        FlowOptions { solver: SolverConfig::excitation_region_baseline(), ..Self::default() }
+        FlowOptions {
+            solver: SolverConfig::excitation_region_baseline(),
+            strategy: SolverStrategy::Explicit,
+            ..Self::default()
+        }
     }
 
     /// The shared resource budget of one flow run — `None` when no limit is
     /// configured, in which case the flow runs ungoverned exactly as before.
     pub fn budget(&self) -> Option<Budget> {
-        if self.node_budget.is_none() && self.step_budget.is_none() && self.timeout_ms.is_none() {
+        if self.node_budget.is_none() && self.timeout_ms.is_none() {
             return None;
         }
-        Some(Budget::new(
-            self.node_budget,
-            self.step_budget,
-            self.timeout_ms.map(Duration::from_millis),
-        ))
+        Some(Budget::new(self.node_budget, None, self.timeout_ms.map(Duration::from_millis)))
     }
 }
 
@@ -152,8 +150,9 @@ pub struct DegradationEvent {
     /// `"conflict-detection"`, `"candidate-search"`, `"isop"`, or `"flow"`
     /// for structural limits).
     pub stage: String,
-    /// What tripped: a budget ceiling, a truncated fixpoint, or a
-    /// structural limit such as the 64-signal explicit cap.
+    /// What tripped: a budget ceiling or deadline on the symbolic rung, or
+    /// on the explicit rung a structural limit such as the 64-signal cap
+    /// or the explicit engine's own error.
     pub trigger: String,
     /// BDD nodes charged to the shared budget when the rung was abandoned
     /// (0 for ungoverned descents).
@@ -213,9 +212,8 @@ pub enum NetlistVerdict {
         /// The typed, witness-carrying findings.
         diagnostics: Vec<netlist::NetlistDiagnostic>,
     },
-    /// Verification could not run to completion (budget trip, truncated
-    /// fixpoint, or no encoded STG to verify against) — a typed outcome,
-    /// never a panic.
+    /// Verification could not run to completion (budget trip, or no
+    /// encoded STG to verify against) — a typed outcome, never a panic.
     Aborted {
         /// Why the check stopped.
         reason: String,
@@ -287,7 +285,8 @@ pub struct FlowReport {
     /// places-only, on every rung it tried.  A symbolic run builds one
     /// encoded space for the input and shares it between the analysis, the
     /// solver and the netlist check, so the count is 1 plus one per
-    /// candidate net the solver verified.
+    /// candidate net the solver verified, plus one per re-seeding round
+    /// when the initial-code guess was wrong.
     pub fixpoints: usize,
 }
 
@@ -457,18 +456,22 @@ pub fn render_stage_table(report: &FlowReport) -> String {
 /// Runs the full flow (state graph → CSC resolution → logic derivation) on
 /// one STG.
 ///
-/// The flow first runs the symbolic pipeline (reachability, CSC analysis,
+/// The flow runs the symbolic pipeline (reachability, CSC analysis,
 /// state-signal insertion and cover extraction on BDDs, no explicit state
-/// graph).  It routes to the explicit pipeline when the seed does not label
-/// the reachable markings consistently, when the symbolic solver reports a
-/// typed failure, or when [`SolverStrategy::Explicit`] is selected and a
+/// graph).  It first infers the seed: starting from
+/// [`FlowOptions::initial_code`], it flips every signal the seed guard
+/// finds barred and rebuilds the input's space until the guard passes
+/// ([`stg::Stg::seeded_encoded_state_space`]).  The symbolic rung then ends
+/// in exactly one of three ways: a report, a budget trip that descends the
+/// ladder below, or a typed error.  The explicit pipeline runs only after a
+/// budget trip, or when [`SolverStrategy::Explicit`] is selected and a
 /// conflict needs state signals.
 ///
 /// # Resource governance
 ///
-/// When [`FlowOptions::node_budget`], [`FlowOptions::step_budget`] or
-/// [`FlowOptions::timeout_ms`] is set, the whole run shares one [`Budget`]
-/// and descends a fallback ladder instead of running away:
+/// When [`FlowOptions::node_budget`] or [`FlowOptions::timeout_ms`] is set,
+/// the whole run shares one [`Budget`] and descends a fallback ladder
+/// instead of running away:
 ///
 /// 1. [`FlowRung::Symbolic`] — the full symbolic pipeline,
 /// 2. [`FlowRung::Explicit`] — the explicit pipeline, taken only when the
@@ -484,12 +487,16 @@ pub fn render_stage_table(report: &FlowReport) -> String {
 /// [`FlowReport::degradations`], and a governed run returns `Ok` with a
 /// partial report rather than an error when every rung is exhausted.
 /// [`FlowOptions::no_fallback`] inverts that: the first trip returns its
-/// typed error ([`CscError::Budget`] or [`CscError::NotConverged`]).
+/// typed [`CscError::Budget`].
 ///
 /// # Errors
 ///
-/// Propagates [`CscError`] from the solver; models whose CSC conflicts
-/// cannot be solved without touching the environment are reported this way.
+/// * [`CscError::Stg`] when no seed labels the STG consistently (a signal
+///   barred twice, or a marking with two codes: [`StgError::Inconsistent`])
+///   or when a barred signal lies past bit 63 of the seed,
+/// * the symbolic solver's typed failures ([`CscError::NoCandidate`],
+///   [`CscError::SignalLimitReached`], [`CscError::InconsistentInsertion`]),
+/// * the explicit pipeline's errors when it runs ungoverned.
 pub fn run_flow(model: &Stg, options: &FlowOptions) -> Result<FlowReport, CscError> {
     let fixpoints_before = stg::fixpoints_run();
     let mut report = run_ladder(model, options)?;
@@ -512,23 +519,20 @@ fn run_ladder(model: &Stg, options: &FlowOptions) -> Result<FlowReport, CscError
 
     let reach = ReachabilityConfig { budget: budget.clone(), ..ReachabilityConfig::default() };
     match symbolic_rung(model, options, &reach, start, &mut established) {
-        RungAttempt::Done(report) => return Ok(*report),
-        RungAttempt::Degrade(failure) => {
-            if options.no_fallback {
-                return Err(failure.error);
-            }
+        Ok(Some(report)) => return Ok(*report),
+        // The explicit solver is selected and a conflict needs it.
+        Ok(None) => {}
+        Err(CscError::Budget(trip)) if !options.no_fallback => {
             degradations.push(degradation_event(
-                &failure.stage,
-                &failure.trigger,
+                &trip.stage,
+                &trip.to_string(),
                 budget.as_ref(),
                 start,
                 FlowRung::Symbolic,
                 FlowRung::Explicit,
             ));
         }
-        // By-design routing (explicit solver selected, wrong seed, typed
-        // solver failure): not a degradation.
-        RungAttempt::Route => {}
+        Err(error) => return Err(error),
     }
 
     // The explicit rung.  A governed run skips it — descending straight to
@@ -588,68 +592,31 @@ struct Established {
     conflicts: Option<usize>,
 }
 
-/// Why a symbolic rung was abandoned (ladder-internal).
-struct RungFailure {
-    error: CscError,
-    stage: String,
-    trigger: String,
-}
-
-impl RungFailure {
-    fn budget(trip: BudgetExceeded) -> Self {
-        RungFailure {
-            stage: trip.stage.clone(),
-            trigger: trip.to_string(),
-            error: CscError::Budget(trip),
-        }
-    }
-
-    fn not_converged(iterations: usize) -> Self {
-        RungFailure {
-            stage: "reachability".to_owned(),
-            trigger: format!("reachability fixpoint not converged after {iterations} iterations"),
-            error: CscError::NotConverged { iterations },
-        }
-    }
-}
-
-enum RungAttempt {
-    /// The rung completed.
-    Done(Box<FlowReport>),
-    /// A governor fired: descend the ladder (or surface the typed error
-    /// under [`FlowOptions::no_fallback`]).
-    Degrade(RungFailure),
-    /// Fall through to the explicit pipeline by design — wrong seed, a
-    /// typed solver failure, or the explicit solver being selected.  Not a
-    /// degradation.
-    Route,
-}
-
-/// One symbolic attempt: build the input's encoded state space, analyze it,
-/// and if a CSC conflict surfaces with the symbolic solver selected, hand
-/// the space to the solver and analyze the space of its last iteration.
-/// The netlist check runs on whichever space the final analysis used, so a
-/// conflict-free design computes exactly one fixpoint.
+/// One symbolic attempt: infer the seed and build the input's encoded state
+/// space, analyze it, and if a CSC conflict surfaces with the symbolic
+/// solver selected, hand the space to the solver and analyze the space of
+/// its last iteration.  The netlist check runs on whichever space the final
+/// analysis used, so a conflict-free, rightly seeded design computes
+/// exactly one fixpoint.
+///
+/// `Ok(None)` hands a conflict to the explicit solver
+/// ([`SolverStrategy::Explicit`]); every failure is a typed error, a budget
+/// trip among them.
 fn symbolic_rung(
     model: &Stg,
     options: &FlowOptions,
     reach: &ReachabilityConfig,
     start: Instant,
     established: &mut Established,
-) -> RungAttempt {
-    let mut space = match model.try_symbolic_encoded_state_space(options.initial_code, reach) {
-        Ok(space) => space,
-        Err(StgError::Budget(trip)) => return RungAttempt::Degrade(RungFailure::budget(trip)),
-        Err(StgError::NotConverged { iterations }) => {
-            return RungAttempt::Degrade(RungFailure::not_converged(iterations))
-        }
-        Err(_) => return RungAttempt::Route,
-    };
+) -> Result<Option<Box<FlowReport>>, CscError> {
+    let (mut space, seed) =
+        model.seeded_encoded_state_space(options.initial_code, reach).map_err(|e| match e {
+            StgError::Budget(trip) => CscError::Budget(trip),
+            e => CscError::Stg(e),
+        })?;
+    // The space passed the seed guard: the count is the input's.
+    established.states_f64 = Some(space.state_count_f64());
     let mut analysis = analyze_space(model, &mut space);
-    if matches!(analysis, Ok(_) | Err(LogicError::CscViolation { .. })) {
-        // The analysis passed the seed guard: the count is the input's.
-        established.states_f64 = Some(space.state_count_f64());
-    }
     let mut solution = None;
     // A genuine CSC conflict with the symbolic solver selected: resolve it
     // by state-signal insertion on BDDs, then analyze the encoded STG —
@@ -660,44 +627,22 @@ fn symbolic_rung(
         // computes nothing.
         established.conflicts = space.csc_decision().ok().map(|d| d.conflict_count());
         if options.strategy != SolverStrategy::Symbolic {
-            return RungAttempt::Route;
+            return Ok(None);
         }
         let solved;
-        (solved, space) =
-            match solve_space(model, space, &options.solver, options.initial_code, reach) {
-                Ok(solved) => solved,
-                Err(CscError::Budget(trip)) => {
-                    return RungAttempt::Degrade(RungFailure::budget(trip))
-                }
-                Err(CscError::NotConverged { iterations }) => {
-                    return RungAttempt::Degrade(RungFailure::not_converged(iterations))
-                }
-                // No candidate, signal limit, inconsistent insertion: the
-                // explicit pipeline is the fallback.
-                Err(_) => return RungAttempt::Route,
-            };
+        (solved, space) = solve_space(model, space, &options.solver, seed, reach)?;
         analysis = analyze_space(&solved.stg, &mut space);
         solution = Some(solved);
     }
-    match analysis {
-        Ok(analysis) => {
-            established.diagnosis.clear();
-            let report =
-                symbolic_report(model, options, &analysis, solution.as_ref(), &mut space, start);
-            RungAttempt::Done(Box::new(report))
-        }
-        Err(error) => logic_failure(error),
-    }
-}
-
-/// A failed symbolic analysis: a budget trip degrades the rung; a wrong
-/// seed or another structural failure routes to the explicit pipeline, the
-/// ground-truth fallback.
-fn logic_failure(error: LogicError) -> RungAttempt {
-    match error {
-        LogicError::Budget(trip) => RungAttempt::Degrade(RungFailure::budget(trip)),
-        _ => RungAttempt::Route,
-    }
+    let analysis = match analysis {
+        Ok(analysis) => analysis,
+        Err(LogicError::Budget(trip)) => return Err(CscError::Budget(trip)),
+        // The space passed the seed guard and its CSC decision is empty.
+        Err(error) => unreachable!("the analysis of a guarded, CSC-clean space failed: {error}"),
+    };
+    established.diagnosis.clear();
+    let report = symbolic_report(model, options, &analysis, solution.as_ref(), &mut space, start);
+    Ok(Some(Box::new(report)))
 }
 
 /// Synthesizes the gate netlist from derived functions.  The verdict starts
@@ -812,7 +757,7 @@ fn symbolic_report(
 
 /// The explicit pipeline: state graph, conflict detection, region-based
 /// solving and logic estimation — the second rung of the ladder and the
-/// route for the cases [`run_flow`] lists.
+/// explicit solver's route (see [`run_flow`]).
 fn explicit_pipeline(
     model: &Stg,
     options: &FlowOptions,
@@ -820,12 +765,11 @@ fn explicit_pipeline(
     start: Instant,
 ) -> Result<FlowReport, CscError> {
     let (places, transitions, signals) = model.stats();
-    let sg = model.state_graph(options.max_states)?;
+    let sg = model.state_graph(options.solver.max_states)?;
     let initial_graph = EncodedGraph::from_state_graph(&sg);
     let initial_conflicts = conflict_pairs(&initial_graph).len();
 
     let mut config = options.solver.clone();
-    config.max_states = options.max_states;
     // Share the flow's governor so the explicit solver honours the same
     // deadline (node/step ceilings do not apply to it — it allocates no
     // BDD nodes).
@@ -1096,22 +1040,74 @@ mod tests {
     }
 
     #[test]
-    fn wrongly_seeded_symbolic_first_falls_back_to_the_explicit_graph() {
-        // The re-synthesized pulser's signals do not all start at 0, so the
-        // all-zero symbolic seed truncates its reachable space.  The flow
-        // must detect that and fall back to the explicit pipeline instead of
-        // reporting the truncated space's (much smaller) logic.
+    fn a_wrongly_seeded_input_is_reseeded_and_stays_symbolic() {
+        // The explicit solver's re-synthesized pulser starts its state
+        // signal at 1, which the all-zero guess bars; the flow flips it and
+        // stays symbolic.
         let solution =
             csc::solve_stg(&stg::benchmarks::pulser(), &csc::SolverConfig::default()).unwrap();
         let encoded = solution.stg.expect("pulser re-synthesizes");
-        let report = run_flow(&encoded, &FlowOptions::default()).unwrap();
-        assert_eq!(report.rung, FlowRung::Explicit, "a bad seed must not stay symbolic");
-        // The report describes the encoded STG's whole explicit state graph.
-        let sg = encoded.state_graph(10_000).unwrap();
-        let area = logic::estimate_area(&EncodedGraph::from_state_graph(&sg)).unwrap();
-        assert_eq!(report.literals, Some(area.total_literals));
-        assert_eq!(report.cubes, Some(area.total_cubes));
-        assert_eq!(report.states_f64, sg.num_states() as f64);
+        let options = FlowOptions { verify_netlist: true, ..FlowOptions::default() };
+        let report = run_flow(&encoded, &options).unwrap();
+        assert_eq!(report.rung, FlowRung::Symbolic);
+        assert_eq!(report.states_f64, 8.0);
+        assert_eq!((report.literals, report.cubes), (Some(8), Some(4)));
+        let verdict = &report.netlist.as_ref().unwrap().verdict;
+        assert!(matches!(verdict, NetlistVerdict::Verified { states_f64 } if *states_f64 == 8.0));
+        assert_eq!(report.fixpoints, 2, "one wrong guess, one confirming fixpoint");
+    }
+
+    #[test]
+    fn a_handshake_started_mid_cycle_is_reseeded_symbolically() {
+        // 12 four-phase handshakes (4^12 states, far past the explicit
+        // engine's million); handshake 0's token sits on <a0+,r0->, so r0
+        // and a0 start at 1.  The zero guess bars r0- at once, and a0- once
+        // r0- can fire.
+        use stg::{Polarity, SignalKind, StgBuilder};
+        let mut b = StgBuilder::new("mid_cycle");
+        for i in 0..12 {
+            let r = b.add_signal(format!("r{i}"), SignalKind::Input);
+            let a = b.add_signal(format!("a{i}"), SignalKind::Output);
+            let cycle = [
+                b.add_edge(r, Polarity::Rise),
+                b.add_edge(a, Polarity::Rise),
+                b.add_edge(r, Polarity::Fall),
+                b.add_edge(a, Polarity::Fall),
+            ];
+            for (k, pair) in cycle.iter().zip(cycle.iter().cycle().skip(1)).enumerate() {
+                b.connect(*pair.0, *pair.1, k == if i == 0 { 1 } else { 3 });
+            }
+        }
+        let model = b.build().unwrap();
+        let options = FlowOptions { verify_netlist: true, ..FlowOptions::default() };
+        let report = run_flow(&model, &options).unwrap();
+        assert_eq!(report.rung, FlowRung::Symbolic);
+        assert_eq!(report.states_f64, 16_777_216.0);
+        assert!(report.csc_satisfied);
+        assert_eq!(report.literals, Some(12));
+        let verdict = &report.netlist.as_ref().unwrap().verdict;
+        assert!(matches!(verdict, NetlistVerdict::Verified { .. }), "{verdict:?}");
+        assert!(report.fixpoints <= 3, "{} fixpoints", report.fixpoints);
+    }
+
+    #[test]
+    fn an_inconsistent_stg_is_a_typed_error() {
+        // `a` rises twice and never falls.  The zero guess bars the second
+        // a+; flipping `a` bars the first, so no seed labels the net.
+        let model = stg::parse_g(
+            ".model inc\n.inputs x\n.outputs a\n.graph\nx+ a+\na+ x-\nx- a+/2\na+/2 x+\n\
+             .marking { <a+/2,x+> }\n.end\n",
+        )
+        .unwrap();
+        let explicit = model.state_graph(100).unwrap_err();
+        assert_eq!(explicit, StgError::Inconsistent { signal: "a".into(), state: "m3".into() });
+        let options = FlowOptions { verify_netlist: true, ..FlowOptions::default() };
+        match run_flow(&model, &options) {
+            Err(CscError::Stg(StgError::Inconsistent { signal, state })) => {
+                assert_eq!((signal.as_str(), state.as_str()), ("a", "{<x+,a+>}"));
+            }
+            other => panic!("expected an inconsistent labelling, got {other:?}"),
+        }
     }
 
     #[test]
@@ -1141,8 +1137,14 @@ mod tests {
 
     #[test]
     fn baseline_options_use_excitation_regions() {
+        // Only the explicit solver reads the candidate source.
         let options = FlowOptions::baseline();
         assert_eq!(options.solver.candidate_source, csc::CandidateSource::ExcitationRegions);
+        assert_eq!(options.strategy, SolverStrategy::Explicit);
+        let report = run_flow(&stg::benchmarks::sequencer(8), &options).unwrap();
+        assert_eq!(report.rung, FlowRung::Explicit);
+        assert_eq!((report.inserted_signals, report.literals), (4, Some(66)));
+        assert_eq!(report.stage.candidates_evaluated, 355);
     }
 
     #[test]
@@ -1239,7 +1241,7 @@ mod tests {
         // trips later, in candidate search, and the 66 signals leave no
         // explicit rung.  The analysis decided the conflict count: two
         // codes per configuration of the 32 handshakes, 2^65 in all.
-        let options = FlowOptions { node_budget: Some(300_000), ..FlowOptions::default() };
+        let options = FlowOptions { node_budget: Some(200_000), ..FlowOptions::default() };
         let report = run_flow(&stg::benchmarks::wide_conflict(32), &options).unwrap();
         assert_eq!(report.rung, FlowRung::PartialReport);
         assert_eq!(report.degradations[0].stage, "candidate-search");
@@ -1251,7 +1253,7 @@ mod tests {
         assert!(text.contains("conflicts   : > 1.8e19 (saturated)"), "{text}");
         // A trip before the decision leaves the count unknown: par_hs16
         // trips in reachability.
-        let options = FlowOptions { node_budget: Some(20_000), ..FlowOptions::default() };
+        let options = FlowOptions { node_budget: Some(16_000), ..FlowOptions::default() };
         let report = run_flow(&stg::benchmarks::parallel_handshakes(16), &options).unwrap();
         assert_eq!(report.degradations[0].stage, "reachability");
         assert_eq!(report.initial_conflicts, None);
@@ -1262,8 +1264,8 @@ mod tests {
         // The input's reachability and CSC decision finish under 125,000
         // nodes; the solver's conflict-pair counts that follow do not, and
         // their trip must not carry the analysis's "isop" label.  (A budget
-        // trips in conflict-detection from about 104,000 to 158,000 nodes —
-        // inside the analysis's CSC decision up to about 124,000 — below,
+        // trips in conflict-detection from about 74,000 to 129,000 nodes —
+        // inside the analysis's CSC decision up to about 91,000 — below,
         // in reachability, above, in candidate search.)
         let options = FlowOptions { node_budget: Some(125_000), ..FlowOptions::default() };
         let report = run_flow(&stg::benchmarks::wide_conflict(32), &options).unwrap();

@@ -3,7 +3,7 @@
 //! ```text
 //! rsynth --benchmark vme_read              # run a built-in benchmark
 //! rsynth path/to/model.g                   # read an STG in .g format
-//! rsynth --benchmark seq8 --baseline       # excitation-region baseline
+//! rsynth --benchmark seq8 --baseline       # excitation-region baseline (explicit)
 //! rsynth --benchmark par_hs40              # >64 signals, no explicit graph
 //! rsynth --benchmark wide_conflict32 --solver symbolic  # conflicted, 66 signals
 //! rsynth --benchmark vme_read --solver explicit  # force the state-graph solver
@@ -12,8 +12,10 @@
 //! rsynth path/to/model.g --write-g out.g   # write the encoded STG back
 //! ```
 
+use csc::SolverStrategy;
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
-use synthkit::{render_stage_table, run_flow, FlowOptions, FlowRung};
+use synthkit::{render_stage_table, run_flow, FlowOptions, FlowReport, FlowRung};
 
 fn print_usage() {
     eprintln!(
@@ -30,9 +32,11 @@ solver:
                             encoded STG) or the explicit state-graph
                             pipeline (capped at 64 signals)
   --baseline                excitation-region candidates only (the
-                            ASSASSIN-style Table 2 baseline, explicit)
+                            ASSASSIN-style Table 2 baseline; selects the
+                            explicit solver)
   --fw <n>                  frontier width of the block search (default 4)
   --enlarge                 greedily enlarge inserted-signal concurrency
+                            (selects the explicit solver)
 
 logic:
   --no-area                 skip the logic derivation / area estimate
@@ -111,6 +115,9 @@ fn main() -> ExitCode {
     let mut options = FlowOptions::default();
     let mut write_g: Option<String> = None;
     let mut emit: Option<EmitFormat> = None;
+    let mut solver: Option<SolverStrategy> = None;
+    // The explicit-only flag given, if any.
+    let mut explicit_only: Option<&str> = None;
     let mut index = 0;
     while index < args.len() {
         match args[index].as_str() {
@@ -119,22 +126,28 @@ fn main() -> ExitCode {
                 return ExitCode::SUCCESS;
             }
             "--list" => {
-                println!("built-in benchmarks:");
+                let mut text = String::from("built-in benchmarks:\n");
                 for (name, _, _) in stg::benchmarks::table2_suite() {
-                    println!("  {name}");
+                    text += &format!("  {name}\n");
                 }
-                println!("gate-level corpus:");
+                text += "gate-level corpus:\n";
                 for (name, _, _) in stg::benchmarks::corpus_suite() {
-                    println!("  {name}");
+                    text += &format!("  {name}\n");
                 }
-                println!(
-                    "  parN, par_hsN, seqN, counterN, pulser_bankN, wide_conflictN, \
-                     pipe4_N, pipe2_N (parameterised)"
-                );
+                text += "  parN, par_hsN, seqN, counterN, pulser_bankN, wide_conflictN, \
+                         pipe4_N, pipe2_N (parameterised)\n";
+                // A closed pipe (`| head`) ends the listing quietly.
+                let _ = std::io::stdout().lock().write_all(text.as_bytes());
                 return ExitCode::SUCCESS;
             }
-            "--baseline" => options.solver = csc::SolverConfig::excitation_region_baseline(),
-            "--enlarge" => options.solver.enlarge_concurrency = true,
+            "--baseline" => {
+                options.solver = csc::SolverConfig::excitation_region_baseline();
+                explicit_only = Some("--baseline");
+            }
+            "--enlarge" => {
+                options.solver.enlarge_concurrency = true;
+                explicit_only = Some("--enlarge");
+            }
             "--no-area" => options.estimate_area = false,
             "--fw" => {
                 index += 1;
@@ -149,8 +162,8 @@ fn main() -> ExitCode {
             "--solver" => {
                 index += 1;
                 match args.get(index).map(String::as_str) {
-                    Some("symbolic") => options.strategy = csc::SolverStrategy::Symbolic,
-                    Some("explicit") => options.strategy = csc::SolverStrategy::Explicit,
+                    Some("symbolic") => solver = Some(SolverStrategy::Symbolic),
+                    Some("explicit") => solver = Some(SolverStrategy::Explicit),
                     _ => {
                         eprintln!("--solver needs 'symbolic' or 'explicit'");
                         return ExitCode::FAILURE;
@@ -207,6 +220,16 @@ fn main() -> ExitCode {
         }
         index += 1;
     }
+    // Only the explicit solver reads the candidate source and the
+    // concurrency enlargement.
+    options.strategy = match (solver, explicit_only) {
+        (Some(SolverStrategy::Symbolic), Some(flag)) => {
+            eprintln!("{flag} needs the explicit solver; it cannot run with --solver symbolic");
+            return ExitCode::FAILURE;
+        }
+        (_, Some(_)) => SolverStrategy::Explicit,
+        (solver, None) => solver.unwrap_or_default(),
+    };
 
     let model = match (&input_path, &benchmark) {
         (Some(path), _) => match std::fs::read_to_string(path) {
@@ -250,46 +273,62 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    match run_flow(&model, &options) {
-        Ok(report) => {
-            println!("{report}");
-            println!("\n{}", render_stage_table(&report));
-            if let Some(format) = emit {
-                match &report.netlist {
-                    Some(stage) => {
-                        let text = match format {
-                            EmitFormat::Eqn => stage.circuit.to_eqn(),
-                            EmitFormat::Verilog => stage.circuit.to_verilog(),
-                        };
-                        println!("\n{text}");
-                    }
-                    None => eprintln!(
-                        "no netlist was synthesized (area estimation disabled or \
-                         logic derivation failed); nothing to emit"
-                    ),
-                }
-            }
-            if let Some(path) = write_g {
-                // The report carries the STG it describes, whichever rung
-                // produced it.
-                match &report.encoded {
-                    Some(encoded) => match std::fs::write(&path, encoded.to_g()) {
-                        Ok(()) => println!("encoded STG written to {path}"),
-                        Err(e) => eprintln!("could not write {path}: {e}"),
-                    },
-                    None if report.rung == FlowRung::PartialReport => {
-                        eprintln!("the flow ended in a partial report; no STG was written")
-                    }
-                    None => eprintln!(
-                        "the encoded state graph is not excitation closed; no STG was written"
-                    ),
-                }
-            }
-            ExitCode::SUCCESS
-        }
+    let report = match run_flow(&model, &options) {
+        Ok(report) => report,
         Err(e) => {
             eprintln!("state encoding failed: {e}");
-            ExitCode::FAILURE
+            return ExitCode::FAILURE;
+        }
+    };
+    // A reader that stops early (`| head`) closes the pipe: end quietly.
+    match print_report(&report, emit) {
+        Err(e) if e.kind() != ErrorKind::BrokenPipe => {
+            eprintln!("could not write the report: {e}");
+            return ExitCode::FAILURE;
+        }
+        _ => {}
+    }
+    if let Some(path) = write_g {
+        // The report carries the STG it describes, whichever rung
+        // produced it.
+        match &report.encoded {
+            Some(encoded) => match std::fs::write(&path, encoded.to_g()) {
+                Ok(()) => {
+                    let _ = writeln!(std::io::stdout(), "encoded STG written to {path}");
+                }
+                Err(e) => eprintln!("could not write {path}: {e}"),
+            },
+            None if report.rung == FlowRung::PartialReport => {
+                eprintln!("the flow ended in a partial report; no STG was written")
+            }
+            None => {
+                eprintln!("the encoded state graph is not excitation closed; no STG was written")
+            }
         }
     }
+    ExitCode::SUCCESS
+}
+
+/// Writes the report, its stage table and the emitted netlist to a locked
+/// standard output.
+fn print_report(report: &FlowReport, emit: Option<EmitFormat>) -> std::io::Result<()> {
+    let mut out = std::io::stdout().lock();
+    writeln!(out, "{report}")?;
+    writeln!(out, "\n{}", render_stage_table(report))?;
+    if let Some(format) = emit {
+        match &report.netlist {
+            Some(stage) => {
+                let text = match format {
+                    EmitFormat::Eqn => stage.circuit.to_eqn(),
+                    EmitFormat::Verilog => stage.circuit.to_verilog(),
+                };
+                writeln!(out, "\n{text}")?;
+            }
+            None => eprintln!(
+                "no netlist was synthesized (area estimation disabled or logic derivation \
+                 failed); nothing to emit"
+            ),
+        }
+    }
+    out.flush()
 }

@@ -11,8 +11,10 @@
 //!   the rung order, with a contiguous trail ending at the reported rung,
 //! * **engine agreement** — the explicit and the symbolic reachability
 //!   engines count the same states and reach the same CSC verdict,
-//! * **seed-guard agreement** — the closure guard on the encoded space
-//!   accepts exactly the seeds a places-only fixpoint comparison accepts,
+//! * **seed-guard agreement** — the guard on the encoded space accepts
+//!   exactly the seeds a places-only fixpoint comparison accepts, and
+//!   re-seeding from the barred signals lands on the explicit engine's
+//!   initial code,
 //! * **parser hardening** — mutated `.g` text is rejected with typed
 //!   errors, and the flow survives whatever still parses.
 //!
@@ -40,8 +42,7 @@ fn explicit_and_symbolic_engines_agree_on_fuzzed_models() {
         let model = random_stg(seed);
         let sg = model.state_graph(200_000).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         assert!(sg.is_consistent(), "seed {seed}: inconsistent explicit state graph");
-        let space = model.symbolic_state_space(None);
-        assert!(space.converged, "seed {seed}: symbolic fixpoint truncated");
+        let space = model.symbolic_state_space();
         assert_eq!(
             space.state_count(),
             sg.num_states() as u128,
@@ -87,17 +88,46 @@ fn seed_guard_agrees_with_the_places_only_fixpoint() {
             let verdict = space.check_seed(&model);
             assert_eq!(verdict.is_ok(), oracle, "seed {seed}, code {code:#b}: {verdict:?}");
             assert!(code != true_code || oracle, "seed {seed}: the true seed must pass");
-            // The witness is a blocked transition exactly when markings
-            // were lost, and no witness when a marking got two codes.
-            if let Err(stg::StgError::SeedMismatch { blocked_transition, .. }) = &verdict {
-                assert_eq!(blocked_transition.is_some(), covered < markings, "seed {seed}");
+            // A fuzzed STG is consistent, so a rejected seed bars edges and
+            // loses markings.
+            if let Err(error) = &verdict {
+                let stg::StgError::SeedMismatch { barred } = error else {
+                    panic!("seed {seed}, code {code:#b}: {error}");
+                };
+                assert!(!barred.is_empty() && covered < markings, "seed {seed}");
                 rejected += 1;
             }
         }
     }
-    // Every signal of a fuzzed STG switches, so a wrong seed bit blocks its
+    // Every signal of a fuzzed STG switches, so a wrong seed bit bars its
     // first edge: the oracle must have seen rejections, not only passes.
     assert!(rejected > 0 || seed_count(500) == 0, "no perturbed seed was rejected");
+}
+
+/// Re-seeding from the guard (`Stg::seeded_encoded_state_space`) lands on
+/// the explicit state graph's initial code from 0 and from every
+/// single-bit perturbation of that code: a wrong bit bars its signal's
+/// first edge, so one flip and one confirming fixpoint suffice.
+#[test]
+fn reseeding_lands_on_the_explicit_initial_code() {
+    let config = stg::ReachabilityConfig::default();
+    for seed in 0..seed_count(500) {
+        let model = random_stg(seed);
+        let sg = model.state_graph(200_000).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        let true_code = sg.code(sg.ts.initial());
+        let perturbed = (0..model.num_signals().min(64)).map(|bit| true_code ^ (1 << bit));
+        for guess in std::iter::once(0).chain(perturbed) {
+            let before = stg::fixpoints_run();
+            let (space, inferred) = model
+                .seeded_encoded_state_space(guess, &config)
+                .unwrap_or_else(|e| panic!("seed {seed}, guess {guess:#b}: {e}"));
+            let fixpoints = stg::fixpoints_run() - before;
+            assert_eq!(inferred, true_code, "seed {seed}, guess {guess:#b}");
+            assert_eq!(space.state_count(), sg.num_states() as u128, "seed {seed}");
+            let wrong_bits = (guess ^ true_code).count_ones() as usize;
+            assert!(fixpoints <= 1 + wrong_bits.min(1), "seed {seed}, guess {guess:#b}");
+        }
+    }
 }
 
 #[test]
@@ -123,15 +153,17 @@ fn governed_flows_never_panic_overrun_or_descend_non_monotonically() {
                 "seed {seed}: flow overran the deadline ({elapsed} ms vs {timeout} ms)"
             );
         }
-        // A typed solver error (e.g. an unsolvable conflict routed through
-        // the explicit pipeline) is a legitimate outcome; the contract is
-        // only that it is *typed*, which the Ok/Err split already proves.
+        // A typed solver error (e.g. an unsolvable conflict) is a
+        // legitimate outcome; the contract is only that it is *typed*,
+        // which the Ok/Err split already proves.
         if let Ok(report) = result {
-            // The degradation trail must descend monotonically and end
-            // where the report says the flow ended.  (It need not start
-            // at the symbolic rung: by-design routing — e.g. a typed
-            // no-candidate failure — can hand over to the explicit rung
-            // without a degradation event.)
+            // A report off the symbolic rung got there by a budget trip:
+            // its degradation trail starts at the symbolic rung, descends
+            // monotonically and ends where the report says the flow ended.
+            if report.rung != FlowRung::Symbolic {
+                let first = report.degradations.first();
+                assert_eq!(first.map(|e| e.from), Some(FlowRung::Symbolic), "seed {seed}");
+            }
             let mut position = FlowRung::Symbolic;
             for event in &report.degradations {
                 assert!(

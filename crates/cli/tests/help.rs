@@ -2,7 +2,8 @@
 //! documented, and the help must not drift from the option parser without
 //! this test noticing.
 
-use std::process::Command;
+use std::io::Read;
+use std::process::{Command, Stdio};
 
 /// Runs the built `rsynth` binary with the given arguments.
 fn rsynth(args: &[&str]) -> std::process::Output {
@@ -22,9 +23,11 @@ solver:
                             encoded STG) or the explicit state-graph
                             pipeline (capped at 64 signals)
   --baseline                excitation-region candidates only (the
-                            ASSASSIN-style Table 2 baseline, explicit)
+                            ASSASSIN-style Table 2 baseline; selects the
+                            explicit solver)
   --fw <n>                  frontier width of the block search (default 4)
   --enlarge                 greedily enlarge inserted-signal concurrency
+                            (selects the explicit solver)
 
 logic:
   --no-area                 skip the logic derivation / area estimate
@@ -198,4 +201,42 @@ fn solver_flag_selects_the_engine() {
     assert!(text.contains("csc solver  : explicit engine"), "{text}");
     let out = rsynth(&["--benchmark", "pulser", "--solver", "bogus"]);
     assert!(!out.status.success());
+}
+
+#[test]
+fn explicit_only_flags_select_the_explicit_solver() {
+    // Only the explicit solver reads the candidate source and the
+    // concurrency enlargement.
+    for flag in ["--baseline", "--enlarge"] {
+        let out = rsynth(&["--benchmark", "seq8", flag]);
+        assert!(out.status.success(), "{flag}: {}", String::from_utf8_lossy(&out.stderr));
+        let text = String::from_utf8(out.stdout).unwrap();
+        assert!(text.contains("csc solver  : explicit engine"), "{flag}: {text}");
+        for args in [[flag, "--solver", "symbolic"], ["--solver", "symbolic", flag]] {
+            let out = rsynth(&[&["--benchmark", "seq8"][..], &args].concat());
+            assert_eq!(out.status.code(), Some(1), "{args:?}");
+            let text = String::from_utf8(out.stderr).unwrap();
+            assert!(text.contains(&format!("{flag} needs the explicit solver")), "{text}");
+        }
+    }
+    let out = rsynth(&["--benchmark", "seq8", "--baseline", "--solver", "explicit"]);
+    assert!(out.status.success());
+}
+
+#[test]
+fn a_closed_stdout_ends_the_run_quietly() {
+    // The reader goes away before the report is written, as `| head` or
+    // `| true` does.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_rsynth"))
+        .args(["--benchmark", "pipe4_4", "--verify-netlist"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("rsynth binary runs");
+    drop(child.stdout.take());
+    let mut stderr = String::new();
+    child.stderr.take().unwrap().read_to_string(&mut stderr).unwrap();
+    let status = child.wait().unwrap();
+    assert!(status.success(), "{status}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }

@@ -32,24 +32,6 @@ pub enum CscError {
     },
     /// The event insertion itself failed.
     Insertion(ts::TsError),
-    /// A symbolic reachability fixpoint hit its iteration cap before
-    /// converging (symbolic solver only).
-    NotConverged {
-        /// Image rounds performed before giving up.
-        iterations: usize,
-    },
-    /// The symbolic solver's seed (`initial_code`) does not label the
-    /// reachable markings consistently: some edge is blocked by a wrong
-    /// signal value, so markings are lost or doubly coded.
-    SeedMismatch {
-        /// The first transition (in net order) the seed blocks, as
-        /// established by the seed guard
-        /// ([`stg::SymbolicStateSpace::check_seed`]); `None` when no edge
-        /// is blocked but a marking carries two codes.
-        blocked_transition: Option<String>,
-        /// States of the encoded (marking, code) fixpoint.
-        coded_states: usize,
-    },
     /// A resource budget (node ceiling, step ceiling, deadline or
     /// cancellation) tripped during the symbolic solve.
     Budget(BudgetExceeded),
@@ -71,16 +53,6 @@ impl fmt::Display for CscError {
                 write!(f, "inserting signal '{signal}' produced an inconsistent encoding")
             }
             CscError::Insertion(e) => write!(f, "event insertion failed: {e}"),
-            CscError::NotConverged { iterations } => {
-                write!(f, "symbolic reachability did not converge within {iterations} iterations")
-            }
-            CscError::SeedMismatch { blocked_transition, coded_states } => {
-                let cause = blocked_transition.as_ref().map_or_else(
-                    || "a marking carries two codes".to_owned(),
-                    |t| format!("the seed blocks transition '{t}'"),
-                );
-                write!(f, "initial code mismatch: {cause} ({coded_states} coded states)")
-            }
             CscError::Budget(e) => write!(f, "{e}"),
         }
     }

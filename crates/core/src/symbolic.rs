@@ -160,14 +160,12 @@ pub fn solve_stg_symbolic_seeded(
 }
 
 /// [`solve_space`] on a freshly built encoded state space of `model`: the
-/// input's reachability runs under `reach` (its budget and round cap), as
-/// does every candidate verification rebuild.
+/// input's reachability runs under `reach` (its budget), as does every
+/// candidate verification rebuild.
 ///
 /// # Errors
 ///
-/// * [`CscError::NotConverged`] if a reachability fixpoint hits its
-///   iteration cap,
-/// * every error of [`solve_space`].
+/// Every error of [`solve_space`].
 pub fn solve_stg_symbolic_with(
     model: &Stg,
     config: &SolverConfig,
@@ -175,8 +173,7 @@ pub fn solve_stg_symbolic_with(
     reach: &ReachabilityConfig,
 ) -> Result<SymbolicSolution, CscError> {
     let before = stg::fixpoints_run();
-    let space =
-        model.try_symbolic_encoded_state_space(initial_code, reach).map_err(reachability_error)?;
+    let space = model.try_symbolic_encoded_state_space(initial_code, reach)?;
     let (mut solution, _) = solve_space(model, space, config, initial_code, reach)?;
     solution.stats.fixpoints = stg::fixpoints_run() - before;
     Ok(solution)
@@ -197,11 +194,10 @@ pub fn solve_stg_symbolic_with(
 ///
 /// # Errors
 ///
-/// * [`CscError::NotConverged`] if a reachability fixpoint hits its
-///   iteration cap,
-/// * [`CscError::SeedMismatch`] if `initial_code` does not label the
-///   reachable markings consistently (the symbolic analogue of
-///   `logic`'s `InitialCodeMismatch`),
+/// * [`CscError::Budget`] when the budget trips,
+/// * [`CscError::Stg`] with the seed guard's verdict
+///   ([`stg::SymbolicStateSpace::check_seed`]) if `initial_code` does not
+///   label the reachable markings consistently,
 /// * [`CscError::NoCandidate`] if no valid insertion block separates any
 ///   remaining conflict core,
 /// * [`CscError::SignalLimitReached`] if [`SolverConfig::max_signals`] is
@@ -320,7 +316,7 @@ pub fn solve_space(
                 stats.stage.candidates_verified += 1;
                 let built = candidate_stg
                     .try_symbolic_encoded_state_space(initial_code, &verify_reach)
-                    .map_err(reachability_error)
+                    .map_err(CscError::Budget)
                     .and_then(|space| Iteration::build(&candidate_stg, space, Some(&name)));
                 let mut next = match built {
                     Ok(next) => next,
@@ -626,17 +622,6 @@ struct Zone {
     sup: Vec<VarId>,
 }
 
-/// Maps a reachability failure onto the solver's error space: budget trips
-/// and truncated fixpoints keep their typed identity instead of being
-/// wrapped as generic STG errors.
-fn reachability_error(e: StgError) -> CscError {
-    match e {
-        StgError::Budget(trip) => CscError::Budget(trip),
-        StgError::NotConverged { iterations } => CscError::NotConverged { iterations },
-        other => CscError::Stg(other),
-    }
-}
-
 /// Sorted-merge of two support hints.
 fn merge_sup(a: &[VarId], b: &[VarId]) -> Vec<VarId> {
     let mut out = Vec::with_capacity(a.len() + b.len());
@@ -727,18 +712,13 @@ impl Iteration {
         mut space: SymbolicStateSpace,
         last_inserted: Option<&str>,
     ) -> Result<Self, CscError> {
-        match space.check_seed(stg) {
-            Ok(()) => {}
-            Err(StgError::SeedMismatch { blocked_transition, coded_states, .. }) => {
-                return Err(match last_inserted {
-                    Some(signal) => CscError::InconsistentInsertion { signal: signal.to_owned() },
-                    None => CscError::SeedMismatch {
-                        blocked_transition,
-                        coded_states: coded_states.try_into().unwrap_or(usize::MAX),
-                    },
-                });
+        match (space.check_seed(stg), last_inserted) {
+            (Ok(()), _) => {}
+            (Err(StgError::Budget(trip)), _) => return Err(CscError::Budget(trip)),
+            (Err(_), Some(signal)) => {
+                return Err(CscError::InconsistentInsertion { signal: signal.to_owned() })
             }
-            Err(other) => return Err(reachability_error(other)),
+            (Err(verdict), None) => return Err(CscError::Stg(verdict)),
         }
         let coded_states = space.state_count_f64();
         let num_places = space.num_places();
@@ -2229,12 +2209,12 @@ mod tests {
         let explicit = crate::solve_stg(&benchmarks::pulser(), &SolverConfig::default()).unwrap();
         let encoded = explicit.stg.expect("pulser re-synthesizes");
         let err = solve_stg_symbolic(&encoded, &SolverConfig::default()).unwrap_err();
-        // The guard names the edge the wrong seed blocks: the inserted
+        // The guard names the edge the wrong seed bars: the inserted
         // signal starts at 1, so its falling edge cannot fire from code 0.
-        let CscError::SeedMismatch { blocked_transition: Some(blocked), .. } = &err else {
-            panic!("expected a blocked transition as the witness, got {err}");
+        let CscError::Stg(StgError::SeedMismatch { barred }) = &err else {
+            panic!("expected barred edges as the witness, got {err}");
         };
-        assert_eq!(blocked, "csc0-", "{err}");
+        assert_eq!(barred[0].transition, "csc0-", "{err}");
         assert!(err.to_string().contains("'csc0-'"), "{err}");
         // With the true seed the same net solves without insertion.
         let sg = encoded.state_graph(10_000).unwrap();

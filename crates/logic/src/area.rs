@@ -57,7 +57,7 @@ pub enum LogicDiagnostic {
         code: String,
     },
     /// Next-state derivation failed before producing functions (e.g. a
-    /// reachability fixpoint that did not converge).
+    /// graph wider than 64 signals).
     DerivationFailed {
         /// The underlying error, rendered.
         reason: String,

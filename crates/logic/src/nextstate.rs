@@ -26,27 +26,14 @@ pub enum LogicError {
         /// Number of signals present.
         count: usize,
     },
-    /// Symbolic reachability hit its iteration cap before converging.
-    ReachabilityNotConverged {
-        /// Image steps performed before giving up.
-        iterations: usize,
-    },
-    /// The seeded initial signal values do not label the reachable markings
-    /// consistently: the encoded space lost markings (some edge is blocked
-    /// by a wrong signal value) or codes a marking twice.  Pass the correct
-    /// `initial_code` — or fall back to the explicit engine, which infers
-    /// the initial values by constraint propagation.
-    InitialCodeMismatch {
-        /// The first transition (in net order) the seed blocks, as
-        /// established by the seed guard
-        /// ([`stg::SymbolicStateSpace::check_seed`]); `None` when no edge
-        /// is blocked but a marking carries two codes.
-        blocked_transition: Option<String>,
-        /// Distinct markings covered by the encoded space, rounded.
-        coded_markings: u128,
-        /// (marking, code) pairs of the encoded space, rounded.
-        coded_states: u128,
-    },
+    /// The seed guard ([`stg::SymbolicStateSpace::check_seed`]) rejected
+    /// the space: the seeded initial signal values bar edges its reachable
+    /// markings enable ([`stg::StgError::SeedMismatch`]), or a marking
+    /// carries two codes under every seed ([`stg::StgError::Inconsistent`]).
+    /// `synthkit::run_flow` infers the seed from the guard
+    /// ([`stg::Stg::seeded_encoded_state_space`]); a direct caller passes
+    /// the correct `initial_code`.
+    InitialCodeMismatch(stg::StgError),
     /// A resource budget (node ceiling, step ceiling, deadline or
     /// cancellation) tripped during the symbolic derivation.
     Budget(bdd::BudgetExceeded),
@@ -62,20 +49,8 @@ impl fmt::Display for LogicError {
             LogicError::TooManySignals { count } => {
                 write!(f, "graph-driven logic derivation supports at most 64 signals, got {count}")
             }
-            LogicError::ReachabilityNotConverged { iterations } => {
-                write!(f, "symbolic reachability did not converge within {iterations} iterations")
-            }
-            LogicError::InitialCodeMismatch { blocked_transition, coded_markings, coded_states } => {
-                let cause = match blocked_transition {
-                    Some(t) => format!("transition '{t}' is blocked"),
-                    None => "a marking carries two codes".to_owned(),
-                };
-                write!(
-                    f,
-                    "the initial signal values label the reachable markings inconsistently: \
-                     {cause} ({coded_markings} coded markings, {coded_states} marking/code \
-                     pairs); pass the correct initial code"
-                )
+            LogicError::InitialCodeMismatch(verdict) => {
+                write!(f, "the seed guard rejects the initial signal values: {verdict}")
             }
             LogicError::Budget(e) => write!(f, "{e}"),
         }

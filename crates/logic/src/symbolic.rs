@@ -146,7 +146,7 @@ pub struct SymbolicLogicReport {
 }
 
 /// [`analyze_space`] on a freshly built encoded state space: reachability
-/// under `reach` (its budget and iteration cap), then the seed
+/// under `reach` (its budget), then the seed
 /// guard, the next-state functions and the output-persistency check.
 ///
 /// `initial_code` seeds the signal values of the initial marking (bit `i` =
@@ -169,7 +169,6 @@ pub struct SymbolicLogicReport {
 ///
 /// # Errors
 ///
-/// [`LogicError::ReachabilityNotConverged`] if the fixpoint hits its cap,
 /// [`LogicError::Budget`] when the budget trips, and every error of
 /// [`analyze_space`].
 pub fn analyze_stg_with(
@@ -177,25 +176,8 @@ pub fn analyze_stg_with(
     initial_code: u64,
     reach: &ReachabilityConfig,
 ) -> Result<SymbolicLogicReport, LogicError> {
-    let mut space =
-        stg.try_symbolic_encoded_state_space(initial_code, reach).map_err(reachability_error)?;
+    let mut space = stg.try_symbolic_encoded_state_space(initial_code, reach)?;
     analyze_space(stg, &mut space)
-}
-
-/// Maps a reachability or seed-guard failure onto the logic error space.
-/// Both fail only through the budget, a truncated fixpoint or a seed
-/// mismatch, so the catch-all arm is an internal invariant.
-fn reachability_error(e: StgError) -> LogicError {
-    match e {
-        StgError::Budget(trip) => LogicError::Budget(trip),
-        StgError::NotConverged { iterations } => {
-            LogicError::ReachabilityNotConverged { iterations }
-        }
-        StgError::SeedMismatch { blocked_transition, coded_markings, coded_states } => {
-            LogicError::InitialCodeMismatch { blocked_transition, coded_markings, coded_states }
-        }
-        other => unreachable!("reachability cannot fail with {other:?}"),
-    }
 }
 
 /// Derives the next-state functions of a (CSC-satisfying, consistent) STG
@@ -219,9 +201,10 @@ fn reachability_error(e: StgError) -> LogicError {
 ///
 /// # Errors
 ///
-/// [`LogicError::InitialCodeMismatch`] if the space's seed does not label
-/// the reachable markings consistently (some edge is blocked by a wrong
-/// signal value, or a marking gets two codes), [`LogicError::CscViolation`]
+/// [`LogicError::InitialCodeMismatch`] with the seed guard's verdict if the
+/// space's seed does not label the reachable markings consistently (a wrong
+/// signal value bars an edge, or a marking gets two codes),
+/// [`LogicError::CscViolation`]
 /// when CSC does not hold, and [`LogicError::Budget`] when the budget
 /// attached to the space's manager trips.
 pub fn analyze_space(
@@ -231,7 +214,10 @@ pub fn analyze_space(
     // The space's manager already holds the fixpoint (and, in a flow, the
     // solver's work): report only what this derivation adds to the arena.
     let nodes_before = space.manager().num_nodes();
-    space.check_seed(stg).map_err(reachability_error)?;
+    space.check_seed(stg).map_err(|verdict| match verdict {
+        StgError::Budget(trip) => LogicError::Budget(trip),
+        verdict => LogicError::InitialCodeMismatch(verdict),
+    })?;
     let markings = space.state_count_f64();
     let num_places = space.num_places();
     let num_signals = space.num_signals();
@@ -613,16 +599,12 @@ mod tests {
         assert!(matches!(err, LogicError::CscViolation { .. }), "{err}");
     }
 
-    /// The transition the all-zero seed blocks first in the re-encoded
-    /// pulser.
-    const BLOCKED_BY_ZERO_SEED: &str = "csc0-";
-
     #[test]
     fn wrong_initial_code_is_rejected_not_mislabelled() {
-        // The re-synthesized pulser starts with some signals at 1; seeding
-        // the symbolic engine with all-zeros blocks edges and truncates the
-        // space.  That must surface as InitialCodeMismatch, never as a
-        // (wrong) function set.
+        // The re-synthesized pulser starts with its state signal at 1;
+        // seeding the symbolic engine with all-zeros bars that signal's
+        // falling edge.  That must surface as InitialCodeMismatch, never as
+        // a (wrong) function set.
         let solution =
             csc::solve_stg(&benchmarks::pulser(), &csc::SolverConfig::default()).unwrap();
         let encoded = solution.stg.expect("pulser re-synthesizes");
@@ -630,35 +612,21 @@ mod tests {
         let true_code = sg.code(sg.ts.initial());
         assert_ne!(true_code, 0, "the regression needs a non-zero initial code");
         let err = functions_of(&encoded, 0).unwrap_err();
-        let LogicError::InitialCodeMismatch { blocked_transition: Some(blocked), .. } = &err else {
-            panic!("expected a blocked transition as the witness, got {err}");
+        let LogicError::InitialCodeMismatch(StgError::SeedMismatch { barred }) = &err else {
+            panic!("expected barred edges as the witness, got {err}");
         };
-        assert_eq!(blocked, BLOCKED_BY_ZERO_SEED, "{err}");
-        assert!(err.to_string().contains(BLOCKED_BY_ZERO_SEED), "{err}");
-        // Only an edge of a wrongly seeded signal can be blocked: every
-        // other signal follows its true value along every firing sequence.
-        let t = (0..encoded.net().num_transitions())
-            .map(petri::TransId::from)
-            .find(|&t| encoded.net().transition_name(t) == blocked)
-            .expect("the witness names a transition of the net");
-        let TransitionLabel::Edge { signal, .. } = encoded.label(t) else {
-            panic!("a dummy cannot be blocked by a code");
-        };
-        assert_ne!((true_code >> signal.index()) & 1, 0, "{blocked}: its signal is seeded right");
+        assert!(err.to_string().contains("'csc0-'"), "{err}");
+        // Only a wrongly seeded signal can be barred: every other signal
+        // follows its true value along every firing sequence.
+        for edge in barred {
+            assert_ne!((true_code >> edge.signal.index()) & 1, 0, "{}", edge.transition);
+        }
         // With the correct seed the derivation agrees with the one on the
         // explicit graph.
         let funcs = functions_of(&encoded, true_code).unwrap();
         let from_graph = derive_next_state_functions(&EncodedGraph::from_state_graph(&sg)).unwrap();
         assert_eq!(funcs.total_literals(), from_graph.total_literals());
         assert_eq!(funcs.total_cubes(), from_graph.total_cubes());
-    }
-
-    #[test]
-    fn stg_engine_reports_non_convergence() {
-        let capped =
-            ReachabilityConfig { max_iterations: Some(1), ..ReachabilityConfig::default() };
-        let err = analyze_stg_with(&benchmarks::parallel_handshakes(4), 0, &capped).unwrap_err();
-        assert!(matches!(err, LogicError::ReachabilityNotConverged { iterations: 1 }), "{err}");
     }
 
     #[test]

@@ -141,11 +141,6 @@ pub enum NetlistError {
         /// The undriven signal.
         signal: String,
     },
-    /// Symbolic reachability hit its iteration cap before converging.
-    NotConverged {
-        /// Image steps performed before giving up.
-        iterations: usize,
-    },
     /// A resource budget (node ceiling, step ceiling, deadline or
     /// cancellation) tripped during verification.
     Budget(bdd::BudgetExceeded),
@@ -164,9 +159,6 @@ impl fmt::Display for NetlistError {
             }
             NetlistError::MissingGate { signal } => {
                 write!(f, "non-input signal '{signal}' has no driving gate")
-            }
-            NetlistError::NotConverged { iterations } => {
-                write!(f, "symbolic reachability did not converge within {iterations} iterations")
             }
             NetlistError::Budget(e) => write!(f, "{e}"),
         }

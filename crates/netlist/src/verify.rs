@@ -32,7 +32,7 @@
 use crate::{cover_bdd, GateKind, Netlist, NetlistError};
 use bdd::{Bdd, BddManager, VarId};
 use std::fmt;
-use stg::{ReachabilityConfig, Stg, StgError, SymbolicStateSpace};
+use stg::{ReachabilityConfig, Stg, SymbolicStateSpace};
 
 /// A typed, witness-carrying verification finding.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -122,8 +122,8 @@ struct GateExcitation {
 ///
 /// # Errors
 ///
-/// [`NetlistError::NotConverged`] and [`NetlistError::Budget`] from the
-/// governed reachability analysis, and every error of [`verify_space`].
+/// [`NetlistError::Budget`] from the governed reachability analysis, and
+/// every error of [`verify_space`].
 pub fn verify(
     stg: &Stg,
     netlist: &Netlist,
@@ -134,8 +134,7 @@ pub fn verify(
     if config.stage.is_none() {
         config.stage = Some("netlist-verify");
     }
-    let mut space =
-        stg.try_symbolic_encoded_state_space(initial_code, &config).map_err(reach_error)?;
+    let mut space = stg.try_symbolic_encoded_state_space(initial_code, &config)?;
     verify_space(stg, &mut space, netlist)
 }
 
@@ -298,15 +297,6 @@ fn witness_code(m: &BddManager, witness: Bdd, signal_vars: &[VarId]) -> String {
         }
     }
     bits.iter().rev().map(|&b| if b { '1' } else { '0' }).collect()
-}
-
-/// Maps a reachability failure onto the netlist error space.
-fn reach_error(e: StgError) -> NetlistError {
-    match e {
-        StgError::Budget(trip) => NetlistError::Budget(trip),
-        StgError::NotConverged { iterations } => NetlistError::NotConverged { iterations },
-        other => unreachable!("reachability cannot fail with {other:?}"),
-    }
 }
 
 #[cfg(test)]

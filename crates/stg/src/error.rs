@@ -1,9 +1,23 @@
 //! Error type for STG construction and analysis.
 
+use crate::signal::SignalId;
 use bdd::BudgetExceeded;
 use petri::PetriError;
 use std::error::Error;
 use std::fmt;
+
+/// An edge the seed of a code-encoded state space bars: a reachable state
+/// marks its transition's preset while its code already holds the edge's
+/// post-value ([`crate::SymbolicStateSpace::check_seed`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BarredEdge {
+    /// The signal the edge switches.
+    pub signal: SignalId,
+    /// The first barred transition of the signal, in net order.
+    pub transition: String,
+    /// The marked places of one reachable state the edge is barred in.
+    pub marking: String,
+}
 
 /// Errors raised while building or analysing a Signal Transition Graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -38,24 +52,12 @@ pub enum StgError {
         /// The undeclared name.
         name: String,
     },
-    /// Symbolic reachability hit its iteration cap before reaching a
-    /// fixpoint: the computed set is truncated and must not be used as "the
-    /// reachable states".
-    NotConverged {
-        /// Image rounds performed before giving up.
-        iterations: usize,
-    },
-    /// The seed of a code-encoded state space labels the reachable markings
-    /// inconsistently ([`crate::SymbolicStateSpace::check_seed`]).
+    /// The seed of a code-encoded state space bars edges its reachable
+    /// markings enable ([`crate::SymbolicStateSpace::check_seed`]): each
+    /// barred signal starts at the wrong value.
     SeedMismatch {
-        /// The first transition (in net order) the seed blocks: enabled in
-        /// a covered marking, its firing leaves the covered markings.
-        /// `None` when no edge is blocked but a marking carries two codes.
-        blocked_transition: Option<String>,
-        /// Distinct markings the encoded space covers, rounded.
-        coded_markings: u128,
-        /// (marking, code) pairs of the encoded space, rounded.
-        coded_states: u128,
+        /// One witness per barred signal, in signal id order.
+        barred: Vec<BarredEdge>,
     },
     /// A resource budget (node ceiling, step ceiling, deadline or
     /// cancellation) tripped during a symbolic analysis.
@@ -78,14 +80,10 @@ impl fmt::Display for StgError {
             }
             StgError::Parse { line, message } => write!(f, "parse error at line {line}: {message}"),
             StgError::UnknownName { name } => write!(f, "unknown signal or transition '{name}'"),
-            StgError::NotConverged { iterations } => {
-                write!(f, "symbolic reachability did not converge within {iterations} iterations")
-            }
-            StgError::SeedMismatch { blocked_transition: Some(t), coded_markings, .. } => {
-                write!(f, "the seed blocks '{t}', leaving {coded_markings} markings coded")
-            }
-            StgError::SeedMismatch { blocked_transition: None, coded_states, .. } => {
-                write!(f, "the seed gives a marking two codes ({coded_states} coded states)")
+            StgError::SeedMismatch { barred } => {
+                let edges: Vec<String> =
+                    barred.iter().map(|b| format!("'{}' in {}", b.transition, b.marking)).collect();
+                write!(f, "the initial signal values bar {}", edges.join(", "))
             }
             StgError::Budget(e) => write!(f, "{e}"),
         }

@@ -48,7 +48,7 @@ mod state_graph;
 pub mod symbolic;
 mod validate;
 
-pub use error::StgError;
+pub use error::{BarredEdge, StgError};
 pub use model::{Stg, StgBuilder, TransitionLabel};
 pub use parser::parse_g;
 pub use signal::{Polarity, Signal, SignalId, SignalKind};

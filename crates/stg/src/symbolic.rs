@@ -37,11 +37,11 @@
 //!   Chaining only fires enabled transitions, so it computes the same least
 //!   fixpoint as breadth-first search, whatever the order; and after round
 //!   `k` the reachable set holds every state within `k` steps of the
-//!   initial one, so it never needs more rounds than breadth-first search
-//!   (the `4 × places` round cap keeps its meaning).  A product of
-//!   handshakes converges in 2 rounds, the last of which finds nothing
-//!   new.  The same loop, with one transition skipped, answers
-//!   [`SymbolicStateSpace::reachable_without`].
+//!   initial one, so it never needs more rounds than breadth-first search.
+//!   No round cap bounds it: a finite state space converges, and a budget
+//!   bounds a governed fixpoint.  A product of handshakes converges in 2
+//!   rounds, the last of which finds nothing new.  The same loop, with one
+//!   transition skipped, answers [`SymbolicStateSpace::reachable_without`].
 //!
 //! * **One CSC decision per space** — each signal's excitation is the pair
 //!   `(up, down)` of the enabled cubes of the branches that raise or lower
@@ -61,7 +61,7 @@
 //! a 24-wide parallel composition) and to detect the presence of encoding
 //! conflicts without building the explicit graph.
 
-use crate::error::StgError;
+use crate::error::{BarredEdge, StgError};
 use crate::model::{Stg, TransitionLabel};
 use crate::signal::{Polarity, SignalId};
 use bdd::{Bdd, BddManager, BddStats, Budget, BudgetExceeded, VarId};
@@ -83,12 +83,9 @@ pub fn fixpoints_run() -> usize {
 /// Configuration for the fallible reachability entry points
 /// ([`Stg::try_symbolic_state_space`] and friends).
 ///
-/// The default is the default round cap (`4 × places`) and no resource
-/// budget.
+/// The default has no resource budget.
 #[derive(Clone, Debug, Default)]
 pub struct ReachabilityConfig {
-    /// Cap on chained image rounds; `None` uses `4 × places`.
-    pub max_iterations: Option<usize>,
     /// Shared resource budget charged for every BDD node the fixpoint
     /// allocates and checked between image rounds.
     pub budget: Option<Budget>,
@@ -131,10 +128,8 @@ pub struct SymbolicStateSpace {
     decision: Option<CscDecision>,
     /// Whether the seed guard passed.
     seed_checked: bool,
-    /// `true` when the fixpoint completed without hitting the iteration cap.
-    pub converged: bool,
-    /// Number of chained image rounds the fixpoint performed; a converged
-    /// fixpoint counts its last round, which finds nothing new.
+    /// Number of chained image rounds the fixpoint performed, counting the
+    /// last one, which finds nothing new.
     pub iterations: usize,
 }
 
@@ -314,15 +309,8 @@ fn causal_order(stg: &Stg) -> Vec<TransId> {
     order
 }
 
-/// Outcome of [`chained_fixpoint`].
-struct Chain {
-    reachable: Bdd,
-    rounds: usize,
-    converged: bool,
-}
-
 /// The chained fixpoint from `initial`, firing the `branches` in `order`
-/// but those of `skip`, for at most `limit` rounds.
+/// but those of `skip`: the reachable set and the rounds it took.
 ///
 /// Each round fires the branches one after another: a branch images the
 /// reachable set as the branches before it left it, and adds its image.  No
@@ -340,11 +328,10 @@ fn chained_fixpoint(
     order: &[usize],
     initial: Bdd,
     skip: Option<TransId>,
-    limit: usize,
-) -> Result<Chain, BudgetExceeded> {
+) -> Result<(Bdd, usize), BudgetExceeded> {
     let mut reachable = initial;
     let mut rounds = 0;
-    while rounds < limit {
+    loop {
         let before = reachable;
         for b in order.iter().map(|&i| &branches[i]).filter(|b| Some(b.trans) != skip) {
             let step = m.image_cube(reachable, b.enabled, b.pinned);
@@ -355,60 +342,46 @@ fn chained_fixpoint(
             m.check_budget()?;
         }
         if reachable == before {
-            return Ok(Chain { reachable, rounds, converged: true });
+            return Ok((reachable, rounds));
         }
     }
-    Ok(Chain { reachable, rounds, converged: false })
 }
 
 impl Stg {
     /// Computes the reachable markings symbolically (place variables only).
-    ///
-    /// `max_iterations` bounds the number of chained image rounds; the
-    /// default (`None`) allows `4 × places` rounds, which is ample for the
-    /// benchmark suite.  After round `k` every state within `k` steps of
-    /// the initial one is reachable (see the module docs), so the cap binds
-    /// no earlier than it would on breadth-first rounds.
-    pub fn symbolic_state_space(&self, max_iterations: Option<usize>) -> SymbolicStateSpace {
-        infallible(self.symbolic_space_inner(false, 0, max_iterations, None))
+    pub fn symbolic_state_space(&self) -> SymbolicStateSpace {
+        self.try_symbolic_state_space(&ReachabilityConfig::default()).expect(UNBUDGETED)
     }
 
     /// Fallible reachability over the place variables: honours the budget in
-    /// `config` and reports a typed [`StgError::NotConverged`] when the
-    /// iteration cap is hit, instead of silently returning a truncated set.
+    /// `config`.
     ///
-    /// No flow stage runs this fixpoint: [`SymbolicStateSpace::check_seed`]
-    /// decides on the encoded space what comparing against it would decide,
-    /// and the fuzz harness keeps it as that guard's oracle.
+    /// No flow stage runs this fixpoint; the fuzz harness keeps it as an
+    /// oracle of [`SymbolicStateSpace::check_seed`].
+    ///
+    /// # Errors
+    ///
+    /// The budget's trip, labelled with `config.stage` (default
+    /// `"reachability"`).
     pub fn try_symbolic_state_space(
         &self,
         config: &ReachabilityConfig,
-    ) -> Result<SymbolicStateSpace, StgError> {
-        if let Some(budget) = &config.budget {
-            budget.set_stage(config.stage.unwrap_or("reachability"));
-        }
-        let space =
-            self.symbolic_space_inner(false, 0, config.max_iterations, config.budget.as_ref())?;
-        ensure_converged(space)
+    ) -> Result<SymbolicStateSpace, BudgetExceeded> {
+        self.symbolic_space_inner(false, 0, config)
     }
 
     /// Fallible reachability over the (marking, code) pairs; see
     /// [`Self::try_symbolic_state_space`].
+    ///
+    /// # Errors
+    ///
+    /// The budget's trip.
     pub fn try_symbolic_encoded_state_space(
         &self,
         initial_code: u64,
         config: &ReachabilityConfig,
-    ) -> Result<SymbolicStateSpace, StgError> {
-        if let Some(budget) = &config.budget {
-            budget.set_stage(config.stage.unwrap_or("reachability"));
-        }
-        let space = self.symbolic_space_inner(
-            true,
-            initial_code,
-            config.max_iterations,
-            config.budget.as_ref(),
-        )?;
-        ensure_converged(space)
+    ) -> Result<SymbolicStateSpace, BudgetExceeded> {
+        self.symbolic_space_inner(true, initial_code, config)
     }
 
     /// Computes the reachable (marking, code) pairs symbolically.
@@ -416,21 +389,66 @@ impl Stg {
     /// State variables are the places followed by one variable per signal.
     /// `initial_code` gives the signal values in the initial marking (bit
     /// `i` = signal `i`); the benchmark suite starts every signal at 0.
-    pub fn symbolic_encoded_state_space(
+    pub fn symbolic_encoded_state_space(&self, initial_code: u64) -> SymbolicStateSpace {
+        self.try_symbolic_encoded_state_space(initial_code, &ReachabilityConfig::default())
+            .expect(UNBUDGETED)
+    }
+
+    /// The encoded state space under the seed the guard infers from
+    /// `guess`, and that seed (bit `i` = signal `i`).
+    ///
+    /// Each round builds the space and runs [`SymbolicStateSpace::check_seed`]
+    /// on it.  A barred signal starts at the wrong value — in a consistent
+    /// STG the edge's marking fixes its pre-value — so the next round flips
+    /// the bits of every barred signal.  Each round fixes at least one
+    /// signal for good, so a signal barred a second time means the STG has
+    /// no consistent labelling.  The returned space has passed the guard.
+    ///
+    /// # Errors
+    ///
+    /// * [`StgError::Inconsistent`] for a signal barred twice (its witness
+    ///   marking as the state) or a marking with two codes,
+    /// * [`StgError::SeedMismatch`] when a barred signal lies past bit 63
+    ///   of the `u64` seed,
+    /// * [`StgError::Budget`] when the budget trips.
+    pub fn seeded_encoded_state_space(
         &self,
-        initial_code: u64,
-        max_iterations: Option<usize>,
-    ) -> SymbolicStateSpace {
-        infallible(self.symbolic_space_inner(true, initial_code, max_iterations, None))
+        guess: u64,
+        config: &ReachabilityConfig,
+    ) -> Result<(SymbolicStateSpace, u64), StgError> {
+        let (mut seed, mut flipped) = (guess, 0u64);
+        loop {
+            let mut space = self.try_symbolic_encoded_state_space(seed, config)?;
+            let barred = match space.check_seed(self) {
+                Ok(()) => return Ok((space, seed)),
+                Err(StgError::SeedMismatch { barred }) => barred,
+                Err(other) => return Err(other),
+            };
+            if barred.iter().any(|b| b.signal.index() >= 64) {
+                return Err(StgError::SeedMismatch { barred });
+            }
+            for b in barred {
+                let bit = 1u64 << b.signal.index();
+                if flipped & bit != 0 {
+                    let signal = self.signal(b.signal).name.clone();
+                    return Err(StgError::Inconsistent { signal, state: b.marking });
+                }
+                flipped |= bit;
+                seed ^= bit;
+            }
+        }
     }
 
     fn symbolic_space_inner(
         &self,
         with_codes: bool,
         initial_code: u64,
-        max_iterations: Option<usize>,
-        budget: Option<&Budget>,
-    ) -> Result<SymbolicStateSpace, StgError> {
+        config: &ReachabilityConfig,
+    ) -> Result<SymbolicStateSpace, BudgetExceeded> {
+        let budget = config.budget.as_ref();
+        if let Some(budget) = budget {
+            budget.set_stage(config.stage.unwrap_or("reachability"));
+        }
         FIXPOINTS.with(|count| count.set(count.get() + 1));
         let net = self.net();
         let num_places = net.num_places();
@@ -523,12 +541,11 @@ impl Stg {
         if budget.is_some() {
             m.check_budget()?;
         }
-        let limit = max_iterations.unwrap_or(4 * num_places.max(8));
-        let chain = chained_fixpoint(&mut m, &branches, &order, initial, None, limit)?;
+        let (reachable, iterations) = chained_fixpoint(&mut m, &branches, &order, initial, None)?;
 
         Ok(SymbolicStateSpace {
             manager: m,
-            reachable: chain.reachable,
+            reachable,
             initial,
             num_places,
             num_signals,
@@ -540,28 +557,13 @@ impl Stg {
             codings: vec![None; num_signals],
             decision: None,
             seed_checked: false,
-            converged: chain.converged,
-            iterations: chain.rounds,
+            iterations,
         })
     }
 }
 
-/// Unwraps a budget-free reachability result.  Internal invariant: the inner
-/// fixpoint only fails through its budget, so with no budget attached the
-/// result is always `Ok`.
-fn infallible(result: Result<SymbolicStateSpace, StgError>) -> SymbolicStateSpace {
-    result.expect("reachability without a budget cannot fail")
-}
-
-/// Maps a truncated fixpoint to the typed diagnostic the fallible entry
-/// points promise.
-fn ensure_converged(space: SymbolicStateSpace) -> Result<SymbolicStateSpace, StgError> {
-    if space.converged {
-        Ok(space)
-    } else {
-        Err(StgError::NotConverged { iterations: space.iterations })
-    }
-}
+/// Why an unbudgeted fixpoint cannot fail: only a budget stops it.
+const UNBUDGETED: &str = "reachability without a budget cannot fail";
 
 impl SymbolicStateSpace {
     /// Number of state variables (places plus code signals); the manager
@@ -669,22 +671,15 @@ impl SymbolicStateSpace {
 
     /// The states reachable from the initial state *without ever firing*
     /// transition `avoid`: the chained fixpoint of [`Self::reachable`], in
-    /// the same firing order, with `avoid`'s branches skipped and no round
-    /// cap.  It does not count toward [`fixpoints_run`].
+    /// the same firing order, with `avoid`'s branches skipped.  It does not
+    /// count toward [`fixpoints_run`].
     ///
     /// A budget trip poisons the manager; the result is then empty and
     /// meaningless, and the caller's next budget check reports the trip.
     pub fn reachable_without(&mut self, avoid: TransId) -> Bdd {
         let m = &mut self.manager;
-        match chained_fixpoint(
-            m,
-            &self.branches,
-            &self.order,
-            self.initial,
-            Some(avoid),
-            usize::MAX,
-        ) {
-            Ok(chain) => chain.reachable,
+        match chained_fixpoint(m, &self.branches, &self.order, self.initial, Some(avoid)) {
+            Ok((reachable, _)) => reachable,
             Err(_) => m.bottom(),
         }
     }
@@ -792,57 +787,103 @@ impl SymbolicStateSpace {
     }
 
     /// The seed guard of a code-encoded space: decides, on the space itself,
-    /// whether the seed (`initial_code`) labels every reachable marking of
-    /// `stg` with exactly one code.  A passed verdict is remembered, so the
-    /// guard runs once per space.
+    /// whether the seed (`initial_code`) labels `stg` consistently.  A
+    /// passed verdict is remembered, so the guard runs once per space.
     ///
-    /// Let `P = ∃codes. Reach` be the markings the space covers.  The guard
-    /// holds iff every firing from `P` stays in `P`, and `|Reach| = |P|`
-    /// (one code per marking).  It is exact: `P` is always contained in the
-    /// place-reachable set and contains the initial marking, so a `P`
-    /// closed under firing *is* the place-reachable set — the guard accepts
-    /// exactly what comparing against a places-only fixpoint would accept,
-    /// without running one.  `P` mentions no code variable, so a coded
-    /// branch leaves it exactly where its places-only firing would.
+    /// It tests two things.  No reachable state may mark the preset of a
+    /// signal edge while its code bars the edge (a rising edge at 1, a
+    /// falling one at 0): the coded fixpoint does not fire such an edge,
+    /// where the explicit engine reports the labelling inconsistent.  And
+    /// each marking the space covers, `P = ∃codes. Reach`, must carry one
+    /// code: `|Reach| = |P|`.  With no edge barred, every firing the net
+    /// allows fires from every reachable state, so `P` is the
+    /// place-reachable set and the guard is exact against the explicit
+    /// engine's consistency verdict under the same seed.
     ///
     /// # Errors
     ///
-    /// [`StgError::SeedMismatch`] naming the first blocked transition (or
-    /// `None` when a marking carries two codes), and [`StgError::Budget`]
-    /// when the space's budget trips.
+    /// * [`StgError::SeedMismatch`] with one witness per barred signal: the
+    ///   seed starts each of them at the wrong value,
+    /// * [`StgError::Inconsistent`] naming a signal and a marking that
+    ///   carries two codes — reached along firings no seed bars, so no seed
+    ///   labels the STG consistently,
+    /// * [`StgError::Budget`] when the space's budget trips.
     pub fn check_seed(&mut self, stg: &Stg) -> Result<(), StgError> {
         if self.seed_checked {
             return Ok(());
         }
+        let mut barred: Vec<BarredEdge> = Vec::new();
+        for b in &self.branches {
+            let Some((signal, post)) = b.edge else { continue };
+            let toggle = matches!(
+                stg.label(b.trans),
+                TransitionLabel::Edge { polarity: Polarity::Toggle, .. }
+            );
+            if toggle || barred.iter().any(|e| e.signal == signal) {
+                continue;
+            }
+            // The enabling cube with the code literal flipped to the
+            // post-value: the states that mark the preset but bar the edge.
+            let var = (2 * self.pos[self.num_places + signal.index()]) as VarId;
+            let lits: Vec<(VarId, bool)> = b
+                .enabled_lits
+                .iter()
+                .map(|&(v, value)| (v, if v == var { post } else { value }))
+                .collect();
+            let m = &mut self.manager;
+            let bars = m.cube_of(&lits);
+            if m.intersects(self.reachable, bars) {
+                let witness = m.and(self.reachable, bars);
+                barred.push(BarredEdge {
+                    signal,
+                    transition: stg.net().transition_name(b.trans).to_owned(),
+                    marking: self.marking_of(stg, witness),
+                });
+            }
+        }
+        barred.sort_by_key(|b| b.signal);
+        self.manager.check_budget()?;
+        if !barred.is_empty() {
+            return Err(StgError::SeedMismatch { barred });
+        }
         let signal_vars: Vec<VarId> =
             (0..self.num_signals).map(|s| self.current_var_of_signal(s)).collect();
-        let m = &mut self.manager;
-        let coded = m.exists_many(self.reachable, &signal_vars);
-        // A firing leaves `P` from the sources where `P`, cofactored at the
-        // branch's post-values, no longer holds.
-        let blocked = self.branches.iter().find(|b| {
-            let src = m.and(coded, b.enabled);
-            let after = m.restrict_cube(coded, b.pinned);
-            !m.implies(src, after)
-        });
-        let blocked_transition = blocked.map(|b| stg.net().transition_name(b.trans).to_owned());
-        // The verdict is only meaningful on unpoisoned results.
+        let codes = self.manager.quant_cube(&signal_vars);
+        let coded = self.manager.exists_cube(self.reachable, codes);
         self.manager.check_budget()?;
         // `coded` depends on the current place copies only.
         let free_vars = (self.manager.num_vars() - self.num_places) as i32;
         let coded_markings = self.manager.sat_count_f64(coded) / 2f64.powi(free_vars);
         let coded_states = self.state_count_f64();
         let close = |a: f64, b: f64| (a - b).abs() <= (a.abs().max(b.abs())) * 1e-9 + 0.25;
-        if blocked_transition.is_none() && close(coded_states, coded_markings) {
-            self.seed_checked = true;
-            return Ok(());
+        if !close(coded_states, coded_markings) {
+            // Find a signal that takes both values on one marking.
+            for (s, &var) in signal_vars.iter().enumerate() {
+                let m = &mut self.manager;
+                let (high, low) = (m.literal(var, true), m.literal(var, false));
+                let (high, low) = (m.and(self.reachable, high), m.and(self.reachable, low));
+                let (high, low) = (m.exists_cube(high, codes), m.exists_cube(low, codes));
+                let both = m.and(high, low);
+                self.manager.check_budget()?;
+                if !both.is_false() {
+                    let signal = stg.signal(SignalId::from(s)).name.clone();
+                    let state = self.marking_of(stg, both);
+                    return Err(StgError::Inconsistent { signal, state });
+                }
+            }
         }
-        let round = |v: f64| if v >= u128::MAX as f64 { u128::MAX } else { v.round() as u128 };
-        Err(StgError::SeedMismatch {
-            blocked_transition,
-            coded_markings: round(coded_markings),
-            coded_states: round(coded_states),
-        })
+        self.seed_checked = true;
+        Ok(())
+    }
+
+    /// The marked places of one state of the non-empty `set`, as `{p, q}`.
+    fn marking_of(&self, stg: &Stg, set: Bdd) -> String {
+        let lits = self.manager.any_sat(set).unwrap_or_default();
+        let marked: Vec<&str> = (0..self.num_places)
+            .filter(|&p| lits.contains(&(self.current_var_of_place(p), true)))
+            .map(|p| stg.net().place_name(PlaceId::from(p)))
+            .collect();
+        format!("{{{}}}", marked.join(", "))
     }
 }
 
@@ -851,29 +892,23 @@ impl Stg {
     /// Returns `true` if the STG has a CSC conflict, determined symbolically:
     /// some code is shared by a state that enables a non-input signal and a
     /// state that does not.
-    ///
-    /// # Panics
-    ///
-    /// Panics if reachability does not converge within the default iteration
-    /// cap (`4 × places`) — an answer computed from a truncated set would be
-    /// silently wrong.  Use [`Self::try_symbolic_csc_violation`] for the
-    /// typed diagnostic.
     pub fn symbolic_csc_violation(&self, initial_code: u64) -> bool {
         self.try_symbolic_csc_violation(initial_code, &ReachabilityConfig::default())
-            .expect("reachability did not converge within the default iteration cap")
+            .expect(UNBUDGETED)
     }
 
-    /// Fallible [`Self::symbolic_csc_violation`]: honours the budget and
-    /// reports non-convergence as [`StgError::NotConverged`] instead of
-    /// answering from a truncated set.
+    /// Budgeted [`Self::symbolic_csc_violation`].
+    ///
+    /// # Errors
+    ///
+    /// The budget's trip.
     pub fn try_symbolic_csc_violation(
         &self,
         initial_code: u64,
         config: &ReachabilityConfig,
-    ) -> Result<bool, StgError> {
+    ) -> Result<bool, BudgetExceeded> {
         let mut space = self.try_symbolic_encoded_state_space(initial_code, config)?;
-        let decision = space.csc_decision().map_err(StgError::Budget)?;
-        Ok(!decision.conflicted.is_empty())
+        Ok(!space.csc_decision()?.conflicted.is_empty())
     }
 }
 
@@ -891,8 +926,7 @@ mod tests {
             benchmarks::parallelizer(4),
         ] {
             let explicit = stg.state_graph(1_000_000).unwrap().num_states() as u128;
-            let space = stg.symbolic_state_space(None);
-            assert!(space.converged, "{} did not converge", stg.name());
+            let space = stg.symbolic_state_space();
             assert_eq!(space.state_count(), explicit, "mismatch for {}", stg.name());
         }
     }
@@ -918,11 +952,10 @@ mod tests {
         for stg in models {
             let sg = stg.state_graph(100_000).unwrap();
             let explicit = sg.num_states() as u128;
-            let places = stg.symbolic_state_space(None);
+            let places = stg.symbolic_state_space();
             // The encoded space exercises the code bits; a consistent STG
             // carries one code per marking.
-            let encoded = stg.symbolic_encoded_state_space(sg.code(sg.ts.initial()), None);
-            assert!(places.converged && encoded.converged, "{}", stg.name());
+            let encoded = stg.symbolic_encoded_state_space(sg.code(sg.ts.initial()));
             assert!(places.iterations > 0, "{}", stg.name());
             assert_eq!(places.state_count(), explicit, "{}", stg.name());
             assert_eq!(encoded.state_count(), explicit, "{}", stg.name());
@@ -1024,8 +1057,7 @@ mod tests {
             (benchmarks::pipeline_2ph(16), 10, 24_736),
             (benchmarks::pipeline_2ph(32), 18, 198_096),
         ] {
-            let space = stg.symbolic_encoded_state_space(0, None);
-            assert!(space.converged, "{}", stg.name());
+            let space = stg.symbolic_encoded_state_space(0);
             assert_eq!(space.iterations, rounds, "{}", stg.name());
             assert_eq!(space.manager_stats().num_nodes, arena, "{}", stg.name());
         }
@@ -1036,8 +1068,7 @@ mod tests {
         // 4^12 ≈ 16.7 million markings: cheap symbolically, expensive
         // explicitly.
         let stg = benchmarks::parallel_handshakes(12);
-        let space = stg.symbolic_state_space(None);
-        assert!(space.converged);
+        let space = stg.symbolic_state_space();
         assert_eq!(space.state_count(), 4u128.pow(12));
         assert!(space.bdd_size() < 10_000, "BDD must stay compact");
         let stats = space.manager_stats();
@@ -1047,8 +1078,7 @@ mod tests {
     #[test]
     fn encoded_space_matches_state_graph() {
         let stg = benchmarks::pulser();
-        let space = stg.symbolic_encoded_state_space(0, None);
-        assert!(space.converged);
+        let space = stg.symbolic_encoded_state_space(0);
         // Each of the 6 markings has exactly one code, so the encoded space
         // also has 6 states.
         assert_eq!(space.state_count(), 6);
@@ -1072,8 +1102,7 @@ mod tests {
         assert_eq!(sg.num_states(), 4);
         // The symbolic (marking, code) space must agree with the explicit
         // graph: 4 markings, each with a distinct code (c toggles).
-        let space = stg.symbolic_encoded_state_space(0, None);
-        assert!(space.converged);
+        let space = stg.symbolic_encoded_state_space(0);
         assert_eq!(space.state_count(), sg.num_states() as u128);
     }
 
@@ -1085,21 +1114,31 @@ mod tests {
             let mut space = stg.try_symbolic_encoded_state_space(0, &config).unwrap();
             assert_eq!(space.check_seed(&stg), Ok(()), "{}", stg.name());
         }
-        // req = 1 blocks req+ at once; ack = 1 lets req+ fire, then blocks ack+.
+        // req = 1 bars req+ at once; ack = 1 lets req+ fire, then bars ack+;
+        // with both wrong, req+ is barred and ack+ is never marked.
         let stg = benchmarks::handshake();
-        for (seed, blocked) in [(0b01, "req+"), (0b10, "ack+")] {
+        for (seed, barred) in [(0b01, &["req+"][..]), (0b10, &["ack+"]), (0b11, &["req+"])] {
             let mut space = stg.try_symbolic_encoded_state_space(seed, &config).unwrap();
             match space.check_seed(&stg) {
-                Err(StgError::SeedMismatch { blocked_transition: Some(t), .. }) => {
-                    assert_eq!(t, blocked, "seed {seed:#b}");
+                Err(StgError::SeedMismatch { barred: edges }) => {
+                    let names: Vec<&str> = edges.iter().map(|e| e.transition.as_str()).collect();
+                    assert_eq!(names, barred, "seed {seed:#b}");
                 }
-                other => panic!("seed {seed:#b}: expected a blocked edge, got {other:?}"),
+                other => panic!("seed {seed:#b}: expected barred edges, got {other:?}"),
             }
         }
+        // Each handshake of the bank is barred on its own.
+        let stg = benchmarks::pulser_bank(2);
+        let mut space = stg.try_symbolic_encoded_state_space(u64::MAX, &config).unwrap();
+        let Err(StgError::SeedMismatch { barred }) = space.check_seed(&stg) else {
+            panic!("an all-ones seed bars edges");
+        };
+        assert!(barred.len() >= 2, "{barred:?}");
+        assert!(barred.windows(2).all(|w| w[0].signal < w[1].signal), "{barred:?}");
     }
 
     #[test]
-    fn the_seed_guard_reports_a_doubly_coded_marking_without_a_witness() {
+    fn the_seed_guard_names_a_doubly_coded_marking() {
         use crate::{Polarity, SignalKind, StgBuilder, StgError};
         // From `p0`, either toggle `c` or skip it; both land in `p1`, which
         // is therefore reached with both values of `c` under any seed.
@@ -1117,17 +1156,14 @@ mod tests {
         b.arc_place_to_transition(p1, back);
         b.arc_transition_to_place(back, p0);
         let stg = b.build().unwrap();
+        let inconsistent = Err(StgError::Inconsistent { signal: "c".into(), state: "{p1}".into() });
         let config = super::ReachabilityConfig::default();
-        let mut space = stg.try_symbolic_encoded_state_space(0, &config).unwrap();
-        let verdict = space.check_seed(&stg);
-        assert_eq!(
-            verdict,
-            Err(StgError::SeedMismatch {
-                blocked_transition: None,
-                coded_markings: 2,
-                coded_states: 4
-            })
-        );
+        for seed in [0, 1] {
+            let mut space = stg.try_symbolic_encoded_state_space(seed, &config).unwrap();
+            assert_eq!(space.check_seed(&stg), inconsistent, "seed {seed}");
+        }
+        let inferred = stg.seeded_encoded_state_space(0, &config).map(|_| ());
+        assert_eq!(inferred, inconsistent);
     }
 
     #[test]
@@ -1153,7 +1189,7 @@ mod tests {
         for stg in models {
             let sg = stg.state_graph(100_000).unwrap();
             let seed = sg.code(sg.ts.initial());
-            let mut space = stg.symbolic_encoded_state_space(seed, None);
+            let mut space = stg.symbolic_encoded_state_space(seed);
             let decision = space.csc_decision().unwrap();
             // Asking again is free: the decision is kept on the space.
             let stats = space.manager_stats();
@@ -1197,7 +1233,7 @@ mod tests {
     #[test]
     fn initial_marking_is_reachable() {
         let stg = benchmarks::vme_read();
-        let space = stg.symbolic_state_space(None);
+        let space = stg.symbolic_state_space();
         let assignment = stg.net().initial_marking().to_bools();
         assert!(space.contains(&assignment));
     }
@@ -1206,8 +1242,7 @@ mod tests {
     fn wide_designs_compute_encoded_spaces_past_64_signals() {
         // 40 handshakes = 80 signals: beyond any u64 code, fine symbolically.
         let stg = benchmarks::parallel_handshakes(40);
-        let space = stg.symbolic_encoded_state_space(0, None);
-        assert!(space.converged);
+        let space = stg.symbolic_encoded_state_space(0);
         assert_eq!(space.num_signals(), 80);
         let states = space.state_count_f64();
         let expected = 4f64.powi(40);
@@ -1218,41 +1253,14 @@ mod tests {
     }
 
     #[test]
-    fn iteration_cap_is_respected() {
-        let stg = benchmarks::parallel_handshakes(4);
-        let space = stg.symbolic_state_space(Some(1));
-        assert!(!space.converged);
-        assert_eq!(space.iterations, 1);
-        let full = stg.symbolic_state_space(None);
-        assert!(full.converged);
-        assert!(full.iterations > space.iterations);
-    }
-
-    #[test]
-    fn try_reachability_reports_truncation_as_typed_error() {
-        use super::ReachabilityConfig;
-        use crate::StgError;
-        let stg = benchmarks::parallel_handshakes(4);
-        let config = ReachabilityConfig { max_iterations: Some(1), ..Default::default() };
-        match stg.try_symbolic_state_space(&config) {
-            Err(StgError::NotConverged { iterations }) => assert_eq!(iterations, 1),
-            other => panic!("expected NotConverged, got {other:?}"),
-        }
-        // With the default cap the same net converges and returns Ok.
-        let space = stg.try_symbolic_state_space(&ReachabilityConfig::default()).unwrap();
-        assert!(space.converged);
-    }
-
-    #[test]
     fn node_budget_interrupts_reachability() {
         use super::ReachabilityConfig;
-        use crate::StgError;
         use bdd::{Budget, Resource};
         let stg = benchmarks::parallel_handshakes(8);
         let budget = Budget::new(Some(512), None, None);
         let config = ReachabilityConfig::with_budget(budget.clone());
         match stg.try_symbolic_state_space(&config) {
-            Err(StgError::Budget(trip)) => {
+            Err(trip) => {
                 assert_eq!(trip.resource, Resource::Nodes);
                 assert_eq!(trip.stage, "reachability");
                 assert!(trip.spent > trip.limit);
@@ -1265,10 +1273,9 @@ mod tests {
     #[test]
     fn budget_trip_surfaces_from_the_encoding_checks() {
         use super::ReachabilityConfig;
-        use crate::StgError;
         use bdd::Budget;
         let stg = benchmarks::parallel_handshakes(8);
         let config = ReachabilityConfig::with_budget(Budget::new(Some(512), None, None));
-        assert!(matches!(stg.try_symbolic_csc_violation(0, &config), Err(StgError::Budget(_))));
+        assert!(stg.try_symbolic_csc_violation(0, &config).is_err());
     }
 }

@@ -22,8 +22,7 @@ fn every_benchmark_round_trips_through_g_format() {
 fn symbolic_and_explicit_engines_agree_on_the_suite() {
     for (name, model, csc_holds) in stg::benchmarks::table2_suite() {
         let explicit = model.state_graph(500_000).unwrap();
-        let space = model.symbolic_state_space(None);
-        assert!(space.converged, "{name}");
+        let space = model.symbolic_state_space();
         assert_eq!(space.state_count(), explicit.num_states() as u128, "{name}");
         assert_eq!(!model.symbolic_csc_violation(0), csc_holds, "{name}");
     }
@@ -34,8 +33,7 @@ fn symbolic_engine_counts_beyond_explicit_reach() {
     // 4^14 ≈ 268 million markings — far beyond explicit enumeration, yet the
     // BDD stays small.  This is the Table 1 capability claim.
     let model = stg::benchmarks::parallel_handshakes(14);
-    let space = model.symbolic_state_space(None);
-    assert!(space.converged);
+    let space = model.symbolic_state_space();
     assert_eq!(space.state_count(), 4u128.pow(14));
     assert!(space.bdd_size() < 20_000);
 }
