@@ -1,5 +1,5 @@
-//! Explicit CSC solver bench: per-family solve times of the staged
-//! `SolverContext`.
+//! Explicit CSC solver bench: per-family solve times of
+//! `solve_state_graph`.
 //!
 //! Run with `cargo bench -p bench --bench csc`; set `BENCH_OUT=BENCH_csc.json`
 //! to record the machine-readable baseline tracked at the repository root.

@@ -539,8 +539,11 @@ fn run_ladder(model: &Stg, options: &FlowOptions) -> Result<FlowReport, CscError
     // the partial report — when the design cannot fit the explicit engine
     // or the deadline is already spent.
     if guarded {
+        let max_states = options.solver.max_states;
         let skip = if signals > 64 {
             Some(format!("{signals} signals exceed the 64-signal explicit limit"))
+        } else if let Some(states) = established.states_f64.filter(|&n| n > max_states as f64) {
+            Some(format!("{states:.0} states exceed the explicit limit of {max_states} states"))
         } else if deadline_passed(budget.as_ref()) {
             Some("deadline exhausted before the explicit rung".to_owned())
         } else {
@@ -1233,6 +1236,28 @@ mod tests {
             assert!(!text.contains(wrong), "{wrong:?} in {text}");
         }
         assert!(text.contains("70 signals, unknown states"), "{text}");
+    }
+
+    #[test]
+    fn a_state_count_past_the_explicit_limit_skips_the_explicit_rung() {
+        // The budget trips once the symbolic rung has counted 4^16 input
+        // states: the explicit rung could only fail at its state cap, after
+        // seconds of exploration, so the ladder ends in the partial report.
+        let options = FlowOptions { node_budget: Some(20_000), ..FlowOptions::default() };
+        let report = run_flow(&stg::benchmarks::parallel_handshakes(16), &options).unwrap();
+        assert_eq!(report.rung, FlowRung::PartialReport);
+        assert_eq!(
+            trail(&report),
+            vec![
+                (FlowRung::Symbolic, FlowRung::Explicit),
+                (FlowRung::Explicit, FlowRung::PartialReport),
+            ]
+        );
+        let skip = report.degradations.last().unwrap();
+        assert_eq!(skip.stage, "flow");
+        assert_eq!(skip.trigger, "4294967296 states exceed the explicit limit of 1000000 states");
+        let text = report.to_string();
+        assert!(text.contains("32 signals, 4294967296 states"), "{text}");
     }
 
     #[test]

@@ -141,7 +141,7 @@ fn main() -> ExitCode {
                 return ExitCode::SUCCESS;
             }
             "--baseline" => {
-                options.solver = csc::SolverConfig::excitation_region_baseline();
+                options.solver.candidate_source = csc::CandidateSource::ExcitationRegions;
                 explicit_only = Some("--baseline");
             }
             "--enlarge" => {

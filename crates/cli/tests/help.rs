@@ -224,6 +224,31 @@ fn explicit_only_flags_select_the_explicit_solver() {
 }
 
 #[test]
+fn baseline_keeps_the_search_flags_given_before_it() {
+    // `--baseline` sets only the candidate source: `--fw` and `--enlarge`
+    // act the same on either side of it.
+    let decisions = |args: &[&str]| {
+        let out = rsynth(&[&["--benchmark", "seq8"][..], args].concat());
+        assert!(out.status.success(), "{args:?}: {}", String::from_utf8_lossy(&out.stderr));
+        let text = String::from_utf8(out.stdout).unwrap();
+        let lines: Vec<String> = text
+            .lines()
+            .filter(|l| {
+                ["encoding", "area", "candidates evaluated"].iter().any(|p| l.starts_with(p))
+            })
+            .map(str::to_owned)
+            .collect();
+        assert_eq!(lines.len(), 3, "{args:?}: {text}");
+        lines
+    };
+    let after = decisions(&["--baseline", "--fw", "8"]);
+    assert!(after[0].contains("36 states") && after[1].contains("80 literals"), "{after:?}");
+    assert!(after[2].ends_with(" 567"), "{after:?}");
+    assert_eq!(decisions(&["--fw", "8", "--baseline"]), after);
+    assert_eq!(decisions(&["--enlarge", "--baseline"]), decisions(&["--baseline", "--enlarge"]));
+}
+
+#[test]
 fn a_closed_stdout_ends_the_run_quietly() {
     // The reader goes away before the report is written, as `| head` or
     // `| true` does.

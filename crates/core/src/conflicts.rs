@@ -1,4 +1,4 @@
-//! CSC conflict detection, full and incremental.
+//! CSC conflict detection.
 //!
 //! Two states are in *CSC conflict* when they carry the same binary signal
 //! code but enable different sets of non-input signals (paper §4): no logic
@@ -6,24 +6,9 @@
 //! signals cannot be implemented.  States with equal codes and equal enabled
 //! non-input sets (USC violations that are not CSC violations) are harmless.
 //!
-//! Conflict detection runs once per solver iteration, so the code-bucketing
-//! pass keeps its hash table, bucket vectors and per-bucket mask buffer in a
-//! [`ConflictScratch`] that survives across calls: clearing retains every
-//! allocation, and the table uses the FxHash fold rather than SipHash since
-//! state codes are program-generated integers.  The scratch doubles as the
-//! *code → states* index of its most recent bucketing pass
-//! ([`ConflictScratch::states_with_code`]): a full pass indexes every state
-//! of the graph, an incremental refresh only the re-examined states.
-//!
-//! After a state-signal insertion the solver does not re-bucket the whole
-//! graph: [`refresh_conflicts_after_insertion`] re-examines only the states
-//! descending from *dirty* codes of the previous graph (codes shared by two
-//! or more states, plus the codes of the states the insertion split).  Every
-//! other state kept a unique code, so it cannot participate in any new
-//! conflict — see the function's documentation for the invariant.
+//! The solver runs [`conflict_pairs`] once per iteration.
 
 use crate::EncodedGraph;
-use bdd::{FxHashMap, FxHashSet};
 use ts::StateId;
 
 /// A pair of states witnessing a CSC violation.
@@ -37,216 +22,28 @@ pub struct CscConflict {
     pub code: u64,
 }
 
-/// Reusable working memory of the code-bucketing passes, doubling as the
-/// code → states index of its most recent bucketing pass (a full
-/// [`conflict_pairs_with`] pass covers every state of the graph, an
-/// incremental [`refresh_conflicts_after_insertion`] only the re-examined
-/// dirty-descended states).
-///
-/// The solver calls conflict detection every iteration; holding one scratch
-/// across iterations means the hash table, the per-code bucket vectors and
-/// the per-bucket mask buffer are allocated once and then only cleared
-/// (capacity retained).
-#[derive(Default)]
-pub struct ConflictScratch {
-    /// code → index into `buckets`.
-    index: FxHashMap<u64, u32>,
-    /// Bucket storage; only the first `used` entries are live this pass.
-    buckets: Vec<Vec<StateId>>,
-    used: usize,
-    /// Per-bucket enabled-mask buffer: masks are computed once per bucket
-    /// member instead of once per member *pair* in the O(k²) comparison.
-    masks: Vec<u64>,
-}
-
-impl ConflictScratch {
-    /// Creates an empty scratch.
-    pub fn new() -> Self {
-        ConflictScratch::default()
-    }
-
-    /// Starts a fresh bucketing pass, retaining allocations.
-    fn reset(&mut self) {
-        self.index.clear();
-        for bucket in &mut self.buckets[..self.used] {
-            bucket.clear();
+/// Enumerates every CSC conflict pair of the graph, sorted by
+/// `(code, a, b)` so that runs are deterministic.
+pub fn conflict_pairs(graph: &EncodedGraph) -> Vec<CscConflict> {
+    let mut states: Vec<StateId> = (0..graph.num_states()).map(StateId::from).collect();
+    states.sort_unstable_by_key(|&s| (graph.code(s), s));
+    let mut out = Vec::new();
+    for bucket in states.chunk_by(|&a, &b| graph.code(a) == graph.code(b)) {
+        if bucket.len() < 2 {
+            continue;
         }
-        self.used = 0;
-    }
-
-    /// Adds `state` to the bucket of `code`.
-    fn push(&mut self, code: u64, state: StateId) {
-        let slot = *self.index.entry(code).or_insert_with(|| {
-            let slot = self.used as u32;
-            if self.used == self.buckets.len() {
-                self.buckets.push(Vec::new());
-            }
-            self.used += 1;
-            slot
-        });
-        self.buckets[slot as usize].push(state);
-    }
-
-    /// Buckets every state of `graph` by code; returns the live buckets.
-    fn bucket_by_code<'a>(&'a mut self, graph: &EncodedGraph) -> &'a [Vec<StateId>] {
-        self.reset();
-        for s in 0..graph.num_states() {
-            let s = StateId::from(s);
-            self.push(graph.code(s), s);
-        }
-        &self.buckets[..self.used]
-    }
-
-    /// The states carrying `code` in the most recent bucketing pass.
-    ///
-    /// After a full [`conflict_pairs_with`] pass this is the complete
-    /// code → states index of the graph; after an incremental
-    /// [`refresh_conflicts_after_insertion`] it covers only the
-    /// dirty-descended states that pass re-examined (states with unique,
-    /// clean codes are absent).  Returns an empty slice for codes the pass
-    /// never bucketed.
-    pub fn states_with_code(&self, code: u64) -> &[StateId] {
-        match self.index.get(&code) {
-            Some(&slot) => &self.buckets[slot as usize],
-            None => &[],
-        }
-    }
-
-    /// Collects the codes shared by at least two states in the most recent
-    /// bucketing pass into `out` (cleared first).
-    pub fn shared_codes_into(&self, out: &mut FxHashSet<u64>) {
-        out.clear();
-        for (&code, &slot) in &self.index {
-            if self.buckets[slot as usize].len() >= 2 {
-                out.insert(code);
-            }
-        }
-    }
-
-    /// Enumerates the CSC conflicts of the live buckets into `out` (cleared
-    /// first), sorted by `(code, a, b)`.
-    fn enumerate_conflicts(&mut self, graph: &EncodedGraph, out: &mut Vec<CscConflict>) {
-        out.clear();
-        for slot in 0..self.used {
-            let states = &self.buckets[slot];
-            if states.len() < 2 {
-                continue;
-            }
-            let code = graph.code(states[0]);
-            self.masks.clear();
-            self.masks.extend(states.iter().map(|&s| graph.enabled_non_input_mask(s)));
-            for i in 0..states.len() {
-                for j in (i + 1)..states.len() {
-                    if self.masks[i] != self.masks[j] {
-                        let (a, b) = (states[i], states[j]);
-                        let (a, b) = if a < b { (a, b) } else { (b, a) };
-                        out.push(CscConflict { a, b, code });
-                    }
+        let code = graph.code(bucket[0]);
+        // One enabled mask per state, not one per pair.
+        let masks: Vec<u64> = bucket.iter().map(|&s| graph.enabled_non_input_mask(s)).collect();
+        for i in 0..bucket.len() {
+            for j in (i + 1)..bucket.len() {
+                if masks[i] != masks[j] {
+                    out.push(CscConflict { a: bucket[i], b: bucket[j], code });
                 }
             }
         }
-        out.sort_by_key(|c| (c.code, c.a, c.b));
     }
-}
-
-/// Enumerates every CSC conflict pair of the graph.
-///
-/// The result is sorted by `(code, a, b)` so that runs are deterministic.
-/// Convenience wrapper over [`conflict_pairs_with`] that allocates a fresh
-/// scratch; iterative callers should hold a [`ConflictScratch`] instead.
-pub fn conflict_pairs(graph: &EncodedGraph) -> Vec<CscConflict> {
-    let mut scratch = ConflictScratch::new();
-    let mut out = Vec::new();
-    conflict_pairs_with(graph, &mut scratch, &mut out);
     out
-}
-
-/// Enumerates every CSC conflict pair of the graph into `out` (cleared
-/// first), reusing `scratch` across calls.
-pub fn conflict_pairs_with(
-    graph: &EncodedGraph,
-    scratch: &mut ConflictScratch,
-    out: &mut Vec<CscConflict>,
-) {
-    scratch.bucket_by_code(graph);
-    scratch.enumerate_conflicts(graph, out);
-}
-
-/// Incrementally refreshes the conflict list after a state-signal insertion.
-///
-/// `origin` maps every state of `graph` (the post-insertion graph) to its
-/// ancestor in the pre-insertion graph, `old_codes` holds the ancestor
-/// codes, and `dirty` holds the ancestor codes that must be re-examined:
-/// the codes shared by two or more pre-insertion states plus the codes of
-/// the states the insertion split into pre-/post-copies.
-///
-/// **Invariant.** Event insertion preserves the values of all existing
-/// signals, so the code of a post-insertion state restricted to the old
-/// signals equals the code of its ancestor.  Two states of the new graph can
-/// therefore share a (full) code only if their ancestors shared a code —
-/// i.e. descend from the same old bucket — and a bucket of the new graph
-/// with two or more members descends either from an old bucket with two or
-/// more members or from a split state (whose two copies share an ancestor).
-/// Re-bucketing only the states with dirty ancestor codes thus enumerates
-/// *exactly* the conflicts a from-scratch [`conflict_pairs_with`] pass would
-/// find; the test-suite asserts this equality after every insertion.
-///
-/// `clash_codes` receives the codes shared by two or more states of the new
-/// graph, i.e. the dirty-set seed for the *next* insertion.
-#[allow(clippy::too_many_arguments)]
-pub fn refresh_conflicts_after_insertion(
-    graph: &EncodedGraph,
-    origin: &[StateId],
-    old_codes: &[u64],
-    dirty: &FxHashSet<u64>,
-    scratch: &mut ConflictScratch,
-    out: &mut Vec<CscConflict>,
-    clash_codes: &mut FxHashSet<u64>,
-) {
-    debug_assert_eq!(origin.len(), graph.num_states());
-    scratch.reset();
-    for s in 0..graph.num_states() {
-        let s = StateId::from(s);
-        if dirty.contains(&old_codes[origin[s.index()].index()]) {
-            scratch.push(graph.code(s), s);
-        }
-    }
-    clash_codes.clear();
-    for slot in 0..scratch.used {
-        let states = &scratch.buckets[slot];
-        if states.len() >= 2 {
-            clash_codes.insert(graph.code(states[0]));
-        }
-    }
-    scratch.enumerate_conflicts(graph, out);
-}
-
-/// Returns `true` as soon as any CSC conflict exists (early-exit variant
-/// used for the termination check).
-///
-/// A bucket contains a conflicting pair exactly when not all of its enabled
-/// non-input masks are equal, i.e. when some mask differs from the first.
-pub fn has_conflict(graph: &EncodedGraph, scratch: &mut ConflictScratch) -> bool {
-    scratch.bucket_by_code(graph).iter().any(|states| {
-        let first = states.first().map(|&s| graph.enabled_non_input_mask(s));
-        states.iter().skip(1).any(|&b| Some(graph.enabled_non_input_mask(b)) != first)
-    })
-}
-
-/// Enumerates every pair of distinct states with equal codes (USC
-/// violations), whether or not they are CSC conflicts.
-pub fn code_clash_pairs(graph: &EncodedGraph) -> Vec<(StateId, StateId)> {
-    let mut scratch = ConflictScratch::new();
-    let mut pairs = Vec::new();
-    for states in scratch.bucket_by_code(graph) {
-        for i in 0..states.len() {
-            for j in (i + 1)..states.len() {
-                pairs.push((states[i], states[j]));
-            }
-        }
-    }
-    pairs.sort();
-    pairs
 }
 
 #[cfg(test)]
@@ -263,8 +60,8 @@ mod tests {
     fn handshake_has_no_conflicts() {
         let graph = graph_of(&benchmarks::handshake());
         assert!(conflict_pairs(&graph).is_empty());
-        assert!(code_clash_pairs(&graph).is_empty());
-        assert!(!has_conflict(&graph, &mut ConflictScratch::new()));
+        assert!(graph.unique_state_coding_holds());
+        assert!(graph.complete_state_coding_holds());
     }
 
     #[test]
@@ -277,7 +74,7 @@ mod tests {
             assert_ne!(graph.enabled_non_input_mask(c.a), graph.enabled_non_input_mask(c.b));
             assert!(c.a < c.b);
         }
-        assert!(has_conflict(&graph, &mut ConflictScratch::new()));
+        assert!(!graph.complete_state_coding_holds());
     }
 
     #[test]
@@ -305,8 +102,8 @@ mod tests {
         b.connect_cycle(&[ap, eps, am]);
         let graph = graph_of(&b.build().unwrap());
         assert!(conflict_pairs(&graph).is_empty());
-        assert_eq!(code_clash_pairs(&graph).len(), 1);
-        assert!(!has_conflict(&graph, &mut ConflictScratch::new()));
+        assert!(!graph.unique_state_coding_holds());
+        assert!(graph.complete_state_coding_holds());
     }
 
     #[test]
@@ -315,48 +112,8 @@ mod tests {
         let first = conflict_pairs(&graph);
         let second = conflict_pairs(&graph);
         assert_eq!(first, second);
-    }
-
-    #[test]
-    fn scratch_reuse_matches_fresh_runs() {
-        let mut scratch = ConflictScratch::new();
-        let mut out = Vec::new();
-        for model in [benchmarks::pulser(), benchmarks::handshake(), benchmarks::sequencer(4)] {
-            let graph = graph_of(&model);
-            conflict_pairs_with(&graph, &mut scratch, &mut out);
-            assert_eq!(out, conflict_pairs(&graph), "{}", model.name());
-            assert_eq!(!out.is_empty(), has_conflict(&graph, &mut scratch), "{}", model.name());
-        }
-    }
-
-    #[test]
-    fn code_index_answers_states_with_code_queries() {
-        let graph = graph_of(&benchmarks::pulser());
-        let mut scratch = ConflictScratch::new();
-        let mut out = Vec::new();
-        conflict_pairs_with(&graph, &mut scratch, &mut out);
-        for s in 0..graph.num_states() {
-            let s = StateId::from(s);
-            let bucket = scratch.states_with_code(graph.code(s));
-            assert!(bucket.contains(&s), "state {s} missing from its code bucket");
-        }
-        // A code no state carries yields the empty slice, not a panic.
-        assert!(scratch.states_with_code(u64::MAX).is_empty());
-    }
-
-    #[test]
-    fn shared_codes_match_clash_buckets() {
-        let graph = graph_of(&benchmarks::sequencer(3));
-        let mut scratch = ConflictScratch::new();
-        let mut out = Vec::new();
-        conflict_pairs_with(&graph, &mut scratch, &mut out);
-        let mut shared = FxHashSet::default();
-        scratch.shared_codes_into(&mut shared);
-        for (a, b) in code_clash_pairs(&graph) {
-            assert!(shared.contains(&graph.code(a)), "clash {a}/{b} code missing");
-        }
-        for &code in &shared {
-            assert!(scratch.states_with_code(code).len() >= 2);
-        }
+        assert!(first
+            .windows(2)
+            .all(|w| (w[0].code, w[0].a, w[0].b) < (w[1].code, w[1].a, w[1].b)));
     }
 }

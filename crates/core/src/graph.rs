@@ -78,12 +78,8 @@ impl EncodedGraph {
     }
 
     /// Returns `true` if Complete State Coding holds.
-    ///
-    /// Allocates a fresh scratch; the solver pipeline never calls this in
-    /// its loop (it maintains the conflict list incrementally), so the
-    /// convenience form is fine for assertions and reports.
     pub fn complete_state_coding_holds(&self) -> bool {
-        !crate::conflicts::has_conflict(self, &mut crate::conflicts::ConflictScratch::new())
+        crate::conflicts::conflict_pairs(self).is_empty()
     }
 
     /// Returns `true` if Unique State Coding holds (no two states share a

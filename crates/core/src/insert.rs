@@ -4,24 +4,7 @@
 use crate::partition::IPartition;
 use crate::{CscError, EncodedGraph};
 use stg::{Polarity, Signal, SignalId, SignalKind};
-use ts::{insert_event, InsertionStyle, StateId, StateSet};
-
-/// A state-signal insertion together with its state provenance.
-///
-/// The `origin` map is what makes incremental conflict maintenance
-/// possible: every state of the new graph descends from exactly one state
-/// of the pre-insertion graph (its pre- or post-copy under the two event
-/// insertions), and event insertion preserves the values of all existing
-/// signals, so the new state's code restricted to the old signals equals
-/// its ancestor's code.
-#[derive(Clone, Debug)]
-pub struct InsertedSignal {
-    /// The post-insertion encoded graph (reachable states only, codes
-    /// recomputed and validated).
-    pub graph: EncodedGraph,
-    /// For every state of `graph`, the pre-insertion state it descends from.
-    pub origin: Vec<StateId>,
-}
+use ts::{insert_event, StateSet};
 
 /// Inserts a new internal signal `name` whose rising transition has
 /// excitation region `partition.er_rise` and whose falling transition has
@@ -42,26 +25,9 @@ pub fn insert_state_signal(
     graph: &EncodedGraph,
     name: &str,
     partition: &IPartition,
-    style: InsertionStyle,
 ) -> Result<EncodedGraph, CscError> {
-    insert_state_signal_traced(graph, name, partition, style).map(|t| t.graph)
-}
-
-/// Like [`insert_state_signal`] but also returns the ancestor map from the
-/// states of the new graph back to the states of `graph`, for incremental
-/// conflict maintenance by the solver.
-///
-/// # Errors
-///
-/// Same as [`insert_state_signal`].
-pub fn insert_state_signal_traced(
-    graph: &EncodedGraph,
-    name: &str,
-    partition: &IPartition,
-    style: InsertionStyle,
-) -> Result<InsertedSignal, CscError> {
     // Insert the rising transition.
-    let rise = insert_event(&graph.ts, &partition.er_rise, &format!("{name}+"), style)?;
+    let rise = insert_event(&graph.ts, &partition.er_rise, &format!("{name}+"))?;
     // The pre-copies of the first insertion keep their original indices, so
     // the falling excitation region maps onto the same indices in the new,
     // larger system.
@@ -69,7 +35,7 @@ pub fn insert_state_signal_traced(
     for s in partition.er_fall.iter() {
         er_fall.insert(rise.pre_copy[s.index()]);
     }
-    let fall = insert_event(&rise.ts, &er_fall, &format!("{name}-"), style)?;
+    let fall = insert_event(&rise.ts, &er_fall, &format!("{name}-"))?;
 
     // Extend the signal table and the per-event edge table.
     let new_signal = SignalId::from(graph.signals.len());
@@ -81,44 +47,20 @@ pub fn insert_state_signal_traced(
     debug_assert_eq!(fall.event.index(), event_edges.len());
     event_edges.push(Some((new_signal, Polarity::Fall)));
 
-    // Drop any state the insertion left unreachable (possible with the
-    // `Early` style) and recompute all codes, which also checks consistency.
-    let (ts, old_of_new) = fall.ts.restricted_to_reachable();
-    // Ancestry: final state → state of `fall.ts` → state of `rise.ts` →
-    // state of the original graph.
-    let origin = old_of_new
-        .iter()
-        .map(|&in_fall| rise.origin[fall.origin[in_fall.index()].index()])
-        .collect();
+    // Drop any state the insertion left unreachable and recompute all
+    // codes, which also checks consistency.
+    let (ts, _) = fall.ts.restricted_to_reachable();
     let mut result = EncodedGraph { ts, codes: Vec::new(), signals, event_edges };
     result.codes = vec![0; result.ts.num_states()];
     result.recompute_codes(name)?;
-    Ok(InsertedSignal { graph: result, origin })
-}
-
-/// Convenience: the number of states of `graph` whose code equals `code`.
-///
-/// Iterative callers should prefer [`states_with_code_into`] (buffer reuse)
-/// or the code index a [`crate::ConflictScratch`] holds after a bucketing
-/// pass ([`crate::ConflictScratch::states_with_code`]).
-pub fn states_with_code(graph: &EncodedGraph, code: u64) -> Vec<StateId> {
-    let mut out = Vec::new();
-    states_with_code_into(graph, code, &mut out);
-    out
-}
-
-/// Collects the states of `graph` whose code equals `code` into `out`
-/// (cleared first, capacity retained across calls).
-pub fn states_with_code_into(graph: &EncodedGraph, code: u64, out: &mut Vec<StateId>) {
-    out.clear();
-    out.extend((0..graph.num_states()).map(StateId::from).filter(|&s| graph.code(s) == code));
+    Ok(result)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::conflicts::conflict_pairs;
-    use crate::search::{evaluate_block, find_best_block};
+    use crate::search::find_best_block;
     use regions::{bricks, RegionConfig};
     use stg::benchmarks;
     use ts::traces::projected_trace_equivalent;
@@ -134,8 +76,7 @@ mod tests {
         let all_bricks = bricks(&graph.ts, &RegionConfig::default());
         let best = find_best_block(&graph, &conflicts, &all_bricks, 4).unwrap();
         let part = best.partition.unwrap();
-        let new_graph =
-            insert_state_signal(&graph, "csc0", &part, InsertionStyle::Concurrent).unwrap();
+        let new_graph = insert_state_signal(&graph, "csc0", &part).unwrap();
         assert_eq!(new_graph.num_signals(), 3);
         assert!(new_graph.ts.num_states() > graph.ts.num_states());
         let remaining = conflict_pairs(&new_graph);
@@ -154,8 +95,7 @@ mod tests {
         let all_bricks = bricks(&graph.ts, &RegionConfig::default());
         let best = find_best_block(&graph, &conflicts, &all_bricks, 4).unwrap();
         let part = best.partition.unwrap();
-        let new_graph =
-            insert_state_signal(&graph, "csc0", &part, InsertionStyle::Concurrent).unwrap();
+        let new_graph = insert_state_signal(&graph, "csc0", &part).unwrap();
         assert!(new_graph.ts.is_deterministic());
         assert!(new_graph.ts.is_commutative());
         // Output signals that were persistent stay persistent.
@@ -178,24 +118,11 @@ mod tests {
         let graph = graph_of(&benchmarks::handshake());
         let block = StateSet::from_states(graph.num_states(), [ts::StateId(1)]);
         if let Some(part) = IPartition::from_block(&graph.ts, &block) {
-            match insert_state_signal(&graph, "z", &part, InsertionStyle::Concurrent) {
+            match insert_state_signal(&graph, "z", &part) {
                 Ok(g) => assert!(g.ts.is_deterministic()),
                 Err(CscError::InconsistentInsertion { .. }) => {}
                 Err(other) => panic!("unexpected error {other}"),
             }
         }
-    }
-
-    #[test]
-    fn states_with_code_lists_all_occurrences() {
-        let graph = graph_of(&benchmarks::pulser());
-        let evaluated = evaluate_block(
-            &graph,
-            &conflict_pairs(&graph),
-            &StateSet::from_states(graph.num_states(), [ts::StateId(0)]),
-        );
-        let _ = evaluated; // evaluation of a tiny block must not panic
-        let zero_states = states_with_code(&graph, 0);
-        assert_eq!(zero_states.len(), 2);
     }
 }

@@ -26,14 +26,9 @@
 //!    concurrency of the inserted signal and re-synthesizing a Petri net so
 //!    the designer gets an STG back rather than a flat state graph.
 //!
-//! The iteration is organised as a staged pipeline owned by a
-//! [`SolverContext`] ([`context`]) that lives across insertion iterations:
-//! it holds the [`ConflictScratch`] (code buckets + mask buffer, doubling
-//! as the code → states index), maintains the conflict list *incrementally*
-//! after each insertion — only states descending from shared or split codes
-//! are re-bucketed, never the whole graph; see
-//! [`conflicts::refresh_conflicts_after_insertion`] for the invariant.
-//! Per-stage wall-clock times and candidate counters are reported in
+//! The iteration is one plain loop ([`solve_state_graph`]) that recomputes
+//! the conflict pairs from scratch after every insertion.  Per-stage
+//! wall-clock times and candidate counters are reported in
 //! [`SolveStats::stage`].
 //!
 //! An excitation-region-only baseline in the style of ASSASSIN
@@ -57,7 +52,6 @@
 #![warn(missing_docs)]
 
 pub mod conflicts;
-pub mod context;
 mod error;
 mod graph;
 pub mod insert;
@@ -66,14 +60,10 @@ pub mod search;
 pub mod solver;
 pub mod symbolic;
 
-pub use conflicts::{
-    conflict_pairs, conflict_pairs_with, refresh_conflicts_after_insertion, ConflictScratch,
-    CscConflict,
-};
-pub use context::SolverContext;
+pub use conflicts::{conflict_pairs, CscConflict};
 pub use error::CscError;
 pub use graph::EncodedGraph;
-pub use insert::{insert_state_signal, insert_state_signal_traced, InsertedSignal};
+pub use insert::insert_state_signal;
 pub use partition::IPartition;
 pub use search::{find_best_block, find_best_block_with, CandidateSource, Cost, SearchStats};
 pub use solver::{

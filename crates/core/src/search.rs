@@ -542,6 +542,9 @@ mod tests {
         let part = best.partition.unwrap();
         assert!(!part.er_rise.is_empty());
         assert!(!part.er_fall.is_empty());
+        // Scoring a one-state block must not panic.
+        let single = StateSet::from_states(graph.num_states(), [ts::StateId(0)]);
+        let _ = evaluate_block(&graph, &conflicts, &single);
     }
 
     #[test]

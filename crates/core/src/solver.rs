@@ -8,23 +8,29 @@
 //! end the solver optionally re-synthesizes a Petri net from the encoded
 //! state graph so the result can be handed back to the designer as an STG —
 //! the feature the paper singles out as distinguishing `petrify` from
-//! earlier tools.
-//!
-//! The iteration itself lives in [`crate::SolverContext`] (see
-//! [`crate::context`]): a staged pipeline that owns the conflict scratch
-//! and candidate arenas across iterations, maintains the conflict list
-//! incrementally after each insertion, and scores candidate blocks one
-//! after another.  [`solve_state_graph`] is a thin loop over that context.
+//! earlier tools.  [`solve_state_graph`] is that loop.
 
-use crate::context::SolverContext;
+use crate::conflicts::conflict_pairs;
 use crate::graph::EncodedGraph;
-use crate::search::CandidateSource;
+use crate::insert::insert_state_signal;
+use crate::search::{
+    enlarge_concurrency, excitation_region_bricks, find_best_block_with, CandidateSource,
+    SearchStats,
+};
 use crate::CscError;
-use regions::RegionConfig;
+use regions::{bricks, synthesize_net, RegionConfig};
 use std::fmt;
-use std::time::Duration;
-use stg::{Polarity, SignalKind, StateGraph, Stg};
-use ts::InsertionStyle;
+use std::time::{Duration, Instant};
+use stg::{Polarity, SignalKind, StateGraph, Stg, TransitionLabel};
+
+/// Name prefix of the inserted state signals: both solvers name them
+/// `csc0`, `csc1`, … (the symbolic one skips names the model already uses).
+pub(crate) const SIGNAL_PREFIX: &str = "csc";
+
+/// Milliseconds elapsed since `t`, as a fraction.
+pub(crate) fn ms_since(t: Instant) -> f64 {
+    t.elapsed().as_secs_f64() * 1e3
+}
 
 /// Configuration of the CSC solver.
 #[derive(Clone, Debug)]
@@ -40,18 +46,12 @@ pub struct SolverConfig {
     /// paper's method, excitation regions only for the ASSASSIN-style
     /// baseline).
     pub candidate_source: CandidateSource,
-    /// The event-insertion scheme.
-    pub insertion_style: InsertionStyle,
     /// Whether to greedily enlarge the concurrency of every inserted signal
     /// (step 4 of the algorithm).
     pub enlarge_concurrency: bool,
-    /// Region-generation limits.
-    pub region_config: RegionConfig,
     /// Whether to attempt Petri-net re-synthesis of the final state graph.
     pub resynthesize: bool,
-    /// Name prefix of inserted signals (`csc` gives `csc0`, `csc1`, …).
-    pub signal_prefix: String,
-    /// Optional resource governor.  The explicit pipeline allocates no BDD
+    /// Optional resource governor.  The explicit solver allocates no BDD
     /// nodes, so only the wall-clock deadline and cooperative cancellation
     /// are honoured (checked between solver stages); node and step
     /// ceilings govern the symbolic engines.
@@ -65,11 +65,8 @@ impl Default for SolverConfig {
             max_signals: 24,
             max_states: 1_000_000,
             candidate_source: CandidateSource::RegionBricks,
-            insertion_style: InsertionStyle::Concurrent,
             enlarge_concurrency: false,
-            region_config: RegionConfig::default(),
             resynthesize: true,
-            signal_prefix: "csc".to_owned(),
             budget: None,
         }
     }
@@ -86,8 +83,7 @@ impl SolverConfig {
 /// Per-stage breakdown of a solver run, accumulated across iterations.
 #[derive(Copy, Clone, Debug, Default, PartialEq)]
 pub struct StageStats {
-    /// Milliseconds spent detecting/maintaining CSC conflicts (the initial
-    /// full pass plus one incremental refresh per insertion).
+    /// Milliseconds spent detecting CSC conflicts (one pass per iteration).
     pub conflict_ms: f64,
     /// Milliseconds spent building bricks and running the frontier search.
     pub search_ms: f64,
@@ -191,11 +187,6 @@ pub fn solve_stg(model: &Stg, config: &SolverConfig) -> Result<CscSolution, CscE
 /// Solves CSC on a binary-coded state graph by iterative state-signal
 /// insertion.
 ///
-/// This is a thin loop over [`SolverContext`]: construct the context, step
-/// it until no conflict remains, and take the solution.  Callers that want
-/// per-iteration control (inspecting conflicts between insertions, custom
-/// stopping rules) can drive the context directly.
-///
 /// # Errors
 ///
 /// * [`CscError::NoCandidate`] if no valid insertion block can be found for
@@ -203,11 +194,107 @@ pub fn solve_stg(model: &Stg, config: &SolverConfig) -> Result<CscSolution, CscE
 /// * [`CscError::SignalLimitReached`] if the configured signal budget is
 ///   exhausted,
 /// * [`CscError::InconsistentInsertion`] if a selected insertion produces an
-///   inconsistent encoding (indicates an internal invariant violation).
+///   inconsistent encoding (indicates an internal invariant violation),
+/// * [`CscError::Budget`] if the budget's deadline passes or it is
+///   cancelled (checked before each search and after it).
 pub fn solve_state_graph(sg: &StateGraph, config: &SolverConfig) -> Result<CscSolution, CscError> {
-    let mut context = SolverContext::new(sg, config);
-    context.run()?;
-    Ok(context.finish())
+    let started = Instant::now();
+    let mut graph = EncodedGraph::from_state_graph(sg);
+    let mut inserted = Vec::new();
+    let mut stats = SolveStats { initial_states: graph.num_states(), ..SolveStats::default() };
+    loop {
+        let t = Instant::now();
+        let conflicts = conflict_pairs(&graph);
+        stats.stage.conflict_ms += ms_since(t);
+        if inserted.is_empty() {
+            stats.initial_conflicts = conflicts.len();
+        }
+        if conflicts.is_empty() {
+            break;
+        }
+        // The explicit solver allocates no BDD nodes, so only the deadline
+        // and the cancel flag apply here.
+        if let Some(budget) = &config.budget {
+            budget.set_stage("explicit-solver");
+            budget.check_deadline()?;
+        }
+        if inserted.len() >= config.max_signals {
+            return Err(CscError::SignalLimitReached {
+                limit: config.max_signals,
+                remaining_conflicts: conflicts.len(),
+            });
+        }
+
+        // Search: the brick set plus the Fig. 4 frontier search.
+        let t = Instant::now();
+        let brick_set = match config.candidate_source {
+            CandidateSource::RegionBricks => {
+                // Region bricks (minimal regions and pre-/post-region
+                // intersections, Property 3.1 P1/P3) plus the excitation- and
+                // switching-region bricks (P2).
+                let mut set = bricks(&graph.ts, &RegionConfig::default());
+                set.extend(excitation_region_bricks(&graph));
+                set
+            }
+            CandidateSource::ExcitationRegions => excitation_region_bricks(&graph),
+        };
+        let mut search = SearchStats::default();
+        let best = find_best_block_with(
+            &graph,
+            &conflicts,
+            &brick_set,
+            config.frontier_width,
+            &mut search,
+        )
+        .ok_or(CscError::NoCandidate { remaining_conflicts: conflicts.len() })?;
+        stats.stage.search_ms += ms_since(t);
+        stats.stage.candidates_evaluated += search.evaluated;
+        stats.stage.candidates_pruned += search.pruned;
+        // The search is the long pole of an iteration; re-check the
+        // deadline before the insertion.
+        if let Some(budget) = &config.budget {
+            budget.check_deadline()?;
+        }
+
+        let t = Instant::now();
+        let mut partition = best.partition.expect("winning candidates carry a partition");
+        if config.enlarge_concurrency {
+            partition = enlarge_concurrency(&graph, &conflicts, &partition, &brick_set);
+        }
+        stats.stage.partition_ms += ms_since(t);
+
+        let t = Instant::now();
+        let name = format!("{SIGNAL_PREFIX}{}", inserted.len());
+        graph = insert_state_signal(&graph, &name, &partition)?;
+        stats.stage.insert_ms += ms_since(t);
+        inserted.push(name);
+        stats.iterations += 1;
+    }
+    stats.final_states = graph.num_states();
+    stats.elapsed = started.elapsed();
+    let stg = if config.resynthesize { resynthesize(&graph, sg) } else { None };
+    Ok(CscSolution { graph, inserted_signals: inserted, stats, stg })
+}
+
+/// Attempts to re-synthesize an STG (Petri net plus signal labels) from the
+/// final encoded state graph, named after the source's first signal.
+/// Returns `None` when the state graph is not excitation closed (label
+/// splitting would be required).
+fn resynthesize(graph: &EncodedGraph, source: &StateGraph) -> Option<Stg> {
+    let net = synthesize_net(&graph.ts, &RegionConfig::default()).ok()?.net;
+    // Net transitions are named after the events of the encoded graph
+    // ("lds+", "csc0-", …).
+    let labels = (0..net.num_transitions())
+        .map(|t| {
+            let event = graph.ts.event_id(net.transition_name(petri::TransId::from(t)))?;
+            Some(match graph.event_edges[event.index()] {
+                Some((signal, polarity)) => TransitionLabel::Edge { signal, polarity },
+                None => TransitionLabel::Dummy,
+            })
+        })
+        .collect::<Option<Vec<_>>>()?;
+    let name = format!("csc_{}", source.signals().first().map_or("model", |s| s.name.as_str()));
+    Stg::from_labelled_net(net, graph.signals.clone(), labels, name).ok()
 }
 
 /// One verification problem found by [`verify_solution`].

@@ -1,7 +1,7 @@
 //! Fully symbolic CSC resolution: state-signal insertion without the
 //! explicit state graph.
 //!
-//! The explicit pipeline ([`crate::SolverContext`]) enumerates every
+//! The explicit solver ([`crate::solve_state_graph`]) enumerates every
 //! reachable state, packs codes into 64-bit words and manipulates
 //! [`ts::StateSet`] bit vectors — which caps it at 64 signals and makes it
 //! pay for the full state count.  This module re-expresses each stage of
@@ -42,7 +42,7 @@
 //! with more than 64 signals — impossible for the explicit solver even to
 //! represent — are solved end to end.
 
-use crate::solver::{SolveStats, SolverConfig};
+use crate::solver::{ms_since, SolveStats, SolverConfig, SIGNAL_PREFIX};
 use crate::CscError;
 use bdd::{Bdd, BddManager, FxHashMap, FxHashSet, VarId};
 use petri::{PetriNetBuilder, TransId};
@@ -58,10 +58,10 @@ use stg::{
 /// holds; they differ in representation, capacity and hand-back format.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub enum SolverStrategy {
-    /// The staged explicit pipeline over the enumerated state graph
-    /// ([`crate::SolverContext`]).  Exact conflict-pair counts, region
-    /// bricks, parallel candidate evaluation — but capped at 64 signals and
-    /// paying for every reachable state.
+    /// The explicit solver over the enumerated state graph
+    /// ([`crate::solve_state_graph`]).  Exact conflict pairs and region
+    /// bricks, but capped at 64 signals and paying for every reachable
+    /// state.
     Explicit,
     /// The BDD pipeline of [`crate::symbolic`] (this module): reachability,
     /// conflict cores, block search and insertion all symbolic, no signal
@@ -278,7 +278,7 @@ pub fn solve_space(
         // explicit search's secondary-conflict fallback).
         let current_total = it.total_conflict_pairs();
         let current_markings = it.markings_without(&(0..0));
-        let name = fresh_signal_name(&current, &config.signal_prefix);
+        let name = fresh_signal_name(&current);
         set_stage("candidate-search");
         // The rebuilt net's reachability is a sub-step of candidate
         // verification: label its budget trips accordingly.
@@ -370,10 +370,6 @@ pub fn solve_space(
     }
 }
 
-fn ms_since(t: Instant) -> f64 {
-    t.elapsed().as_secs_f64() * 1e3
-}
-
 fn saturating_usize(count: f64) -> usize {
     if count >= usize::MAX as f64 {
         usize::MAX
@@ -382,11 +378,11 @@ fn saturating_usize(count: f64) -> usize {
     }
 }
 
-/// The first `{prefix}{i}` not already in the signal table.
-fn fresh_signal_name(stg: &Stg, prefix: &str) -> String {
+/// The first `csc{i}` not already in the signal table.
+fn fresh_signal_name(stg: &Stg) -> String {
     let mut i = stg.internal_signals().len();
     loop {
-        let name = format!("{prefix}{i}");
+        let name = format!("{SIGNAL_PREFIX}{i}");
         if stg.signal_id(&name).is_none() {
             return name;
         }

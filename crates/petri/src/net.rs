@@ -102,11 +102,6 @@ impl PetriNet {
         &self.trans_names[trans.index()]
     }
 
-    /// All transition names indexed by [`TransId`].
-    pub fn transition_names(&self) -> &[String] {
-        &self.trans_names
-    }
-
     /// Looks up a transition by name.
     pub fn transition_id(&self, name: &str) -> Option<TransId> {
         self.trans_names.iter().position(|n| n == name).map(TransId::from)
@@ -179,15 +174,6 @@ impl PetriNet {
         Ok(next)
     }
 
-    /// Returns `true` if the net structure is *pure* (no self-loop between a
-    /// place and a transition).
-    pub fn is_pure(&self) -> bool {
-        (0..self.num_transitions()).all(|t| {
-            let t = TransId::from(t);
-            self.pre[t.index()].iter().all(|p| !self.post[t.index()].contains(p))
-        })
-    }
-
     /// Returns `true` if every place has at most one consumer and at most one
     /// producer (the net is a *marked graph*: no choice, only concurrency).
     pub fn is_marked_graph(&self) -> bool {
@@ -208,32 +194,6 @@ impl PetriNet {
             }
         }
         true
-    }
-
-    /// A Graphviz dot rendering of the net, useful for debugging and
-    /// documentation.
-    pub fn to_dot(&self) -> String {
-        let mut out = String::from("digraph petri {\n  rankdir=LR;\n");
-        for (i, name) in self.place_names.iter().enumerate() {
-            let marked =
-                if self.initial.is_marked(PlaceId::from(i)) { ", style=filled" } else { "" };
-            out.push_str(&format!("  p{i} [label=\"{name}\", shape=circle{marked}];\n"));
-        }
-        for (i, name) in self.trans_names.iter().enumerate() {
-            out.push_str(&format!("  t{i} [label=\"{name}\", shape=box];\n"));
-        }
-        for (t, places) in self.pre.iter().enumerate() {
-            for p in places {
-                out.push_str(&format!("  p{} -> t{};\n", p.index(), t));
-            }
-        }
-        for (t, places) in self.post.iter().enumerate() {
-            for p in places {
-                out.push_str(&format!("  t{} -> p{};\n", t, p.index()));
-            }
-        }
-        out.push_str("}\n");
-        out
     }
 }
 
@@ -285,7 +245,6 @@ mod tests {
         let p3 = net.place_id("p3").unwrap();
         assert_eq!(net.place_preset(p3).len(), 1);
         assert_eq!(net.place_postset(p3).len(), 1);
-        assert!(net.is_pure());
         assert!(net.is_marked_graph());
         assert!(net.is_free_choice());
     }
@@ -324,15 +283,6 @@ mod tests {
         let net = b.build().unwrap();
         let err = net.fire(net.initial_marking(), net.transition_id("t").unwrap()).unwrap_err();
         assert!(matches!(err, crate::PetriError::NotSafe { .. }));
-    }
-
-    #[test]
-    fn dot_output_mentions_every_node() {
-        let net = fig1_net();
-        let dot = net.to_dot();
-        assert!(dot.contains("label=\"a\""));
-        assert!(dot.contains("label=\"p5\""));
-        assert!(dot.contains("->"));
     }
 
     #[test]

@@ -99,11 +99,6 @@ impl PetriNet {
             Err(other) => Err(other),
         }
     }
-
-    /// Counts the reachable markings (bounded by `max_states`).
-    pub fn count_reachable_markings(&self, max_states: usize) -> Result<usize, PetriError> {
-        Ok(self.reachability_graph(max_states)?.markings.len())
-    }
 }
 
 #[cfg(test)]
@@ -131,7 +126,6 @@ mod tests {
         assert_eq!(rg.markings.len(), 4);
         assert_eq!(rg.state_of(net.initial_marking()), Some(ts::StateId(0)));
         assert!(net.is_safe(100).unwrap());
-        assert_eq!(net.count_reachable_markings(100).unwrap(), 4);
     }
 
     #[test]

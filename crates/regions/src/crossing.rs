@@ -1,6 +1,6 @@
 //! Crossing relations, the region predicate and SIP-set checking.
 
-use ts::{insert_event, EventId, InsertionStyle, StateSet, TransitionSystem};
+use ts::{insert_event, EventId, StateSet, TransitionSystem};
 
 /// How an event relates to a set of states (paper §2.2).
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
@@ -67,7 +67,7 @@ pub fn is_sip_set(ts: &TransitionSystem, set: &StateSet) -> bool {
     if set.is_empty() || set.len() == ts.num_states() {
         return false;
     }
-    let Ok(outcome) = insert_event(ts, set, "__sip_probe__", InsertionStyle::Concurrent) else {
+    let Ok(outcome) = insert_event(ts, set, "__sip_probe__") else {
         return false;
     };
     let new_ts = &outcome.ts;

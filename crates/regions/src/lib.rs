@@ -48,8 +48,5 @@ pub mod synthesis;
 
 pub use bricks::{adjacent_bricks, bricks, Brick, BrickKind};
 pub use crossing::{event_crossing, is_region, is_sip_set, Crossing};
-pub use minimal::{
-    minimal_post_regions, minimal_pre_regions, minimal_regions, minimal_regions_containing,
-    RegionConfig,
-};
+pub use minimal::{minimal_post_regions, minimal_pre_regions, minimal_regions, RegionConfig};
 pub use synthesis::{excitation_closure_failures, synthesize_net, SynthesisError, SynthesizedNet};

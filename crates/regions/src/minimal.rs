@@ -43,8 +43,6 @@ enum Forced {
     Exit(EventId),
     /// The event must enter the region (post-region).
     Enter(EventId),
-    /// No constraint.
-    None,
 }
 
 /// All minimal pre-regions of `event`: minimal regions that `event` exits.
@@ -97,22 +95,6 @@ pub fn minimal_regions(ts: &TransitionSystem, config: &RegionConfig) -> Vec<Stat
         }
     }
     result
-}
-
-/// All minimal regions containing the given seed set (no constraint on how
-/// any particular event crosses them).
-///
-/// Used by the CSC solver to turn an arbitrary candidate block into the
-/// nearest enclosing speed-independence-preserving sets.
-pub fn minimal_regions_containing(
-    ts: &TransitionSystem,
-    seed: &StateSet,
-    config: &RegionConfig,
-) -> Vec<StateSet> {
-    if seed.is_empty() {
-        return Vec::new();
-    }
-    expand(ts, seed.clone(), Forced::None, config)
 }
 
 /// Expands `seed` into all minimal regions satisfying the `forced`
@@ -174,7 +156,6 @@ fn first_violation(ts: &TransitionSystem, set: &StateSet, forced: Forced) -> Opt
                 return Some(e);
             }
         }
-        Forced::None => {}
     }
     (0..ts.num_events())
         .map(EventId::from)

@@ -120,19 +120,14 @@ impl Stg {
         &self.labels
     }
 
-    /// Ids of all input signals.
-    pub fn input_signals(&self) -> Vec<SignalId> {
-        self.signals_of_kind(SignalKind::Input)
-    }
-
-    /// Ids of all output signals.
-    pub fn output_signals(&self) -> Vec<SignalId> {
-        self.signals_of_kind(SignalKind::Output)
-    }
-
     /// Ids of all internal signals.
     pub fn internal_signals(&self) -> Vec<SignalId> {
-        self.signals_of_kind(SignalKind::Internal)
+        self.signals
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.kind == SignalKind::Internal)
+            .map(|(i, _)| SignalId::from(i))
+            .collect()
     }
 
     /// Ids of all non-input (circuit-driven) signals.
@@ -142,25 +137,6 @@ impl Stg {
             .enumerate()
             .filter(|(_, s)| s.kind.is_non_input())
             .map(|(i, _)| SignalId::from(i))
-            .collect()
-    }
-
-    fn signals_of_kind(&self, kind: SignalKind) -> Vec<SignalId> {
-        self.signals
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.kind == kind)
-            .map(|(i, _)| SignalId::from(i))
-            .collect()
-    }
-
-    /// All net transitions labelled with an edge of `signal`.
-    pub fn transitions_of_signal(&self, signal: SignalId) -> Vec<TransId> {
-        self.labels
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| matches!(l, TransitionLabel::Edge { signal: s, .. } if *s == signal))
-            .map(|(i, _)| TransId::from(i))
             .collect()
     }
 
@@ -249,11 +225,6 @@ impl StgBuilder {
     /// Declares an output signal.
     pub fn add_output(&mut self, name: impl Into<String>) -> SignalId {
         self.add_signal(name, SignalKind::Output)
-    }
-
-    /// Declares an internal signal.
-    pub fn add_internal(&mut self, name: impl Into<String>) -> SignalId {
-        self.add_signal(name, SignalKind::Internal)
     }
 
     /// Adds a transition labelled with an edge of `signal`.  Repeated edges
@@ -365,10 +336,7 @@ mod tests {
         assert_eq!(stg.stats(), (4, 4, 2));
         assert_eq!(stg.signal_id("z"), Some(z));
         assert_eq!(stg.signal(a).kind, SignalKind::Input);
-        assert_eq!(stg.input_signals(), vec![a]);
-        assert_eq!(stg.output_signals(), vec![z]);
         assert_eq!(stg.non_input_signals(), vec![z]);
-        assert_eq!(stg.transitions_of_signal(a).len(), 2);
         assert!(matches!(
             stg.label(ap),
             TransitionLabel::Edge { signal, polarity: Polarity::Rise } if signal == a

@@ -66,11 +66,6 @@ impl TransitionSystemBuilder {
         self.transitions.push(Transition { source, event, target });
     }
 
-    /// Adds a transition using an already-interned event id.
-    pub fn add_transition_by_id(&mut self, source: StateId, event: EventId, target: StateId) {
-        self.transitions.push(Transition { source, event, target });
-    }
-
     /// Number of states added so far.
     pub fn num_states(&self) -> usize {
         self.state_names.len()
@@ -134,16 +129,5 @@ mod tests {
         let s = b.add_state("s");
         b.add_transition(s, "", s);
         assert_eq!(b.build(s).unwrap_err(), TsError::EmptyEventName);
-    }
-
-    #[test]
-    fn transition_by_id_works() {
-        let mut b = TransitionSystemBuilder::new();
-        let s = b.add_state("s");
-        let t = b.add_state("t");
-        let e = b.add_event("ev");
-        b.add_transition_by_id(s, e, t);
-        let ts = b.build(s).unwrap();
-        assert_eq!(ts.successor(s, e), Some(t));
     }
 }

@@ -19,19 +19,6 @@
 
 use crate::{EventId, StateId, StateSet, Transition, TransitionSystem, TsError};
 
-/// How transitions internal to the insertion set are treated.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Default)]
-pub enum InsertionStyle {
-    /// The scheme of Fig. 2: internal transitions are duplicated before and
-    /// after the new event, making the new event concurrent with them.
-    #[default]
-    Concurrent,
-    /// Internal transitions only exist after the new event, forcing the new
-    /// event to fire as soon as the insertion set is entered (lower
-    /// concurrency, possibly faster logic for the other signals).
-    Early,
-}
-
 /// Result of inserting a new event into a transition system.
 #[derive(Clone, Debug)]
 pub struct InsertionOutcome {
@@ -39,23 +26,11 @@ pub struct InsertionOutcome {
     pub ts: TransitionSystem,
     /// The id of the inserted event in the new system.
     pub event: EventId,
-    /// For every new state, the original state it was derived from.
-    pub origin: Vec<StateId>,
-    /// For every new state, `true` if it is a post-event copy (the new event
-    /// has already fired on every path reaching it through the split).
-    pub after_event: Vec<bool>,
     /// For every original state, its pre-event copy in the new system.
     pub pre_copy: Vec<StateId>,
     /// For every original state, its post-event copy (only for states of the
     /// insertion set).
     pub post_copy: Vec<Option<StateId>>,
-}
-
-impl InsertionOutcome {
-    /// Number of states that were split (size of the insertion set).
-    pub fn split_count(&self) -> usize {
-        self.post_copy.iter().filter(|c| c.is_some()).count()
-    }
 }
 
 /// Inserts a new event `label` with insertion set `er` into `ts`.
@@ -68,7 +43,7 @@ impl InsertionOutcome {
 /// # Example
 ///
 /// ```
-/// use ts::{insert_event, InsertionStyle, StateSet, TransitionSystemBuilder};
+/// use ts::{insert_event, StateSet, TransitionSystemBuilder};
 ///
 /// let mut b = TransitionSystemBuilder::new();
 /// let s0 = b.add_state("s0");
@@ -79,7 +54,7 @@ impl InsertionOutcome {
 /// let ts = b.build(s0)?;
 ///
 /// let er = StateSet::from_states(ts.num_states(), [s1]);
-/// let out = insert_event(&ts, &er, "x", InsertionStyle::Concurrent)?;
+/// let out = insert_event(&ts, &er, "x")?;
 /// assert_eq!(out.ts.num_states(), 4);
 /// assert!(out.ts.event_id("x").is_some());
 /// # Ok::<(), ts::TsError>(())
@@ -88,7 +63,6 @@ pub fn insert_event(
     ts: &TransitionSystem,
     er: &StateSet,
     label: &str,
-    style: InsertionStyle,
 ) -> Result<InsertionOutcome, TsError> {
     if label.is_empty() {
         return Err(TsError::EmptyEventName);
@@ -99,8 +73,6 @@ pub fn insert_event(
 
     let n = ts.num_states();
     let mut state_names: Vec<String> = Vec::with_capacity(n + er.len());
-    let mut origin: Vec<StateId> = Vec::with_capacity(n + er.len());
-    let mut after_event: Vec<bool> = Vec::with_capacity(n + er.len());
     let mut pre_copy: Vec<StateId> = Vec::with_capacity(n);
     let mut post_copy: Vec<Option<StateId>> = vec![None; n];
 
@@ -110,14 +82,10 @@ pub fn insert_event(
         let old = StateId::from(i);
         pre_copy.push(StateId::from(state_names.len()));
         state_names.push(ts.state_name(old).to_owned());
-        origin.push(old);
-        after_event.push(false);
     }
     for s in er.iter() {
         post_copy[s.index()] = Some(StateId::from(state_names.len()));
         state_names.push(format!("{}~{}", ts.state_name(s), label));
-        origin.push(s);
-        after_event.push(true);
     }
 
     let mut event_names: Vec<String> = ts.event_names().to_vec();
@@ -148,13 +116,11 @@ pub fn insert_event(
             (true, true) => {
                 let post_src = post_copy[t.source.index()].expect("source in set");
                 let post_dst = post_copy[t.target.index()].expect("target in set");
-                if style == InsertionStyle::Concurrent {
-                    transitions.push(Transition {
-                        source: pre_copy[t.source.index()],
-                        event: t.event,
-                        target: pre_copy[t.target.index()],
-                    });
-                }
+                transitions.push(Transition {
+                    source: pre_copy[t.source.index()],
+                    event: t.event,
+                    target: pre_copy[t.target.index()],
+                });
                 transitions.push(Transition { source: post_src, event: t.event, target: post_dst });
             }
         }
@@ -169,7 +135,7 @@ pub fn insert_event(
 
     let initial = pre_copy[ts.initial().index()];
     let new_ts = TransitionSystem::from_parts(state_names, event_names, transitions, initial)?;
-    Ok(InsertionOutcome { ts: new_ts, event: new_event, origin, after_event, pre_copy, post_copy })
+    Ok(InsertionOutcome { ts: new_ts, event: new_event, pre_copy, post_copy })
 }
 
 #[cfg(test)]
@@ -208,9 +174,9 @@ mod tests {
         let ts = chain();
         let s1 = ts.state_id("s1").unwrap();
         let er = StateSet::from_states(ts.num_states(), [s1]);
-        let out = insert_event(&ts, &er, "x", InsertionStyle::Concurrent).unwrap();
+        let out = insert_event(&ts, &er, "x").unwrap();
         assert_eq!(out.ts.num_states(), 5);
-        assert_eq!(out.split_count(), 1);
+        assert_eq!(out.post_copy.iter().flatten().count(), 1);
         // a leads to the pre-copy, x to the post-copy, b leaves from the
         // post-copy.
         let x = out.ts.event_id("x").unwrap();
@@ -228,7 +194,7 @@ mod tests {
         let s1 = ts.state_id("s1").unwrap();
         let s2 = ts.state_id("s2").unwrap();
         let er = StateSet::from_states(ts.num_states(), [s1, s2]);
-        let out = insert_event(&ts, &er, "x", InsertionStyle::Concurrent).unwrap();
+        let out = insert_event(&ts, &er, "x").unwrap();
         assert!(out.ts.is_deterministic());
         assert!(out.ts.is_commutative());
         assert!(projected_trace_equivalent(&ts, &out.ts, &["x"]));
@@ -243,44 +209,20 @@ mod tests {
         let sa = ts.state_id("sa").unwrap();
         let s1 = ts.state_id("s1").unwrap();
         let er = StateSet::from_states(ts.num_states(), [sa, s1]);
-        let out = insert_event(&ts, &er, "csc0", InsertionStyle::Concurrent).unwrap();
+        let out = insert_event(&ts, &er, "csc0").unwrap();
         assert!(out.ts.is_deterministic());
         assert!(projected_trace_equivalent(&ts, &out.ts, &["csc0"]));
-    }
-
-    #[test]
-    fn early_style_forces_event_before_internal_transitions() {
-        let ts = chain();
-        let s1 = ts.state_id("s1").unwrap();
-        let s2 = ts.state_id("s2").unwrap();
-        let er = StateSet::from_states(ts.num_states(), [s1, s2]);
-        let out = insert_event(&ts, &er, "x", InsertionStyle::Early).unwrap();
-        // In the early style, the pre-copy of s1 has only the x transition.
-        let pre = out.pre_copy[s1.index()];
-        assert_eq!(out.ts.successors(pre).len(), 1);
-        assert_eq!(out.ts.event_name(out.ts.successors(pre)[0].0), "x");
-        // Trace equivalence still holds after hiding x.
-        assert!(projected_trace_equivalent(&ts, &out.ts, &["x"]));
     }
 
     #[test]
     fn degenerate_sets_are_rejected() {
         let ts = chain();
         let empty = StateSet::new(ts.num_states());
-        assert_eq!(
-            insert_event(&ts, &empty, "x", InsertionStyle::Concurrent).unwrap_err(),
-            TsError::DegenerateInsertionSet
-        );
+        assert_eq!(insert_event(&ts, &empty, "x").unwrap_err(), TsError::DegenerateInsertionSet);
         let full = StateSet::full(ts.num_states());
-        assert_eq!(
-            insert_event(&ts, &full, "x", InsertionStyle::Concurrent).unwrap_err(),
-            TsError::DegenerateInsertionSet
-        );
+        assert_eq!(insert_event(&ts, &full, "x").unwrap_err(), TsError::DegenerateInsertionSet);
         let some = StateSet::from_states(ts.num_states(), [ts.state_id("s1").unwrap()]);
-        assert_eq!(
-            insert_event(&ts, &some, "", InsertionStyle::Concurrent).unwrap_err(),
-            TsError::EmptyEventName
-        );
+        assert_eq!(insert_event(&ts, &some, "").unwrap_err(), TsError::EmptyEventName);
     }
 
     #[test]
@@ -288,26 +230,27 @@ mod tests {
         let ts = chain();
         let s0 = ts.state_id("s0").unwrap();
         let er = StateSet::from_states(ts.num_states(), [s0]);
-        let out = insert_event(&ts, &er, "x", InsertionStyle::Concurrent).unwrap();
+        let out = insert_event(&ts, &er, "x").unwrap();
         assert_eq!(out.ts.initial(), out.pre_copy[s0.index()]);
-        assert!(!out.after_event[out.ts.initial().index()]);
         let x = out.ts.event_id("x").unwrap();
         assert!(out.ts.is_enabled(out.ts.initial(), x));
     }
 
     #[test]
     fn origin_mapping_is_consistent() {
+        // Every original state keeps its index and name in its pre-copy, and
+        // exactly the members of the insertion set get a post-copy.
         let ts = diamond_cycle();
         let sa = ts.state_id("sa").unwrap();
         let er = StateSet::from_states(ts.num_states(), [sa]);
-        let out = insert_event(&ts, &er, "x", InsertionStyle::Concurrent).unwrap();
-        for (new_idx, old) in out.origin.iter().enumerate() {
-            let new_state = StateId::from(new_idx);
-            if out.after_event[new_idx] {
-                assert_eq!(out.post_copy[old.index()], Some(new_state));
-            } else {
-                assert_eq!(out.pre_copy[old.index()], new_state);
-            }
+        let out = insert_event(&ts, &er, "x").unwrap();
+        for (i, &pre) in out.pre_copy.iter().enumerate() {
+            let old = StateId::from(i);
+            assert_eq!(pre, old);
+            assert_eq!(out.ts.state_name(pre), ts.state_name(old));
+            assert_eq!(out.post_copy[i].is_some(), er.contains(old));
         }
+        let post = out.post_copy[sa.index()].unwrap();
+        assert_eq!(out.ts.state_name(post), "sa~x");
     }
 }

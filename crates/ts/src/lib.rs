@@ -64,7 +64,7 @@ pub mod traces;
 pub use builder::TransitionSystemBuilder;
 pub use error::TsError;
 pub use ids::{EventId, StateId};
-pub use insertion::{insert_event, InsertionOutcome, InsertionStyle};
+pub use insertion::{insert_event, InsertionOutcome};
 pub use properties::{CommutativityViolation, DeterminismViolation, PersistencyViolation};
 pub use state_set::{SetDedup, StateSet};
 pub use system::{Transition, TransitionSystem};

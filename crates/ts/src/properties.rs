@@ -164,11 +164,6 @@ impl TransitionSystem {
         }
         None
     }
-
-    /// All events that are persistent in the whole system.
-    pub fn persistent_events(&self) -> Vec<EventId> {
-        (0..self.num_events()).map(EventId::from).filter(|&e| self.is_persistent(e)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -198,7 +193,6 @@ mod tests {
         let b = ts.event_id("b").unwrap();
         assert!(ts.is_persistent(a));
         assert!(ts.is_persistent(b));
-        assert_eq!(ts.persistent_events().len(), 2);
     }
 
     #[test]

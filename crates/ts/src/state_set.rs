@@ -211,12 +211,6 @@ impl StateSet {
         self.words.iter().zip(&other.words).map(|(a, b)| (a & !b).count_ones() as usize).sum()
     }
 
-    /// `|self ∪ other|` without materialising the union.
-    pub fn union_count(&self, other: &StateSet) -> usize {
-        self.check_compat(other);
-        self.words.iter().zip(&other.words).map(|(a, b)| (a | b).count_ones() as usize).sum()
-    }
-
     /// Complements the set in place with respect to the full state universe.
     pub fn complement_in_place(&mut self) {
         for word in self.words.iter_mut() {
@@ -548,7 +542,6 @@ mod tests {
         assert_eq!(a.intersection_count(&b), a.intersection(&b).len());
         assert_eq!(a.difference_count(&b), a.difference(&b).len());
         assert_eq!(b.difference_count(&a), b.difference(&a).len());
-        assert_eq!(a.union_count(&b), a.union(&b).len());
         let disjoint = set(130, &[1, 2]);
         assert!(!a.intersects(&disjoint));
         assert_eq!(a.difference_count(&disjoint), a.len());

@@ -272,18 +272,6 @@ impl TransitionSystem {
         border
     }
 
-    /// States of `set` that have at least one incoming transition from a
-    /// state outside `set` — the *entry border*.
-    pub fn entry_border(&self, set: &StateSet) -> StateSet {
-        let mut border = StateSet::new(self.num_states());
-        for s in set.iter() {
-            if self.pred[s.index()].iter().any(|&(_, p)| !set.contains(p)) {
-                border.insert(s);
-            }
-        }
-        border
-    }
-
     /// Returns a copy of the system restricted to the states reachable from
     /// the initial state.  State ids are renumbered densely; the mapping from
     /// new ids to old ids is returned alongside.
@@ -320,17 +308,6 @@ impl TransitionSystem {
     /// Total number of transitions.
     pub fn num_transitions(&self) -> usize {
         self.transitions.len()
-    }
-
-    /// Returns the set of states with no outgoing transitions (deadlocks).
-    pub fn deadlock_states(&self) -> StateSet {
-        let mut set = StateSet::new(self.num_states());
-        for i in 0..self.num_states() {
-            if self.succ[i].is_empty() {
-                set.insert(StateId::from(i));
-            }
-        }
-        set
     }
 }
 
@@ -449,8 +426,8 @@ mod tests {
     fn reachability_and_deadlocks() {
         let ts = fig1_ts();
         assert_eq!(ts.reachable_states().len(), 7);
-        let dead = ts.deadlock_states();
-        assert_eq!(dead.len(), 2, "s6 and s7 have no successors");
+        let dead = (0..ts.num_states()).filter(|&s| ts.successors(StateId(s as u32)).is_empty());
+        assert_eq!(dead.count(), 2, "s6 and s7 have no successors");
     }
 
     #[test]
@@ -463,10 +440,10 @@ mod tests {
         let eb = ts.exit_border(&set);
         assert_eq!(eb.len(), 1);
         assert!(eb.contains(ts.state_id("s4").unwrap()));
-        let ent = ts.entry_border(&set);
-        assert_eq!(ent.len(), 2);
-        assert!(ent.contains(ts.state_id("s2").unwrap()));
-        assert!(ent.contains(ts.state_id("s3").unwrap()));
+        // The set is entered only from s1: the exit border of its complement.
+        let entered_from = ts.exit_border(&set.complement());
+        assert_eq!(entered_from.len(), 1);
+        assert!(entered_from.contains(ts.state_id("s1").unwrap()));
     }
 
     #[test]

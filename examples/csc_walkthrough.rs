@@ -3,8 +3,8 @@
 //!
 //! Part 1 drives one *explicit* solver iteration by hand — conflict pair
 //! found, candidate bricks, block chosen, I-partition derived, state
-//! signal inserted — then lets the staged [`csc::SolverContext`] pipeline
-//! run the same loop to completion.
+//! signal inserted — then lets [`csc::solve_state_graph`] run the same
+//! loop to completion.
 //!
 //! Part 2 repeats the whole exercise *symbolically*: the conflict is
 //! detected on reachability BDDs, the state signal is inserted directly
@@ -27,11 +27,10 @@
 //! which maps each stage printed here to the crate implementing it.
 
 use csc::{
-    conflict_pairs, find_best_block, insert_state_signal, solve_stg_symbolic, EncodedGraph,
-    SolverContext,
+    conflict_pairs, find_best_block, insert_state_signal, solve_state_graph, solve_stg_symbolic,
+    EncodedGraph,
 };
 use regions::{bricks, RegionConfig};
-use ts::InsertionStyle;
 
 pub fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The two-signal example used throughout the paper: the output pulses
@@ -65,8 +64,7 @@ pub fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    let region_config = RegionConfig::default();
-    let brick_set = bricks(&graph.ts, &region_config);
+    let brick_set = bricks(&graph.ts, &RegionConfig::default());
     println!("\n== bricks (candidate building blocks) ==");
     for brick in &brick_set {
         let names: Vec<&str> = brick.states.iter().map(|s| graph.ts.state_name(s)).collect();
@@ -88,7 +86,7 @@ pub fn main() -> Result<(), Box<dyn std::error::Error>> {
     show("stable 0 (S0)", &partition.s0);
     println!("  cost: {:?}", best.cost);
 
-    let encoded = insert_state_signal(&graph, "csc0", &partition, InsertionStyle::Concurrent)?;
+    let encoded = insert_state_signal(&graph, "csc0", &partition)?;
     println!("\n== after inserting csc0 ==");
     println!(
         "  {} states (was {}), CSC holds: {}",
@@ -105,24 +103,15 @@ pub fn main() -> Result<(), Box<dyn std::error::Error>> {
         conflict_pairs(&encoded).len()
     );
 
-    // The staged pipeline does exactly the above per iteration, maintaining
-    // the conflict list incrementally after each insertion; stepping it
-    // manually exposes the per-iteration state.
-    println!("\n== the SolverContext pipeline, stepped to completion ==");
-    let mut context = SolverContext::new(&sg, &csc::SolverConfig::default());
-    while !context.is_solved() {
-        let before = context.conflicts().len();
-        context.step()?;
-        println!(
-            "  inserted {:6}  conflicts {} -> {}",
-            context.inserted_signals().last().map(String::as_str).unwrap_or("-"),
-            before,
-            context.conflicts().len()
-        );
-    }
-    let stats = context.stats();
-    println!("  stages: {}", stats.stage);
-    let solution = context.finish();
+    // The solver runs exactly the above once per iteration, recomputing
+    // the conflicts after each insertion, until none remain.
+    println!("\n== the explicit solver, run to completion ==");
+    let solution = solve_state_graph(&sg, &csc::SolverConfig::default())?;
+    println!(
+        "  inserted {:?}; conflicts {} -> 0",
+        solution.inserted_signals, solution.stats.initial_conflicts
+    );
+    println!("  stages: {}", solution.stats.stage);
     println!("  CSC holds: {}", solution.graph.complete_state_coding_holds());
 
     // ------------------------------------------------------------------

@@ -48,39 +48,73 @@ fn verification_diagnostics_are_typed_categories() {
     }
 }
 
+/// What the explicit solver decided on one design.
+#[derive(Debug, PartialEq)]
+enum Decided {
+    /// Literals, inserted signals, final states, candidates evaluated and
+    /// candidates pruned.
+    Solved(usize, usize, usize, usize, usize),
+    /// The search found no block; the conflict pairs left.
+    NoCandidate(usize),
+}
+
 #[test]
 fn solved_benchmarks_have_implementable_logic() {
-    // The literal totals pin the quality of the covers: 400 over the suite.
-    let literals = [
-        ("handshake", 1),
-        ("pulser", 8),
-        ("vme_read", 17),
-        ("master_read_like", 17),
-        ("seq2", 15),
-        ("seq4", 37),
-        ("seq8", 81),
-        ("counter2", 58),
-        ("counter4", 132),
-        ("par4", 16),
-        ("par_hs2", 2),
-        ("pulser_bank2", 16),
+    // Pins every decision of the explicit solver under the region method
+    // and the excitation-region baseline.  The default literal totals pin
+    // the quality of the covers: 400 over the Table 2 suite.
+    use Decided::{NoCandidate, Solved};
+    let pins = [
+        ("handshake", Solved(1, 0, 4, 0, 0), Solved(1, 0, 4, 0, 0)),
+        ("pulser", Solved(8, 1, 8, 24, 33), Solved(8, 1, 8, 24, 7)),
+        ("vme_read", Solved(17, 1, 18, 91, 144), Solved(17, 1, 18, 91, 35)),
+        ("master_read_like", Solved(17, 2, 31, 211, 340), Solved(17, 2, 31, 211, 85)),
+        ("seq2", Solved(15, 2, 12, 91, 116), Solved(15, 2, 12, 91, 24)),
+        ("seq4", Solved(37, 3, 20, 298, 450), Solved(37, 3, 20, 199, 49)),
+        ("seq8", Solved(81, 5, 36, 1_261, 1_739), Solved(66, 4, 32, 355, 101)),
+        ("counter2", Solved(58, 7, 32, 578, 789), Solved(58, 7, 32, 578, 177)),
+        ("counter4", Solved(132, 21, 78, 3_347, 5_192), Solved(132, 21, 78, 3_165, 1_147)),
+        ("par4", Solved(16, 0, 34, 0, 0), Solved(16, 0, 34, 0, 0)),
+        ("par_hs2", Solved(2, 0, 16, 0, 0), Solved(2, 0, 16, 0, 0)),
+        ("pulser_bank2", Solved(16, 2, 64, 286, 478), Solved(16, 2, 64, 286, 112)),
+        ("pipe4_3", Solved(39, 2, 151, 773, 1_521), NoCandidate(64)),
     ];
-    let config = SolverConfig::default();
-    let suite = stg::benchmarks::table2_suite();
-    assert_eq!(suite.len(), literals.len());
-    for ((name, model, _), (pinned, expected)) in suite.into_iter().zip(literals) {
+    let mut suite = stg::benchmarks::table2_suite();
+    suite.push(("pipe4_3", stg::benchmarks::pipeline_4ph(3), false));
+    assert_eq!(suite.len(), pins.len());
+    let configs = [SolverConfig::default(), SolverConfig::excitation_region_baseline()];
+    for ((name, model, _), (pinned, region, baseline)) in suite.into_iter().zip(pins) {
         assert_eq!(name, pinned);
-        let solution = solve_stg(&model, &config).unwrap_or_else(|e| panic!("{name}: {e}"));
-        // The derived functions implement the truth tables of the solved
-        // graph: exact ON/OFF sets, and covers that separate them.
-        let functions = derive_next_state_functions(&solution.graph);
-        truth_table::check(name, &solution.graph, &functions);
-        let area = area_of_functions(&functions.unwrap_or_else(|e| panic!("{name}: {e}")));
-        assert_eq!(area.total_literals, expected, "{name}");
-        assert!(
-            output_persistency_violations(&solution.graph).is_empty(),
-            "{name} lost output persistency"
-        );
+        for (config, expected) in configs.iter().zip([region, baseline]) {
+            let decided = match solve_stg(&model, config) {
+                Ok(solution) => {
+                    // The derived functions implement the truth tables of
+                    // the solved graph: exact ON/OFF sets, and covers that
+                    // separate them.
+                    let functions = derive_next_state_functions(&solution.graph);
+                    truth_table::check(name, &solution.graph, &functions);
+                    let area =
+                        area_of_functions(&functions.unwrap_or_else(|e| panic!("{name}: {e}")));
+                    assert!(
+                        output_persistency_violations(&solution.graph).is_empty(),
+                        "{name} lost output persistency"
+                    );
+                    let stage = &solution.stats.stage;
+                    Solved(
+                        area.total_literals,
+                        solution.inserted_signals.len(),
+                        solution.stats.final_states,
+                        stage.candidates_evaluated,
+                        stage.candidates_pruned,
+                    )
+                }
+                Err(csc::CscError::NoCandidate { remaining_conflicts }) => {
+                    NoCandidate(remaining_conflicts)
+                }
+                Err(e) => panic!("{name}: {e}"),
+            };
+            assert_eq!(decided, expected, "{name}, {:?}", config.candidate_source);
+        }
     }
 }
 

@@ -24,7 +24,7 @@ use csc::{solve_stg, SolverConfig};
 use regions::{is_region, is_sip_set, minimal_regions, RegionConfig};
 use stg::{Polarity, StgBuilder};
 use ts::traces::projected_trace_equivalent;
-use ts::{insert_event, InsertionStyle, StateId, StateSet, TransitionSystem};
+use ts::{insert_event, StateId, StateSet, TransitionSystem};
 
 const CASES: u64 = 24;
 
@@ -143,7 +143,7 @@ fn insertion_over_regions_preserves_observable_traces() {
         let ts = ring_ts(ring_len);
         let states = (0..len).map(|k| StateId(((start + k) % ring_len) as u32));
         let arc = StateSet::from_states(ring_len, states);
-        let outcome = insert_event(&ts, &arc, "probe", InsertionStyle::Concurrent).unwrap();
+        let outcome = insert_event(&ts, &arc, "probe").unwrap();
         assert!(outcome.ts.is_deterministic(), "seed {seed}");
         assert!(outcome.ts.is_commutative(), "seed {seed}");
         assert!(projected_trace_equivalent(&ts, &outcome.ts, &["probe"]), "seed {seed}");
