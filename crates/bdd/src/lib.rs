@@ -30,6 +30,13 @@
 //!   one memoised pass, and [`BddManager::value_span`] projects a set onto
 //!   each variable in one read-only pass (a cube whose literal the span
 //!   excludes cannot meet the set),
+//! * pair questions need no second copy of the variables:
+//!   [`BddManager::tied_pair_count`] counts the pairs of `f × g` that agree
+//!   on a set of tied variables in one read-only walk over both operands,
+//!   equal bit for bit to the model count of the pair relation it never
+//!   builds,
+//! * the operation cache grows with its traffic: it doubles, keeping its
+//!   live entries, once it has taken eight times its size in stores,
 //! * satisfy-count, cube enumeration and memory/cache statistics
 //!   ([`BddManager::stats`]) round out the toolkit.
 //!

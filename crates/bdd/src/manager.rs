@@ -26,8 +26,11 @@
 //!   their yes/no answer as a terminal, and the three-operand test
 //!   `crossing` stores its exact four-bit mask in the result slot.  Entries
 //!   carry a generation tag: [`BddManager::clear_caches`] invalidates
-//!   every entry in O(1) by bumping the generation, and the cache is
-//!   re-sized (which also clears it) when the arena outgrows it.
+//!   every entry in O(1) by bumping the generation.  The cache grows with
+//!   its traffic, not with the arena: once it has taken eight times its
+//!   size in stores since its last resize it doubles (from 4,096 entries
+//!   up to 2²⁰), re-inserting its live entries, so a small arena that
+//!   serves many operations still gets a cache that fits them.
 //!   Collisions simply overwrite — stale results are only ever *missed*,
 //!   never returned, because the full key is stored and compared.
 //!
@@ -92,8 +95,6 @@ enum Op {
     Not = 3,
     /// `∃ cube. f` — keyed `(f, cube, -)`.
     Exists = 4,
-    /// Shift every even variable up by one — keyed `(f, -, -)`.
-    Prime = 6,
     /// `f` cofactored at every literal of a cube — keyed `(f, cube, -)`.
     RestrictCube = 7,
     /// Whether `f ∧ g` is satisfiable — keyed `(f, g, -)`, answered as a
@@ -221,11 +222,14 @@ const EMPTY_ENTRY: CacheEntry = CacheEntry { a: 0, b: 0, c: 0, result: 0, op: 0,
 /// `false` terminal for the unused operands (sound because `op` is part of
 /// the stored key).  The live generation starts at 1 and empty entries carry
 /// generation 0, so a fresh table never produces hits.  `clear` bumps the
-/// generation instead of touching the entries; `resize` reallocates
-/// (implicitly clearing).
+/// generation instead of touching the entries; `grow` doubles the table
+/// and carries the live entries over.
 struct ApplyCache {
     entries: Vec<CacheEntry>,
     generation: u32,
+    /// Stores since the table last grew: it doubles once they reach
+    /// [`STORES_PER_GROWTH`] times its size.
+    stores: usize,
     hits: u64,
     misses: u64,
 }
@@ -234,22 +238,32 @@ struct ApplyCache {
 const APPLY_CACHE_MIN: usize = 1 << 12;
 /// Apply-cache growth stops here: bounded memory even on huge state spaces.
 const APPLY_CACHE_MAX: usize = 1 << 20;
+/// The cache doubles once it has taken this many times its size in stores
+/// since it last grew.  On flowbench's three workloads 2 was slower and
+/// took more memory; 4, 8 and 16 timed within 3% of each other.
+const STORES_PER_GROWTH: usize = 8;
 
 impl ApplyCache {
     fn new(entries: usize) -> Self {
         debug_assert!(entries.is_power_of_two());
-        ApplyCache { entries: vec![EMPTY_ENTRY; entries], generation: 1, hits: 0, misses: 0 }
+        ApplyCache {
+            entries: vec![EMPTY_ENTRY; entries],
+            generation: 1,
+            stores: 0,
+            hits: 0,
+            misses: 0,
+        }
     }
 
     #[inline]
-    fn slot(&self, op: Op, a: NodeId, b: NodeId, c: NodeId) -> usize {
-        let h = fx_combine(fx_combine(fx_combine(op as u64, a.0 as u64), b.0 as u64), c.0 as u64);
+    fn slot(&self, op: u8, a: u32, b: u32, c: u32) -> usize {
+        let h = fx_combine(fx_combine(fx_combine(op as u64, a as u64), b as u64), c as u64);
         (h as usize) & (self.entries.len() - 1)
     }
 
     #[inline]
     fn lookup3(&mut self, op: Op, a: NodeId, b: NodeId, c: NodeId) -> Option<NodeId> {
-        let e = &self.entries[self.slot(op, a, b, c)];
+        let e = &self.entries[self.slot(op as u8, a.0, b.0, c.0)];
         let hit = e.generation == self.generation
             && e.op == op as u8
             && e.a == a.0
@@ -271,7 +285,7 @@ impl ApplyCache {
 
     #[inline]
     fn store3(&mut self, op: Op, a: NodeId, b: NodeId, c: NodeId, result: NodeId) {
-        let slot = self.slot(op, a, b, c);
+        let slot = self.slot(op as u8, a.0, b.0, c.0);
         self.entries[slot] = CacheEntry {
             a: a.0,
             b: b.0,
@@ -280,6 +294,12 @@ impl ApplyCache {
             op: op as u8,
             generation: self.generation,
         };
+        self.stores += 1;
+        if self.stores >= STORES_PER_GROWTH * self.entries.len()
+            && self.entries.len() < APPLY_CACHE_MAX
+        {
+            self.grow();
+        }
     }
 
     #[inline]
@@ -299,27 +319,32 @@ impl ApplyCache {
         };
     }
 
-    /// Grows (and thereby clears) the cache while the arena outpaces it.
-    fn grow_for(&mut self, nodes: usize) {
-        let wanted = nodes.next_power_of_two().clamp(APPLY_CACHE_MIN, APPLY_CACHE_MAX);
-        if wanted > self.entries.len() {
-            *self = ApplyCache::new(wanted);
+    /// Doubles the table and re-inserts its live entries.  Each entry lands
+    /// in its old slot or that slot plus the old size, so no two collide.
+    fn grow(&mut self) {
+        let doubled = vec![EMPTY_ENTRY; 2 * self.entries.len()];
+        let old = std::mem::replace(&mut self.entries, doubled);
+        for e in old.into_iter().filter(|e| e.generation == self.generation) {
+            let slot = self.slot(e.op, e.a, e.b, e.c);
+            self.entries[slot] = e;
         }
+        self.stores = 0;
     }
 }
 
 /// Reusable traversal state for the read-only analyses (`sat_count`,
-/// `sat_count_f64`, `size`, `support`).
+/// `sat_count_f64`, `tied_pair_count`, `size`, `support`).
 ///
 /// The satisfy-count memos are *persistent*: a node's count depends only on
 /// its (immutable) sub-DAG, so entries stay valid for the life of the
 /// manager and repeated counts over a growing reachable set share work.
-/// The visited set and stack are per-call scratch whose allocations are
-/// retained between calls.
+/// The pair memo, the visited set and the stack are per-call scratch whose
+/// allocations are retained between calls.
 #[derive(Default)]
 struct TraversalScratch {
     sat_u128: FxHashMap<NodeId, u128>,
     sat_f64: FxHashMap<NodeId, f64>,
+    pairs: FxHashMap<(NodeId, NodeId), f64>,
     visited: FxHashSet<NodeId>,
     stack: Vec<NodeId>,
 }
@@ -609,12 +634,6 @@ impl BddManager {
              terminals report TERMINAL_VAR)"
         );
         let id = self.unique.intern(&mut self.nodes, Node { var, low, high });
-        // Keep the (bounded) apply cache proportional to the arena.
-        if self.nodes.len() > self.cache.entries.len() * 4
-            && self.cache.entries.len() < APPLY_CACHE_MAX
-        {
-            self.cache.grow_for(self.nodes.len());
-        }
         self.charge_step();
         id
     }
@@ -1077,73 +1096,6 @@ impl BddManager {
         r
     }
 
-    /// Maps every *even* variable in `f`'s support to its odd successor
-    /// (`2i ↦ 2i + 1`), leaving odd variables in place.
-    ///
-    /// Under the interleaved current/next encoding this re-expresses a
-    /// current-state predicate over the next-state copies, which is how a
-    /// *pair* relation (e.g. the CSC conflict pairs between two reachable
-    /// states) is built: keep one operand on the current variables, `prime`
-    /// the other, and conjoin.  The map preserves the variable order, so the
-    /// result is built by a single structural traversal.
-    ///
-    /// ```
-    /// use bdd::BddManager;
-    ///
-    /// let mut m = BddManager::new(4);
-    /// let (x0, x2) = (m.var(0), m.var(2));
-    /// let cur = m.and(x0, x2);      // a predicate on the current copies
-    /// let primed = m.prime(cur);    // the same predicate on the next copies
-    /// let (x1, x3) = (m.var(1), m.var(3));
-    /// assert_eq!(primed, m.and(x1, x3));
-    /// // Conjoined with the original, it relates two states that both hold it.
-    /// let pairs = m.and(cur, primed);
-    /// assert_eq!(m.sat_count(pairs), 1);
-    /// ```
-    ///
-    /// # Panics
-    ///
-    /// `f` must not depend on both `2i` and `2i + 1` for any `i` — the two
-    /// would collide on the same level after the shift — and no variable of
-    /// `f`'s support may be the last manager variable (its odd successor
-    /// must exist).  Violations panic in release builds too: silently
-    /// interning an out-of-order node would corrupt canonicity for the whole
-    /// manager.
-    pub fn prime(&mut self, f: Bdd) -> Bdd {
-        Bdd(self.prime_rec(f.0))
-    }
-
-    fn prime_rec(&mut self, f: NodeId) -> NodeId {
-        if f.is_terminal() {
-            return f;
-        }
-        if self.tripped {
-            return NodeId::FALSE;
-        }
-        if let Some(r) = self.cache.lookup(Op::Prime, f, f) {
-            return r;
-        }
-        let n = self.node(f);
-        let low = self.prime_rec(n.low);
-        let high = self.prime_rec(n.high);
-        let var = n.var | 1;
-        assert!(
-            (var as usize) < self.num_vars,
-            "prime: variable {} has no odd successor in the manager",
-            n.var
-        );
-        assert!(
-            self.var_of(low) > var && self.var_of(high) > var,
-            "prime: input depends on both variables of the pair ({}, {var})",
-            var - 1
-        );
-        let r = self.mk(var, low, high);
-        if !self.tripped {
-            self.cache.store(Op::Prime, f, f, r);
-        }
-        r
-    }
-
     /// Returns `true` if `f ∧ g` is satisfiable, decided without building
     /// the conjunction: the recursion stops at the first satisfying path,
     /// and its answers are memoised as terminals.  Allocates no nodes.
@@ -1326,6 +1278,99 @@ impl BddManager {
         }
         let mut scratch = self.scratch.borrow_mut();
         density(self, f.0, &mut scratch.sat_f64) * 2f64.powi(self.num_vars as i32)
+    }
+
+    /// Number of pairs `(x, y)` of satisfying assignments, `x` of `f` and
+    /// `y` of `g`, that agree on every variable of `tied` (a positive cube,
+    /// [`Self::quant_cube`]), as a float.  With the signal variables of an
+    /// encoded state space tied, it counts the pairs of states of `f × g`
+    /// that carry one code — the pairs a CSC solver must separate.
+    ///
+    /// One read-only walk over `f` and `g` together, memoised per call on
+    /// the ordered pair: a tied variable steps both operands to the same
+    /// cofactor, `½·P₀₀ + ½·P₁₁`, and any other variable splits them,
+    /// `½·(½·P₀₀ + ½·P₀₁) + ½·(½·P₁₀ + ½·P₁₁)`; one power of two scales the
+    /// density at the end.  Built on paired variables (`x_v` at `2v`, `y_v`
+    /// at `2v + 1`), the pair relation `f(x) ∧ g(y) ∧ ⋀ x_v ↔ y_v` over the
+    /// tied `v` has these very densities in [`Self::sat_count_f64`]'s
+    /// recursion, halved once per tied level, and halving is exact; so the
+    /// count equals the relation's model count bit for bit, beyond 2⁵³ too,
+    /// without interning a node.  Charges no budget step.
+    ///
+    /// ```
+    /// use bdd::BddManager;
+    ///
+    /// let mut m = BddManager::new(2);
+    /// let (x0, x1) = (m.var(0), m.var(1));
+    /// let tied = m.quant_cube(&[1]);
+    /// // Pairs of x0's states and x1's that agree on variable 1: x = (1, 1)
+    /// // with y = (0, 1) or (1, 1), and x = (1, 0) with no y.
+    /// assert_eq!(m.tied_pair_count(x0, x1, tied), 2.0);
+    /// assert_eq!(m.tied_pair_count(x0, x0, m.top()), 4.0);
+    /// ```
+    pub fn tied_pair_count(&self, f: Bdd, g: Bdd, tied: Bdd) -> f64 {
+        debug_assert!(self.is_quant_cube(tied), "tied variables must be a positive cube");
+        let mut tied_vars = 0;
+        let mut rest = tied.0;
+        while !rest.is_terminal() {
+            tied_vars += 1;
+            rest = self.node(rest).high;
+        }
+        let mut scratch = self.scratch.borrow_mut();
+        let memo = &mut scratch.pairs;
+        memo.clear();
+        let density = self.tied_pair_density(f.0, g.0, tied.0, memo);
+        density * 2f64.powi((2 * self.num_vars - tied_vars) as i32)
+    }
+
+    /// The density of the tied pairs of `(f, g)` among all pairs, with every
+    /// tied variable counted once: see [`Self::tied_pair_count`].  `tied` is
+    /// the tied cube from some level above both roots down.
+    fn tied_pair_density(
+        &self,
+        f: NodeId,
+        g: NodeId,
+        mut tied: NodeId,
+        memo: &mut FxHashMap<(NodeId, NodeId), f64>,
+    ) -> f64 {
+        if f == NodeId::FALSE || g == NodeId::FALSE {
+            return 0.0;
+        }
+        if f == NodeId::TRUE && g == NodeId::TRUE {
+            return 1.0;
+        }
+        if let Some(&d) = memo.get(&(f, g)) {
+            return d;
+        }
+        let v = self.var_of(f).min(self.var_of(g));
+        while self.var_of(tied) < v {
+            tied = self.node(tied).high;
+        }
+        let (f0, f1) = self.cofactor_pair(f, v);
+        let (g0, g1) = self.cofactor_pair(g, v);
+        let d = if self.var_of(tied) == v {
+            let rest = self.node(tied).high;
+            0.5 * self.tied_pair_density(f0, g0, rest, memo)
+                + 0.5 * self.tied_pair_density(f1, g1, rest, memo)
+        } else {
+            // `½·P + ½·P` is `P` exactly, so an operand that does not test
+            // `v` is not split.
+            let mut split = |fi: NodeId| {
+                if g0 == g1 {
+                    self.tied_pair_density(fi, g0, tied, memo)
+                } else {
+                    0.5 * self.tied_pair_density(fi, g0, tied, memo)
+                        + 0.5 * self.tied_pair_density(fi, g1, tied, memo)
+                }
+            };
+            if f0 == f1 {
+                split(f0)
+            } else {
+                0.5 * split(f0) + 0.5 * split(f1)
+            }
+        };
+        memo.insert((f, g), d);
+        d
     }
 
     fn depth_below_root(&self, f: NodeId) -> u32 {
@@ -2135,47 +2180,138 @@ mod tests {
         assert!(!m.intersects(fs[0], fs[1]));
     }
 
-    #[test]
-    fn prime_shifts_even_variables_up() {
-        let mut m = BddManager::new(8);
-        let e0 = m.var(0);
-        let e2 = m.var(2);
-        let e4 = m.var(4);
-        let e02 = m.and(e0, e2);
-        let f = m.or(e02, e4);
-        let primed = m.prime(f);
-        let x1 = m.var(1);
-        let x3 = m.var(3);
-        let x5 = m.var(5);
-        let x13 = m.and(x1, x3);
-        let expected = m.or(x13, x5);
-        assert_eq!(primed, expected);
-        // The primed function reads on `2i + 1` what `f` reads on `2i`.
-        for bits in 0..256u32 {
-            let a: Vec<bool> = (0..8).map(|v| (bits >> v) & 1 != 0).collect();
-            let shifted: Vec<bool> = (0..8).map(|v| a[v & !1]).collect();
-            assert_eq!(m.eval(primed, &shifted), m.eval(f, &a), "assignment {bits:#010b}");
+    /// A union of `cubes` random cubes over `0..nv`, as literal lists: each
+    /// cube draws a sparsity `k` from `1..=12`, and each variable occurs in
+    /// it with probability `1/k`.  Cubes of very different sizes give
+    /// counts with many significant bits.
+    fn random_cube_lits(rng: &mut Rng, nv: u32, cubes: u64) -> Vec<Vec<(VarId, bool)>> {
+        let cube = |rng: &mut Rng| {
+            let sparsity = 1 + rng.next() % 12;
+            let mut lits = Vec::new();
+            for v in 0..nv {
+                if rng.next() % sparsity == 0 {
+                    lits.push((v, rng.next() % 2 == 0));
+                }
+            }
+            lits
+        };
+        (0..cubes).map(|_| cube(rng)).collect()
+    }
+
+    /// The union of the cubes `lits`, each variable `v` renamed `var(v)`.
+    fn cube_union(
+        m: &mut BddManager,
+        lits: &[Vec<(VarId, bool)>],
+        var: impl Fn(VarId) -> VarId,
+    ) -> Bdd {
+        let mut acc = m.bottom();
+        for cube in lits {
+            let renamed: Vec<(VarId, bool)> = cube.iter().map(|&(v, b)| (var(v), b)).collect();
+            let cube = m.cube_of(&renamed);
+            acc = m.or(acc, cube);
         }
-        // Odd-only functions are fixed points.
-        assert_eq!(m.prime(expected), expected);
-        // f depends on var 4, x5 on var 5 — the pair (4, 5) collides.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut m2 = BddManager::new(8);
-            let e4 = m2.var(4);
-            let x5 = m2.var(5);
-            let bad = m2.and(e4, x5);
-            m2.prime(bad)
-        }));
-        assert!(result.is_err(), "colliding pair must panic");
+        acc
     }
 
     #[test]
-    #[should_panic(expected = "no odd successor")]
-    fn prime_rejects_the_last_variable() {
-        // In a 3-variable manager the even variable 2 has no odd partner.
-        let mut m = BddManager::new(3);
-        let top_even = m.var(2);
-        let _ = m.prime(top_even);
+    fn tied_pair_counts_equal_the_paired_product_count_bit_for_bit() {
+        // The oracle builds the pair relation the kernel walks: `f` on the
+        // even variables of a manager twice as wide, `g` on the odd ones,
+        // and `2v ↔ 2v + 1` for every tied `v`, and counts it.
+        let mut rounded = 0;
+        for seed in 1500..1700u64 {
+            let mut rng = Rng(seed);
+            // Mostly wide, so that most counts run past 2^53.
+            let nv = if seed % 4 == 0 {
+                1 + (rng.next() % 63) as u32
+            } else {
+                40 + (rng.next() % 24) as u32
+            };
+            let operand = |rng: &mut Rng| match rng.next() % 10 {
+                0 => vec![Vec::new()],
+                1 => Vec::new(),
+                _ => {
+                    let cubes = 1 + rng.next() % 10;
+                    random_cube_lits(rng, nv, cubes)
+                }
+            };
+            let (fc, gc) = (operand(&mut rng), operand(&mut rng));
+            let gc = if rng.next() % 8 == 0 { fc.clone() } else { gc };
+            let tied: Vec<VarId> = match rng.next() % 6 {
+                0 => Vec::new(),
+                1 => (0..nv).collect(),
+                _ => (0..nv).filter(|_| rng.next() % 2 == 0).collect(),
+            };
+            let mut m = BddManager::new(nv as usize);
+            let (f, g) = (cube_union(&mut m, &fc, |v| v), cube_union(&mut m, &gc, |v| v));
+            let cube = m.quant_cube(&tied);
+            let nodes = m.num_nodes();
+            let count = m.tied_pair_count(f, g, cube);
+            assert_eq!(m.num_nodes(), nodes, "seed {seed}: the walk allocated nodes");
+            let mut p = BddManager::new(2 * nv as usize);
+            let fp = cube_union(&mut p, &fc, |v| 2 * v);
+            let gp = cube_union(&mut p, &gc, |v| 2 * v + 1);
+            let mut tie = p.top();
+            for &v in tied.iter().rev() {
+                let (x, y) = (p.var(2 * v), p.var(2 * v + 1));
+                let equal = p.iff(x, y);
+                tie = p.and(tie, equal);
+            }
+            let tied_g = p.and(gp, tie);
+            let product = p.and(fp, tied_g);
+            let oracle = p.sat_count_f64(product);
+            assert_eq!(count.to_bits(), oracle.to_bits(), "seed {seed}: {count} vs {oracle}");
+            // Past 2^53 the float rounds the exact count (over fewer than
+            // 128 variables, `sat_count` has it), and both sides must round
+            // alike.
+            if p.sat_count(product) != oracle as u128 {
+                rounded += 1;
+            }
+        }
+        assert!(rounded >= 15, "only {rounded} counts rounded past 2^53");
+    }
+
+    #[test]
+    fn the_op_cache_grows_with_its_stores_and_keeps_its_memoised_results() {
+        let nv = 16;
+        let mut m = BddManager::new(nv as usize);
+        let mut rng = Rng(21);
+        let (f, g) =
+            (random_cube_set(&mut m, &mut rng, nv, 6), random_cube_set(&mut m, &mut rng, nv, 6));
+        let fg = m.and(f, g);
+        let size = m.stats().cache_entries;
+        assert_eq!(size, APPLY_CACHE_MIN);
+        // One store short of the growth threshold, the next store (a
+        // one-node negation stores exactly one entry) doubles the cache.
+        m.cache.stores = STORES_PER_GROWTH * size - 1;
+        let x = m.var(nv - 1);
+        let _ = m.not(x);
+        assert_eq!(m.stats().cache_entries, 2 * size);
+        let before = m.stats();
+        assert_eq!(m.and(f, g), fg);
+        let after = m.stats();
+        assert_eq!(after.cache_hits, before.cache_hits + 1, "the grown cache lost the result");
+        assert_eq!(after.cache_misses, before.cache_misses);
+        // Clearing invalidates every entry, the re-inserted ones too.
+        let live =
+            |m: &BddManager| m.cache.entries.iter().any(|e| e.generation == m.cache.generation);
+        m.clear_caches();
+        assert!(!live(&m));
+        assert_eq!(m.and(f, g), fg);
+        assert!(m.stats().cache_misses > after.cache_misses, "a cleared entry was hit");
+        // So does a budget trip once it is taken.
+        assert!(live(&m));
+        poison(&mut m, nv);
+        m.take_budget_trip().expect("trip report present");
+        assert!(!live(&m));
+        // The cache stops doubling at its cap.
+        for _ in 0..24 {
+            m.cache.stores = usize::MAX / 2;
+            m.clear_caches();
+            let _ = m.and(f, g);
+            assert!(m.stats().cache_entries <= APPLY_CACHE_MAX);
+        }
+        assert_eq!(m.stats().cache_entries, APPLY_CACHE_MAX);
     }
 
     #[test]

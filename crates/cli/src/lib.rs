@@ -41,7 +41,7 @@ use logic::{analyze_space, area_of_functions, LogicDiagnostic, LogicError, Symbo
 use netlist::{NetlistError, NetlistVerification};
 use std::fmt;
 use std::time::{Duration, Instant};
-use stg::{ReachabilityConfig, Stg, StgError, SymbolicStateSpace};
+use stg::{ReachabilityConfig, Stg, SymbolicStateSpace};
 
 /// Options of the end-to-end flow.
 #[derive(Clone, Debug)]
@@ -492,8 +492,9 @@ pub fn render_stage_table(report: &FlowReport) -> String {
 /// # Errors
 ///
 /// * [`CscError::Stg`] when no seed labels the STG consistently (a signal
-///   barred twice, or a marking with two codes: [`StgError::Inconsistent`])
-///   or when a barred signal lies past bit 63 of the seed,
+///   barred twice, or a marking with two codes:
+///   [`stg::StgError::Inconsistent`]) or when a barred signal lies past
+///   bit 63 of the seed,
 /// * the symbolic solver's typed failures ([`CscError::NoCandidate`],
 ///   [`CscError::SignalLimitReached`], [`CscError::InconsistentInsertion`]),
 /// * the explicit pipeline's errors when it runs ungoverned.
@@ -612,11 +613,7 @@ fn symbolic_rung(
     start: Instant,
     established: &mut Established,
 ) -> Result<Option<Box<FlowReport>>, CscError> {
-    let (mut space, seed) =
-        model.seeded_encoded_state_space(options.initial_code, reach).map_err(|e| match e {
-            StgError::Budget(trip) => CscError::Budget(trip),
-            e => CscError::Stg(e),
-        })?;
+    let (mut space, seed) = model.seeded_encoded_state_space(options.initial_code, reach)?;
     // The space passed the seed guard: the count is the input's.
     established.states_f64 = Some(space.state_count_f64());
     let mut analysis = analyze_space(model, &mut space);
@@ -768,7 +765,10 @@ fn explicit_pipeline(
     start: Instant,
 ) -> Result<FlowReport, CscError> {
     let (places, transitions, signals) = model.stats();
-    let sg = model.state_graph(options.solver.max_states)?;
+    if let Some(budget) = budget {
+        budget.set_stage("explicit-reachability");
+    }
+    let sg = model.state_graph_within(options.solver.max_states, budget)?;
     let initial_graph = EncodedGraph::from_state_graph(&sg);
     let initial_conflicts = conflict_pairs(&initial_graph).len();
 
@@ -939,6 +939,7 @@ pub fn render_table(reports: &[FlowReport]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stg::StgError;
 
     #[test]
     fn flow_on_the_vme_controller() {
@@ -1261,6 +1262,40 @@ mod tests {
     }
 
     #[test]
+    fn the_explicit_rung_stops_exploring_at_the_flows_deadline() {
+        // The budget trips in reachability, before the symbolic rung counts
+        // the input's 4^16 states or decides CSC (so the conflict count
+        // stays unknown), and the explicit rung runs.  Its exploration
+        // polls the deadline and ends the ladder in the partial report,
+        // instead of failing at the 1,000,000-state cap seconds later.
+        let options = FlowOptions {
+            node_budget: Some(16_000),
+            timeout_ms: Some(1_000),
+            ..FlowOptions::default()
+        };
+        let start = Instant::now();
+        let report = run_flow(&stg::benchmarks::parallel_handshakes(16), &options).unwrap();
+        let elapsed = start.elapsed();
+        assert!(elapsed < Duration::from_millis(1_500), "{elapsed:?}");
+        assert_eq!(report.rung, FlowRung::PartialReport);
+        assert_eq!(report.initial_conflicts, None);
+        assert_eq!(
+            trail(&report),
+            vec![
+                (FlowRung::Symbolic, FlowRung::Explicit),
+                (FlowRung::Explicit, FlowRung::PartialReport),
+            ]
+        );
+        assert_eq!(report.degradations[0].stage, "reachability");
+        let last = report.degradations.last().unwrap();
+        assert!(
+            last.trigger.starts_with("budget exceeded in explicit-reachability"),
+            "{}",
+            last.trigger
+        );
+    }
+
+    #[test]
     fn a_partial_report_prints_the_state_count_its_symbolic_rung_established() {
         // The input's reachability and CSC analysis finish; the budget
         // trips later, in candidate search, and the 66 signals leave no
@@ -1276,23 +1311,19 @@ mod tests {
         assert!(text.contains("66 signals, 1.107e20 states"), "{text}");
         assert!(text.contains("0 state signal(s) inserted, unknown states, CSC not established"));
         assert!(text.contains("conflicts   : > 1.8e19 (saturated)"), "{text}");
-        // A trip before the decision leaves the count unknown: par_hs16
-        // trips in reachability.
-        let options = FlowOptions { node_budget: Some(16_000), ..FlowOptions::default() };
-        let report = run_flow(&stg::benchmarks::parallel_handshakes(16), &options).unwrap();
-        assert_eq!(report.degradations[0].stage, "reachability");
-        assert_eq!(report.initial_conflicts, None);
+        // A trip before the decision leaves the count unknown: see
+        // `the_explicit_rung_stops_exploring_at_the_flows_deadline`.
     }
 
     #[test]
     fn a_trip_in_the_solvers_conflict_detection_is_labelled_with_that_stage() {
-        // The input's reachability and CSC decision finish under 125,000
-        // nodes; the solver's conflict-pair counts that follow do not, and
-        // their trip must not carry the analysis's "isop" label.  (A budget
-        // trips in conflict-detection from about 74,000 to 129,000 nodes —
+        // The input's reachability and CSC decision finish under 100,000
+        // nodes; the solver's conflict detection that follows does not, and
+        // its trip must not carry the analysis's "isop" label.  (A budget
+        // trips in conflict-detection from about 73,000 to 107,000 nodes —
         // inside the analysis's CSC decision up to about 91,000 — below,
         // in reachability, above, in candidate search.)
-        let options = FlowOptions { node_budget: Some(125_000), ..FlowOptions::default() };
+        let options = FlowOptions { node_budget: Some(100_000), ..FlowOptions::default() };
         let report = run_flow(&stg::benchmarks::wide_conflict(32), &options).unwrap();
         assert_eq!(report.rung, FlowRung::PartialReport);
         let first = &report.degradations[0];

@@ -58,8 +58,7 @@ fn explicit_and_symbolic_engines_agree_on_fuzzed_models() {
 
 /// Distinct markings a code-encoded space covers: `|∃codes. Reach|`.
 fn covered_markings(space: &mut stg::SymbolicStateSpace) -> f64 {
-    let signal_vars: Vec<_> =
-        (0..space.num_signals()).map(|s| space.current_var_of_signal(s)).collect();
+    let signal_vars: Vec<_> = (0..space.num_signals()).map(|s| space.var_of_signal(s)).collect();
     let (reachable, places) = (space.reachable(), space.num_places());
     let m = space.manager_mut();
     let covered = m.exists_many(reachable, &signal_vars);

@@ -75,9 +75,13 @@ impl From<BudgetExceeded> for CscError {
     }
 }
 
+/// A budget trip keeps its own variant, whichever engine it came through.
 impl From<stg::StgError> for CscError {
     fn from(value: stg::StgError) -> Self {
-        CscError::Stg(value)
+        match value {
+            stg::StgError::Budget(trip) => CscError::Budget(trip),
+            other => CscError::Stg(other),
+        }
     }
 }
 

@@ -11,8 +11,11 @@ use ts::{insert_event, StateSet};
 /// excitation region `partition.er_fall`, using the event-insertion scheme
 /// of Fig. 2 twice.
 ///
-/// The returned graph is restricted to its reachable states and its codes
-/// are recomputed from scratch, which both validates that the insertion
+/// The concurrent scheme keeps every state reachable: a path of the old
+/// graph runs on through the pre-copies, firing the new event where it
+/// leaves an excitation region, and each post-copy follows its pre-copy.
+/// So the result is the inserted system itself, and its codes are
+/// recomputed from scratch, which both validates that the insertion
 /// produced a consistent encoding and assigns the new signal its value in
 /// every state.
 ///
@@ -47,10 +50,8 @@ pub fn insert_state_signal(
     debug_assert_eq!(fall.event.index(), event_edges.len());
     event_edges.push(Some((new_signal, Polarity::Fall)));
 
-    // Drop any state the insertion left unreachable and recompute all
-    // codes, which also checks consistency.
-    let (ts, _) = fall.ts.restricted_to_reachable();
-    let mut result = EncodedGraph { ts, codes: Vec::new(), signals, event_edges };
+    // Recompute all codes, which also checks consistency.
+    let mut result = EncodedGraph { ts: fall.ts, codes: Vec::new(), signals, event_edges };
     result.codes = vec![0; result.ts.num_states()];
     result.recompute_codes(name)?;
     Ok(result)

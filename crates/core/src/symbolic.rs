@@ -13,8 +13,10 @@
 //!    signal `a`, the codes of the *conflict relation* — pairs of reachable
 //!    states with equal codes but different enabled behaviour — are the
 //!    intersection of the ON and OFF *code* sets.  The relation's pairs
-//!    themselves are counted over current/next variable pairs
-//!    ([`bdd::BddManager::prime`]) tied by code equality.
+//!    themselves are counted without building it: one walk over the
+//!    states that enable the signal and those that do not, stepping both
+//!    together on the signal variables and splitting them on the places
+//!    ([`bdd::BddManager::tied_pair_count`]).
 //! 2. **Core extraction** — [`bdd::BddManager::one_sat`] picks one
 //!    conflicting code from the relation; the states carrying it split into
 //!    the two *core* sets the next insertion must separate.
@@ -674,9 +676,9 @@ struct Iteration {
     reach: Bdd,
     initial: Bdd,
     state_count: f64,
-    /// `⋀_s (cur_s ↔ next_s)` over the signal variables — the code-equality
-    /// relation the conflict-pair counts are built on.
-    code_eq: Bdd,
+    /// The positive cube of the signal variables: the variables a pair of
+    /// states must agree on to share a code.
+    code_vars: Bdd,
     /// Memoised [`SymbolicStateSpace::reachable_without`] results, keyed by
     /// the avoided transition's index: plans share triggers, so each
     /// trigger's restricted fixpoint runs once per iteration.
@@ -719,10 +721,8 @@ impl Iteration {
         let coded_states = space.state_count_f64();
         let num_places = space.num_places();
         let num_signals = space.num_signals();
-        let place_vars: Vec<VarId> =
-            (0..num_places).map(|p| space.current_var_of_place(p)).collect();
-        let signal_vars: Vec<VarId> =
-            (0..num_signals).map(|s| space.current_var_of_signal(s)).collect();
+        let place_vars: Vec<VarId> = (0..num_places).map(|p| space.var_of_place(p)).collect();
+        let signal_vars: Vec<VarId> = (0..num_signals).map(|s| space.var_of_signal(s)).collect();
         let reach = space.reachable();
         let initial = space.initial_state();
 
@@ -738,15 +738,7 @@ impl Iteration {
         let input_signal: Vec<bool> =
             stg.signals().iter().map(|s| s.kind == SignalKind::Input).collect();
         let signal_names: Vec<String> = stg.signals().iter().map(|s| s.name.clone()).collect();
-        // Code equality between the current and next variable copies,
-        // interned once per iteration.
-        let mut code_eq = m.top();
-        for &v in signal_vars.iter().rev() {
-            let cur = m.var(v);
-            let nxt = m.var(v + 1);
-            let pair = m.iff(cur, nxt);
-            code_eq = m.and(code_eq, pair);
-        }
+        let code_vars = m.quant_cube(&signal_vars);
 
         Ok(Iteration {
             srcs,
@@ -760,7 +752,7 @@ impl Iteration {
             reach,
             initial,
             state_count: coded_states,
-            code_eq,
+            code_vars,
             without_cache: FxHashMap::default(),
             crossing_tests: 0,
             cofactor_crossings: 0,
@@ -771,9 +763,8 @@ impl Iteration {
     /// The number of CSC conflict pairs of `signal` *within* the state set
     /// `a`, counted on the conflict relation itself: pairs `(s, s′) ∈ a × a`
     /// with equal codes where `s` enables the signal and `s′` does not.
-    /// The pair relation constrains every manager variable, so the count
-    /// is an exact integer up to `f64` precision (beyond 2^53 pairs —
-    /// wide designs — callers must compare with a relative margin).
+    /// The count is an exact integer up to `f64` precision (beyond 2^53
+    /// pairs — wide designs — callers must compare with a relative margin).
     fn conflict_pair_count(&mut self, a: Bdd, en: Bdd) -> f64 {
         let m = self.space.manager_mut();
         let with = m.and(a, en);
@@ -787,18 +778,11 @@ impl Iteration {
         self.code_tied_pairs(with, without)
     }
 
-    /// `|{(s, s′) ∈ a × b : code(s) = code(s′)}|`, counted on
-    /// `a ∧ (prime(b) ∧ code_eq)`.  Tying the primed side to the code first
-    /// keeps the product as small as the code-equal pairs themselves; the
-    /// product `a ∧ prime(b)` of every pair under any two codes is never
-    /// built (it made `pipe4_4`'s final arena 1,178,010 nodes instead of
-    /// 77,437, although that space has no conflict pair left at all).
+    /// `|{(s, s′) ∈ a × b : code(s) = code(s′)}|`, counted in one walk over
+    /// `a` and `b` with the signal variables tied
+    /// ([`BddManager::tied_pair_count`]): no pair relation is interned.
     fn code_tied_pairs(&mut self, a: Bdd, b: Bdd) -> f64 {
-        let m = self.space.manager_mut();
-        let primed = m.prime(b);
-        let tied = m.and(primed, self.code_eq);
-        let related = m.and(a, tied);
-        m.sat_count_f64(related)
+        self.space.manager().tied_pair_count(a, b, self.code_vars)
     }
 
     /// Total CSC conflict pairs over all non-input signals (exact up to
@@ -2084,7 +2068,6 @@ mod tests {
             let mut space = model
                 .try_symbolic_encoded_state_space(seed, &ReachabilityConfig::default())
                 .unwrap();
-            let state_vars = space.num_places() + space.num_signals();
             let fixpoints = stg::fixpoints_run();
             for t in (0..model.net().num_transitions()).map(TransId::from) {
                 // State-graph events coincide with net transitions.
@@ -2101,9 +2084,7 @@ mod tests {
                 }
                 let explicit = seen.iter().filter(|&&s| s).count() as f64;
                 let without = space.reachable_without(t);
-                let m = space.manager();
-                let next_copies = (m.num_vars() - state_vars) as i32;
-                let symbolic = m.sat_count_f64(without) / 2f64.powi(next_copies);
+                let symbolic = space.manager().sat_count_f64(without);
                 let name = model.net().transition_name(t);
                 assert_eq!(symbolic, explicit, "{}: without {name}", model.name());
             }
@@ -2117,11 +2098,41 @@ mod tests {
         let mut models: Vec<Stg> =
             benchmarks::table2_suite().into_iter().map(|(_, model, _)| model).collect();
         models.push(benchmarks::pipeline_4ph(3));
+        models.extend((0..40).map(stg::fuzz::random_stg));
+        let mut rng = stg::fuzz::SplitMix64::new(7);
         for model in models {
             let sg = model.state_graph(100_000).unwrap();
-            let space =
-                model.try_symbolic_encoded_state_space(0, &ReachabilityConfig::default()).unwrap();
+            let seed = sg.code(sg.ts.initial());
+            let space = model
+                .try_symbolic_encoded_state_space(seed, &ReachabilityConfig::default())
+                .unwrap();
             let mut it = Iteration::build(&model, space, None).unwrap();
+            // Two random sets of reachable states (a few hundred at most),
+            // and their code-tied pairs counted per code.
+            let keep = (sg.num_states() / 300).max(1);
+            let mut sides = [Vec::new(), Vec::new()];
+            for side in &mut sides {
+                side.extend((0..sg.num_states()).filter(|_| rng.below(keep) == 0 && rng.coin()));
+            }
+            let mut per_code: FxHashMap<u64, [f64; 2]> = FxHashMap::default();
+            let mut sets = [it.space.manager().bottom(); 2];
+            for (i, side) in sides.iter().enumerate() {
+                for &state in side {
+                    let marking = sg.markings[state].to_bools();
+                    let code = sg.code(ts::StateId::from(state));
+                    per_code.entry(code).or_default()[i] += 1.0;
+                    let places = marking.iter().enumerate().map(|(p, &v)| (it.place_vars[p], v));
+                    let signals = it.signal_vars.iter().enumerate();
+                    let lits: Vec<(VarId, bool)> =
+                        places.chain(signals.map(|(s, &v)| (v, (code >> s) & 1 != 0))).collect();
+                    let m = it.space.manager_mut();
+                    let cube = m.cube_of(&lits);
+                    sets[i] = m.or(sets[i], cube);
+                }
+            }
+            let explicit: f64 = per_code.values().map(|[a, b]| a * b).sum();
+            let name = model.name();
+            assert_eq!(it.cross_pair_count(sets[0], sets[1]), explicit, "{name}: cross pairs");
             let mut total = 0.0;
             for i in 0..it.non_inputs.len() {
                 let signal = it.non_inputs[i].0;

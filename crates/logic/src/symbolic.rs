@@ -222,9 +222,9 @@ pub fn analyze_space(
     let num_places = space.num_places();
     let num_signals = space.num_signals();
     // Manager variable → signal index, for the ISOP cubes.
-    let mut signal_of_var = vec![usize::MAX; 2 * (num_places + num_signals)];
+    let mut signal_of_var = vec![usize::MAX; num_places + num_signals];
     for s in 0..num_signals {
-        signal_of_var[space.current_var_of_signal(s) as usize] = s;
+        signal_of_var[space.var_of_signal(s) as usize] = s;
     }
     let signal_of_var = |var: VarId| signal_of_var[var as usize];
     let set_stage = |space: &SymbolicStateSpace, stage| {

@@ -184,8 +184,7 @@ pub fn verify_space(
     }
 
     let states_f64 = space.state_count_f64();
-    let signal_vars: Vec<VarId> =
-        (0..num_signals).map(|s| space.current_var_of_signal(s)).collect();
+    let signal_vars: Vec<VarId> = (0..num_signals).map(|s| space.var_of_signal(s)).collect();
     // Netlist variable → manager variable (through the STG signal index).
     let var_of: Vec<VarId> = stg_of_var.iter().map(|&s| signal_vars[s]).collect();
     let reachable = space.reachable();

@@ -30,6 +30,10 @@ impl ReachabilityGraph {
     }
 }
 
+/// How many new markings the exploration adds between two calls of its
+/// poll ([`PetriNet::reachability_graph_with`]).
+const POLL_INTERVAL: usize = 1024;
+
 impl PetriNet {
     /// Builds the explicit reachability graph of the net, exploring at most
     /// `max_states` markings.
@@ -44,8 +48,24 @@ impl PetriNet {
     ///   transition (specifications of autonomous circuits are cyclic, so a
     ///   dead initial marking always indicates a modelling error).
     pub fn reachability_graph(&self, max_states: usize) -> Result<ReachabilityGraph, PetriError> {
+        self.reachability_graph_with(max_states, || Ok(()))
+    }
+
+    /// [`Self::reachability_graph`], calling `poll` once every 1,024 new
+    /// markings: an error from it ends the exploration and is returned as
+    /// is.  A caller polls a deadline or a cancel flag this way.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`Self::reachability_graph`], converted into `E`, and the
+    /// poll's.
+    pub fn reachability_graph_with<E: From<PetriError>>(
+        &self,
+        max_states: usize,
+        mut poll: impl FnMut() -> Result<(), E>,
+    ) -> Result<ReachabilityGraph, E> {
         if self.enabled_transitions(self.initial_marking()).is_empty() {
-            return Err(PetriError::DeadInitialMarking);
+            return Err(PetriError::DeadInitialMarking.into());
         }
 
         let mut builder = TransitionSystemBuilder::new();
@@ -72,7 +92,10 @@ impl PetriNet {
                     existing
                 } else {
                     if markings.len() >= max_states {
-                        return Err(PetriError::StateLimitExceeded { limit: max_states });
+                        return Err(PetriError::StateLimitExceeded { limit: max_states }.into());
+                    }
+                    if markings.len() % POLL_INTERVAL == 0 {
+                        poll()?;
                     }
                     let fresh = builder.add_state(format!("m{}", markings.len()));
                     index.insert(next.clone(), fresh);

@@ -11,6 +11,7 @@
 use crate::model::{Stg, TransitionLabel};
 use crate::signal::{Polarity, Signal, SignalId};
 use crate::StgError;
+use bdd::Budget;
 use petri::{Marking, TransId};
 use std::collections::HashMap;
 use ts::{EventId, StateId, TransitionSystem};
@@ -36,7 +37,27 @@ impl Stg {
     /// Propagates reachability errors ([`StgError::Net`]) and reports
     /// [`StgError::Inconsistent`] if the STG is not consistently labelled.
     pub fn state_graph(&self, max_states: usize) -> Result<StateGraph, StgError> {
-        let rg = self.net().reachability_graph(max_states)?;
+        self.state_graph_within(max_states, None)
+    }
+
+    /// [`Self::state_graph`] under a flow budget: the exploration checks
+    /// the budget's deadline and cancel flag every 1,024 new markings
+    /// ([`petri::PetriNet::reachability_graph_with`]).  Its node and step
+    /// ceilings do not apply, since the exploration allocates no BDD node.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`Self::state_graph`], and [`StgError::Budget`] once the
+    /// deadline passes or the flow is cancelled.
+    pub fn state_graph_within(
+        &self,
+        max_states: usize,
+        budget: Option<&Budget>,
+    ) -> Result<StateGraph, StgError> {
+        let rg = self.net().reachability_graph_with(max_states, || match budget {
+            Some(budget) => budget.check_deadline().map_err(StgError::Budget),
+            None => Ok(()),
+        })?;
         let num_states = rg.ts.num_states();
         let num_signals = self.num_signals();
         if num_signals > 64 {

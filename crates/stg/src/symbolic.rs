@@ -5,23 +5,23 @@
 //! This module provides that engine, built around the one-pass branch image
 //! [`bdd::BddManager::image_cube`]:
 //!
-//! * **Interleaved variable encoding** — every state variable (one per
-//!   place, plus one per signal for code-encoded spaces) owns an adjacent
-//!   pair of BDD variables: the *current* copy at index `2i` and the *next*
-//!   copy at `2i + 1`.  Reachable sets live on the current copies only; the
-//!   next copies carry the second state of *pair* relations (the CSC
-//!   solver's code-tied conflict-pair counts, built with
-//!   [`bdd::BddManager::prime`]).
+//! * **One BDD variable per state variable** — one per place, plus one per
+//!   signal for code-encoded spaces, each signal placed right after the
+//!   lowest-numbered place that feeds its transitions.  No analysis needs
+//!   a copy for the next state: a branch's image is computed on the same
+//!   variables, and pair questions (the CSC solver's code-tied
+//!   conflict-pair counts) walk two sets together
+//!   ([`bdd::BddManager::tied_pair_count`]).
 //! * **Firing branches, interned once** — each transition fires through
 //!   one [`Branch`] per pre-value of its code bit (two for a toggle, one
 //!   otherwise): a cube of enabling literals (marked preset, the signal's
 //!   pre-value) and a cube of post-values for the variables it changes.
 //!   The image of a set under a branch is `pinned ∧ ∃changed. set ∧
-//!   enabled`, one memoised recursion that builds no relation and touches
-//!   no next copy.  The space interns its branches at construction, in
-//!   transition index order, and every consumer — the fixpoint, the seed
-//!   guard, the CSC solver's region analyses, the logic derivation and the
-//!   netlist check — reads them from there.
+//!   enabled`, one memoised recursion that builds no relation.  The space
+//!   interns its branches at construction, in transition index order, and
+//!   every consumer — the fixpoint, the seed guard, the CSC solver's region
+//!   analyses, the logic derivation and the netlist check — reads them
+//!   from there.
 //! * **Causal firing order** — the branches fire in an order computed once
 //!   per net: breadth-first from the initially marked places, a transition
 //!   entering when the first of its preset places is reached (transitions
@@ -111,8 +111,8 @@ pub struct SymbolicStateSpace {
     initial: Bdd,
     num_places: usize,
     num_signals: usize,
-    /// Position of each logical state variable (places `0..num_places`,
-    /// then signals) in the interleaved BDD variable order.
+    /// The BDD variable of each logical state variable (places
+    /// `0..num_places`, then signals): its position in the variable order.
     pos: Vec<usize>,
     /// The firing branches, in transition index order.
     branches: Vec<Branch>,
@@ -133,14 +133,13 @@ pub struct SymbolicStateSpace {
     pub iterations: usize,
 }
 
-/// One firing branch of an STG transition, interned in its space's manager
-/// over the *current* variable copies.
+/// One firing branch of an STG transition, interned in its space's manager.
 ///
 /// A rising or falling edge fires through one branch; a toggle through two
 /// (one per pre-value of its code bit); a dummy through one that touches no
 /// code variable.  The next state differs from the current one only on the
 /// changed variables, and there by the constants of [`Self::pinned`], so no
-/// analysis needs the next-state copies: the image of a set `A` under a
+/// analysis needs next-state variables: the image of a set `A` under a
 /// branch is `pinned ∧ ∃changed. A ∧ enabled`
 /// ([`BddManager::image_cube`]), and "the target satisfies `Q`" is the
 /// cofactor of `Q` at `pinned` ([`BddManager::restrict_cube`]).
@@ -212,14 +211,14 @@ impl CscDecision {
 
 /// Interns the firing branches of every transition in `m`, in transition
 /// index order.  State variables are indexed places `0..num_places`, then
-/// signals, and `current` maps each to its current BDD copy; `with_codes`
+/// signals, and `var` maps each to its BDD variable; `with_codes`
 /// adds the signal's code literals to the coded edges, without it every
 /// label is treated like a dummy.
 fn intern_branches(
     stg: &Stg,
     with_codes: bool,
     m: &mut BddManager,
-    current: &dyn Fn(usize) -> VarId,
+    var: &dyn Fn(usize) -> VarId,
 ) -> Vec<Branch> {
     let net = stg.net();
     let mut branches = Vec::new();
@@ -250,13 +249,13 @@ fn intern_branches(
                 enabled.push((sv, !value));
                 pinned.push((sv, value));
             }
-            let on_current = |lits: Vec<(usize, bool)>| -> Vec<(VarId, bool)> {
+            let on_vars = |lits: Vec<(usize, bool)>| -> Vec<(VarId, bool)> {
                 let mut lits: Vec<(VarId, bool)> =
-                    lits.into_iter().map(|(sv, v)| (current(sv), v)).collect();
+                    lits.into_iter().map(|(sv, v)| (var(sv), v)).collect();
                 lits.sort_unstable();
                 lits
             };
-            let (enabled_lits, pinned) = (on_current(enabled), on_current(pinned));
+            let (enabled_lits, pinned) = (on_vars(enabled), on_vars(pinned));
             let changed: Vec<VarId> = pinned.iter().map(|&(v, _)| v).collect();
             let mut vars: Vec<VarId> = enabled_lits.iter().map(|&(v, _)| v).collect();
             vars.extend_from_slice(&changed);
@@ -453,9 +452,8 @@ impl Stg {
         let net = self.net();
         let num_places = net.num_places();
         let num_signals = if with_codes { self.num_signals() } else { 0 };
-        // One (current, next) variable pair per state variable, interleaved:
-        // the state variable at *position* k of the chosen order lives at
-        // BDD variables 2k (current) and 2k+1 (next).
+        // One BDD variable per state variable: the state variable at
+        // *position* k of the chosen order is BDD variable k.
         //
         // State variables are identified by a logical index (places first,
         // then signals) but *positioned* so that every signal sits right
@@ -498,21 +496,21 @@ impl Stg {
             debug_assert_eq!(k, num_state_vars);
             pos
         };
-        let current = |state_var: usize| (2 * pos[state_var]) as VarId;
+        let var = |state_var: usize| pos[state_var] as VarId;
         // Pre-size the arena and unique table: reachability fixpoints build
         // nodes monotonically, and sizing up front avoids growth rehashing
         // in the middle of the image iteration.
         let mut m = BddManager::with_capacity(
-            (2 * num_state_vars).max(1),
+            num_state_vars.max(1),
             (num_state_vars.max(8) * 1024).min(1 << 20),
         );
         if let Some(budget) = budget {
             m.set_budget(budget.clone());
         }
 
-        // Initial state cube over the current-copy variables.
+        // Initial state cube.
         let mut initial_lits: Vec<(VarId, bool)> = (0..num_places)
-            .map(|p| (current(p), net.initial_marking().is_marked(PlaceId::from(p))))
+            .map(|p| (var(p), net.initial_marking().is_marked(PlaceId::from(p))))
             .collect();
         if with_codes {
             for s in 0..num_signals {
@@ -520,7 +518,7 @@ impl Stg {
                 // designs (>64 signals) are exactly what the symbolic engine
                 // exists for, so the shift must not overflow.
                 let bit = s < 64 && (initial_code >> s) & 1 != 0;
-                initial_lits.push((current(num_places + s), bit));
+                initial_lits.push((var(num_places + s), bit));
             }
         }
         let initial = m.cube_of(&initial_lits);
@@ -528,7 +526,7 @@ impl Stg {
         // The firing branches, kept in transition index order and fired in
         // causal order; the stable sort keeps a toggle's two branches
         // adjacent.
-        let branches = intern_branches(self, with_codes, &mut m, &current);
+        let branches = intern_branches(self, with_codes, &mut m, &var);
         let mut rank = vec![0; net.num_transitions()];
         for (r, t) in causal_order(self).into_iter().enumerate() {
             rank[t.index()] = r;
@@ -566,35 +564,16 @@ impl Stg {
 const UNBUDGETED: &str = "reachability without a budget cannot fail";
 
 impl SymbolicStateSpace {
-    /// Number of state variables (places plus code signals); the manager
-    /// holds twice as many BDD variables (a current and a next copy each).
-    fn num_state_vars(&self) -> usize {
-        self.num_places + self.num_signals
-    }
-
     /// Number of reachable markings (or marking/code pairs), as an exact
-    /// count saturating at `u128::MAX`.
+    /// count saturating at `u128::MAX` (counted in floating point from 128
+    /// state variables on).
     pub fn state_count(&self) -> u128 {
-        let extra = self.num_state_vars() as u32;
-        if self.manager.num_vars() >= 128 {
-            // The manager counts in floating point beyond 128 variables;
-            // divide out the unconstrained next-state copies there too.
-            let approx = self.state_count_f64();
-            if approx >= u128::MAX as f64 {
-                u128::MAX
-            } else {
-                approx as u128
-            }
-        } else {
-            // The reachable set never depends on the next-state copies, so
-            // the count over all variables is an exact multiple of 2^extra.
-            self.manager.sat_count(self.reachable) >> extra
-        }
+        self.manager.sat_count(self.reachable)
     }
 
     /// Number of reachable markings as a float (robust beyond 128 places).
     pub fn state_count_f64(&self) -> f64 {
-        self.manager.sat_count_f64(self.reachable) / 2f64.powi(self.num_state_vars() as i32)
+        self.manager.sat_count_f64(self.reachable)
     }
 
     /// Number of BDD nodes representing the reachable set — the compression
@@ -612,11 +591,9 @@ impl SymbolicStateSpace {
     /// by place, extended with signal values if the space is code-encoded)
     /// is reachable.
     pub fn contains(&self, assignment: &[bool]) -> bool {
-        // Spread the state assignment over the interleaved current copies;
-        // the next copies are don't-cares for the reachable set.
-        let mut full = vec![false; 2 * self.num_state_vars()];
+        let mut full = vec![false; self.manager.num_vars()];
         for (state_var, &value) in assignment.iter().enumerate() {
-            full[2 * self.pos[state_var]] = value;
+            full[self.pos[state_var]] = value;
         }
         self.manager.eval(self.reachable, &full)
     }
@@ -631,8 +608,7 @@ impl SymbolicStateSpace {
         self.num_signals
     }
 
-    /// The reachable set as a BDD over the *current* copies of the state
-    /// variables (the next copies are unconstrained).
+    /// The reachable set as a BDD over the state variables.
     pub fn reachable(&self) -> Bdd {
         self.reachable
     }
@@ -649,22 +625,21 @@ impl SymbolicStateSpace {
         &mut self.manager
     }
 
-    /// The manager variable holding the *current* value of place `place`.
-    pub fn current_var_of_place(&self, place: usize) -> VarId {
+    /// The manager variable of place `place`.
+    pub fn var_of_place(&self, place: usize) -> VarId {
         assert!(place < self.num_places, "place {place} out of range");
-        (2 * self.pos[place]) as VarId
+        self.pos[place] as VarId
     }
 
-    /// The manager variable holding the *current* value of signal `signal`
-    /// (only meaningful for code-encoded spaces).
-    pub fn current_var_of_signal(&self, signal: usize) -> VarId {
+    /// The manager variable of signal `signal` (only meaningful for
+    /// code-encoded spaces).
+    pub fn var_of_signal(&self, signal: usize) -> VarId {
         assert!(signal < self.num_signals, "signal {signal} out of range");
-        (2 * self.pos[self.num_places + signal]) as VarId
+        self.pos[self.num_places + signal] as VarId
     }
 
-    /// The initial state as a cube over the *current* variable copies (the
-    /// initial marking, extended with the seeded signal values for a
-    /// code-encoded space).
+    /// The initial state as a cube (the initial marking, extended with the
+    /// seeded signal values for a code-encoded space).
     pub fn initial_state(&self) -> Bdd {
         self.initial
     }
@@ -739,9 +714,8 @@ impl SymbolicStateSpace {
             return Ok(coding);
         }
         let (up, down) = self.excitation(signal);
-        let place_vars: Vec<VarId> =
-            (0..self.num_places).map(|p| self.current_var_of_place(p)).collect();
-        let a = self.current_var_of_signal(signal.index());
+        let place_vars: Vec<VarId> = (0..self.num_places).map(|p| self.var_of_place(p)).collect();
+        let a = self.var_of_signal(signal.index());
         let reachable = self.reachable;
         let m = &mut self.manager;
         let a = m.var(a);
@@ -770,7 +744,7 @@ impl SymbolicStateSpace {
         if let Some(decision) = &self.decision {
             return Ok(decision.clone());
         }
-        // Conflict codes depend on the current signal copies only.
+        // Conflict codes depend on the signal variables only.
         let free_vars = (self.manager.num_vars() - self.num_signals) as i32;
         let mut decision = CscDecision::default();
         for i in 0..self.non_inputs.len() {
@@ -824,7 +798,7 @@ impl SymbolicStateSpace {
             }
             // The enabling cube with the code literal flipped to the
             // post-value: the states that mark the preset but bar the edge.
-            let var = (2 * self.pos[self.num_places + signal.index()]) as VarId;
+            let var = self.var_of_signal(signal.index());
             let lits: Vec<(VarId, bool)> = b
                 .enabled_lits
                 .iter()
@@ -847,11 +821,11 @@ impl SymbolicStateSpace {
             return Err(StgError::SeedMismatch { barred });
         }
         let signal_vars: Vec<VarId> =
-            (0..self.num_signals).map(|s| self.current_var_of_signal(s)).collect();
+            (0..self.num_signals).map(|s| self.var_of_signal(s)).collect();
         let codes = self.manager.quant_cube(&signal_vars);
         let coded = self.manager.exists_cube(self.reachable, codes);
         self.manager.check_budget()?;
-        // `coded` depends on the current place copies only.
+        // `coded` depends on the place variables only.
         let free_vars = (self.manager.num_vars() - self.num_places) as i32;
         let coded_markings = self.manager.sat_count_f64(coded) / 2f64.powi(free_vars);
         let coded_states = self.state_count_f64();
@@ -880,7 +854,7 @@ impl SymbolicStateSpace {
     fn marking_of(&self, stg: &Stg, set: Bdd) -> String {
         let lits = self.manager.any_sat(set).unwrap_or_default();
         let marked: Vec<&str> = (0..self.num_places)
-            .filter(|&p| lits.contains(&(self.current_var_of_place(p), true)))
+            .filter(|&p| lits.contains(&(self.var_of_place(p), true)))
             .map(|p| stg.net().place_name(PlaceId::from(p)))
             .collect();
         format!("{{{}}}", marked.join(", "))
@@ -1220,7 +1194,7 @@ mod tests {
                 for code in explicit {
                     let mut assignment = vec![false; m.num_vars()];
                     for s in 0..space.num_signals() {
-                        assignment[space.current_var_of_signal(s) as usize] = (code >> s) & 1 != 0;
+                        assignment[space.var_of_signal(s) as usize] = (code >> s) & 1 != 0;
                     }
                     assert!(m.eval(codes, &assignment), "{}: {name} at {code:b}", stg.name());
                 }
@@ -1244,6 +1218,8 @@ mod tests {
         let stg = benchmarks::parallel_handshakes(40);
         let space = stg.symbolic_encoded_state_space(0);
         assert_eq!(space.num_signals(), 80);
+        // One BDD variable per place and per signal: no next-state copies.
+        assert_eq!(space.manager().num_vars(), space.num_places() + 80);
         let states = space.state_count_f64();
         let expected = 4f64.powi(40);
         assert!(

@@ -272,39 +272,6 @@ impl TransitionSystem {
         border
     }
 
-    /// Returns a copy of the system restricted to the states reachable from
-    /// the initial state.  State ids are renumbered densely; the mapping from
-    /// new ids to old ids is returned alongside.
-    pub fn restricted_to_reachable(&self) -> (TransitionSystem, Vec<StateId>) {
-        let reachable = self.reachable_states();
-        let mut old_of_new = Vec::with_capacity(reachable.len());
-        let mut new_of_old = vec![None; self.num_states()];
-        for old in reachable.iter() {
-            new_of_old[old.index()] = Some(StateId::from(old_of_new.len()));
-            old_of_new.push(old);
-        }
-        let state_names =
-            old_of_new.iter().map(|&old| self.state_names[old.index()].clone()).collect();
-        let transitions = self
-            .transitions
-            .iter()
-            .filter_map(|t| {
-                let source = new_of_old[t.source.index()]?;
-                let target = new_of_old[t.target.index()]?;
-                Some(Transition { source, event: t.event, target })
-            })
-            .collect();
-        let initial = new_of_old[self.initial.index()].expect("initial state is always reachable");
-        let ts = TransitionSystem::from_parts(
-            state_names,
-            self.event_names.clone(),
-            transitions,
-            initial,
-        )
-        .expect("restriction of a valid system is valid");
-        (ts, old_of_new)
-    }
-
     /// Total number of transitions.
     pub fn num_transitions(&self) -> usize {
         self.transitions.len()
@@ -455,32 +422,6 @@ mod tests {
         );
         let comps = ts.connected_components(&set);
         assert_eq!(comps.len(), 2);
-    }
-
-    #[test]
-    fn restriction_to_reachable_is_identity_for_connected_systems() {
-        let ts = fig1_ts();
-        let (r, map) = ts.restricted_to_reachable();
-        assert_eq!(r.num_states(), ts.num_states());
-        assert_eq!(map.len(), 7);
-        assert_eq!(r.num_transitions(), ts.num_transitions());
-    }
-
-    #[test]
-    fn restriction_drops_unreachable_states() {
-        let mut b = TransitionSystemBuilder::new();
-        let s0 = b.add_state("s0");
-        let s1 = b.add_state("s1");
-        let orphan = b.add_state("orphan");
-        let s2 = b.add_state("s2");
-        b.add_transition(s0, "x", s1);
-        b.add_transition(s1, "y", s2);
-        b.add_transition(orphan, "x", s2);
-        let ts = b.build(s0).unwrap();
-        let (r, map) = ts.restricted_to_reachable();
-        assert_eq!(r.num_states(), 3);
-        assert!(map.iter().all(|old| ts.state_name(*old) != "orphan"));
-        assert_eq!(r.num_transitions(), 2);
     }
 
     #[test]

@@ -119,6 +119,40 @@ fn solved_benchmarks_have_implementable_logic() {
 }
 
 #[test]
+fn explicit_insertions_keep_every_state_reachable() {
+    // The concurrent insertion scheme strands no state, so the solver keeps
+    // each inserted graph as it is.  A stranded state would stay stranded
+    // through every later insertion (its copies inherit only transitions
+    // from copies of its own unreachable predecessors), so a fully
+    // reachable final graph shows that no insertion on the way dropped one.
+    let mut suite: Vec<(&str, stg::Stg)> =
+        stg::benchmarks::table2_suite().into_iter().map(|(name, model, _)| (name, model)).collect();
+    suite.push(("pipe4_3", stg::benchmarks::pipeline_4ph(3)));
+    suite.push(("mixed_handshake", stg::benchmarks::mixed_handshake()));
+    let configs = [
+        SolverConfig::default(),
+        SolverConfig::excitation_region_baseline(),
+        SolverConfig { enlarge_concurrency: true, ..SolverConfig::default() },
+    ];
+    let mut insertions = 0;
+    for config in &configs {
+        for (name, model) in &suite {
+            match solve_stg(model, config) {
+                Ok(solution) => {
+                    let ts = &solution.graph.ts;
+                    let reached = ts.reachable_states().len();
+                    assert_eq!(reached, ts.num_states(), "{name}, {config:?}");
+                    insertions += solution.inserted_signals.len();
+                }
+                Err(csc::CscError::NoCandidate { .. }) => {}
+                Err(e) => panic!("{name}: {e}"),
+            }
+        }
+    }
+    assert!(insertions >= 100, "{insertions} insertions");
+}
+
+#[test]
 fn logic_strategies_are_equivalent_on_the_table2_suite() {
     // The two derivations — from the solved encoded graph, and from the
     // re-synthesized STG's encoded state space — implement the same truth
